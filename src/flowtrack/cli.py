@@ -47,7 +47,7 @@ from .kitti_io import (
 )
 from .metrics import EvalConfig, MetricsReport, TrackedBox, recall_sweep
 from .preprocess import Calibration, Frustum, PointCloud, fit_ground, sample_points, filter_fov
-from .sim import FrameData, Scenario, decimate, demo_scenario, generate, read_scenario
+from .sim import FrameData, Scenario, demo_scenario, generate, read_scenario
 from .tracker import (
     Detection,
     EmittedTrack,
@@ -144,7 +144,9 @@ def run_tracking(
     """Run the tracker over a sequence held in memory.
 
     Frames are processed in ascending index order; the frame range is the
-    union of the detection and cloud keys starting at 0.
+    union of the detection and cloud keys starting at 0.  Clouds are only
+    preprocessed for the flow predictor: the constant-velocity predictor
+    never reads them.
     """
     frames: set[int] = set(detections_by_frame)
     if clouds_by_frame:
@@ -153,23 +155,16 @@ def run_tracking(
         return {}
     last_frame = max(frames)
 
+    clouds = clouds_by_frame if predictor == "flow" else None
     tracker = Tracker(config=tracker_config, predictor=predictor)
     results: dict[int, list[EmittedTrack]] = {}
     prev_sampled: PointCloud | None = None
     for frame in range(last_frame + 1):
         sampled = None
-        if clouds_by_frame is not None and frame in clouds_by_frame:
-            sampled = preprocess_frame(
-                clouds_by_frame[frame], frustum, num_points, seed, frame
-            )
+        if clouds is not None and frame in clouds:
+            sampled = preprocess_frame(clouds[frame], frustum, num_points, seed, frame)
         flow = None
-        if (
-            predictor == "flow"
-            and frame > 0
-            and prev_sampled is not None
-            and sampled is not None
-            and flow_estimator is not None
-        ):
+        if prev_sampled is not None and sampled is not None and flow_estimator is not None:
             flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
         detections = list(detections_by_frame.get(frame, []))
         results[frame] = tracker.step(detections, prev_cloud=prev_sampled, flow=flow)

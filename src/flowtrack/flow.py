@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, Protocol
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Box3D, points_in_box, wrap_angle
 from .preprocess import PointCloud
@@ -140,6 +139,10 @@ def estimate_nn(
         raise ValueError(f"max_match_distance must be positive, got {max_match_distance}")
     vectors = np.zeros((len(prev), 3))
     if len(curr) > 0 and len(prev) > 0:
+        # Imported here: scipy takes longer to import than the rest of the
+        # package, and only this estimator needs it.
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(curr.positions)
         distances, indices = tree.query(prev.positions, k=1)
         matched = distances <= max_match_distance

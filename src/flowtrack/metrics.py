@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,6 +179,7 @@ class MetricsReport:
 
 
 Frames = Mapping[int, Sequence[TrackedBox]]
+IouFn = Callable[[Box3D, Box3D], float]
 
 
 def _check_unique_ids(frames: Frames, kind: str) -> None:
@@ -197,6 +198,8 @@ def match_frame(
     pred: Sequence[TrackedBox],
     iou_thres: float,
     prev_pairs: Mapping[int, int] | None = None,
+    *,
+    iou: IouFn | None = None,
 ) -> FrameMatch:
     """Match one frame of ground truth against one frame of predictions.
 
@@ -212,6 +215,8 @@ def match_frame(
         Minimum IoU of a valid match.
     prev_pairs : mapping, optional
         Previous-frame assignment as ``gt_id -> pred_id``.
+    iou : callable, optional
+        IoU of a ``(gt box, result box)`` pair; :func:`iou3d` by default.
 
     Returns
     -------
@@ -219,6 +224,7 @@ def match_frame(
         Matched index pairs ``(gt_index, pred_index)`` plus the frame's FP
         (unmatched predictions) and FN (unmatched ground truth).
     """
+    iou = iou or iou3d
     prev_pairs = prev_pairs or {}
     pred_index_by_id = {p.track_id: j for j, p in enumerate(pred)}
 
@@ -229,7 +235,7 @@ def match_frame(
         j = pred_index_by_id.get(prev_pairs.get(truth.track_id))
         if j is None or j in taken_pred:
             continue
-        if iou3d(truth.box, pred[j].box) >= iou_thres:
+        if iou(truth.box, pred[j].box) >= iou_thres:
             matches.append((i, j))
             taken_gt.add(i)
             taken_pred.add(j)
@@ -240,7 +246,7 @@ def match_frame(
         similarity = np.zeros((len(free_gt), len(free_pred)))
         for a, i in enumerate(free_gt):
             for b, j in enumerate(free_pred):
-                similarity[a, b] = iou3d(gt[i].box, pred[j].box)
+                similarity[a, b] = iou(gt[i].box, pred[j].box)
         for a, b in max_similarity_assignment(similarity):
             if similarity[a, b] >= iou_thres:
                 matches.append((free_gt[a], free_pred[b]))
@@ -251,7 +257,9 @@ def match_frame(
     )
 
 
-def evaluate_sequence(gt: Frames, pred: Frames, iou_thres: float) -> SequenceCounts:
+def evaluate_sequence(
+    gt: Frames, pred: Frames, iou_thres: float, *, iou: IouFn | None = None
+) -> SequenceCounts:
     """CLEAR counts of one sequence.
 
     An identity switch is counted when a ground-truth identity's matched
@@ -266,6 +274,8 @@ def evaluate_sequence(gt: Frames, pred: Frames, iou_thres: float) -> SequenceCou
         Frame index to boxes.  ``(frame, id)`` pairs must be unique.
     iou_thres : float
         Minimum IoU of a valid match.
+    iou : callable, optional
+        IoU of a ``(gt box, result box)`` pair; :func:`iou3d` by default.
 
     Raises
     ------
@@ -277,6 +287,7 @@ def evaluate_sequence(gt: Frames, pred: Frames, iou_thres: float) -> SequenceCou
     if sum(len(boxes) for boxes in gt.values()) == 0:
         raise EvaluationInputError("ground truth holds no boxes")
 
+    iou = iou or iou3d
     counts = SequenceCounts()
     prev_pairs: dict[int, int] = {}
     # Per ground-truth identity: prediction id of its most recent matched
@@ -288,7 +299,7 @@ def evaluate_sequence(gt: Frames, pred: Frames, iou_thres: float) -> SequenceCou
     for frame in frames:
         gt_boxes = list(gt.get(frame, []))
         pred_boxes = list(pred.get(frame, []))
-        frame_match = match_frame(gt_boxes, pred_boxes, iou_thres, prev_pairs)
+        frame_match = match_frame(gt_boxes, pred_boxes, iou_thres, prev_pairs, iou=iou)
 
         counts.fp += frame_match.fp
         counts.fn += frame_match.fn
@@ -297,7 +308,7 @@ def evaluate_sequence(gt: Frames, pred: Frames, iou_thres: float) -> SequenceCou
 
         matched_pred: dict[int, int] = {}
         for i, j in frame_match.matches:
-            counts.iou_sum += iou3d(gt_boxes[i].box, pred_boxes[j].box)
+            counts.iou_sum += iou(gt_boxes[i].box, pred_boxes[j].box)
             matched_pred[gt_boxes[i].track_id] = pred_boxes[j].track_id
 
         for truth in gt_boxes:
@@ -323,13 +334,34 @@ def evaluate_sequences(
     gt_by_sequence: Mapping[str, Frames],
     pred_by_sequence: Mapping[str, Frames],
     iou_thres: float,
+    *,
+    iou: IouFn | None = None,
 ) -> SequenceCounts:
     """Evaluate each sequence independently and fold the counts."""
     total = SequenceCounts()
     for name in sorted(gt_by_sequence):
         pred = pred_by_sequence.get(name, {})
-        total = total.merge(evaluate_sequence(gt_by_sequence[name], pred, iou_thres))
+        total = total.merge(
+            evaluate_sequence(gt_by_sequence[name], pred, iou_thres, iou=iou)
+        )
     return total
+
+
+def _iou_memo() -> IouFn:
+    """:func:`iou3d` that computes each distinct ``(gt, result)`` box pair once.
+
+    Boxes are frozen, so equal boxes hash alike and have equal IoUs.
+    """
+    memo: dict[tuple[Box3D, Box3D], float] = {}
+
+    def iou(gt_box: Box3D, pred_box: Box3D) -> float:
+        key = (gt_box, pred_box)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = iou3d(gt_box, pred_box)
+        return value
+
+    return iou
 
 
 def _filter_by_score(frames: Frames, threshold: float) -> dict[int, list[TrackedBox]]:
@@ -371,7 +403,9 @@ def recall_sweep(
     configured IoU threshold.  Targets that no threshold reaches reuse the
     lowest threshold.  The accuracy of each row is scaled by its target
     recall (see :func:`smota_value`) and the averages are reported on a
-    0-100 scale.
+    0-100 scale.  A threshold only drops result boxes, so the evaluations
+    revisit the same box pairs; the IoU of each distinct ``(gt, result)``
+    pair is computed once per sweep.
 
     Parameters
     ----------
@@ -411,6 +445,7 @@ def recall_sweep(
         scores = [0.0]
 
     counts_cache: dict[float, SequenceCounts] = {}
+    iou = _iou_memo()
 
     def counts_at(threshold: float) -> SequenceCounts:
         if threshold not in counts_cache:
@@ -418,7 +453,9 @@ def recall_sweep(
                 name: _filter_by_score(frames, threshold)
                 for name, frames in pred_seqs.items()
             }
-            counts_cache[threshold] = evaluate_sequences(gt_seqs, filtered, cfg.iou_thres)
+            counts_cache[threshold] = evaluate_sequences(
+                gt_seqs, filtered, cfg.iou_thres, iou=iou
+            )
         return counts_cache[threshold]
 
     candidates = [(threshold, counts_at(threshold)) for threshold in scores]

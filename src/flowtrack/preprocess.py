@@ -324,10 +324,6 @@ def fit_ground(
     inliers = _plane_distances(positions, *best_plane) <= inlier_threshold
     normal, offset = _refit_plane(positions[inliers])
     refined = _plane_distances(positions, normal, offset) <= inlier_threshold
-    if refined.sum() < best_count:
-        # Refinement should not lose ground; keep the raw hypothesis if it did.
-        normal, offset = best_plane
-        refined = inliers
 
     labels = cloud.labels.copy()
     relabelable = (labels == UNLABELED) | (labels == GROUND)

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowtrack.cli import main
+import flowtrack
+import flowtrack.cli as cli
+from flowtrack.cli import main, run_tracking
 from flowtrack.flow import FlowDataError
+from flowtrack.preprocess import PointCloud
 from flowtrack.sim import demo_scenario, write_scenario
+from flowtrack.tracker import TrackerConfig
 
 SIM_ARGS = ["--frames", "12", "--objects", "3", "--num-points", "2000"]
 
@@ -160,6 +169,31 @@ class TestFlowSources:
         ]) == 0
         assert (out / "results.txt").stat().st_size > 0
 
+    def test_constant_velocity_skips_cloud_preprocessing(self, sim_dir, tmp_path, monkeypatch):
+        without = tmp_path / "without"
+        assert run([
+            "track", "--detections", sim_dir / "detections.txt",
+            "--predictor", "cv", "--out", without,
+        ]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "preprocess_frame", lambda *args: calls.append(args))
+        with_clouds = tmp_path / "with"
+        assert run(track_args(sim_dir, with_clouds, **{"--predictor": "cv"})) == 0
+        assert calls == []
+        assert (with_clouds / "results.txt").read_bytes() == (
+            without / "results.txt"
+        ).read_bytes()
+
+    def test_constant_velocity_frame_range_spans_clouds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "preprocess_frame", lambda *args: calls.append(args))
+        cloud = PointCloud(positions=np.zeros((4, 3)))
+        results = run_tracking(
+            {0: []}, {0: cloud, 4: cloud}, None, TrackerConfig(), predictor="cv"
+        )
+        assert sorted(results) == [0, 1, 2, 3, 4]
+        assert calls == []
+
     def test_oracle_requires_ground_truth(self, sim_dir, tmp_path):
         with pytest.raises(ValueError, match="--gt"):
             run(track_args(sim_dir, tmp_path / "x", **{"--gt": None}))
@@ -274,3 +308,20 @@ class TestDecimateCommand:
         empty.mkdir()
         with pytest.warns(RuntimeWarning, match="no frames"):
             run(["decimate", "--in", empty, "--stride", "2", "--out", tmp_path / "out"])
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported by the nn flow estimator on first use only.
+        src = str(Path(flowtrack.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        probe = (
+            "import sys, flowtrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import flowtrack.metrics as metrics
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
 from flowtrack.metrics import (
     EvalConfig,
@@ -422,6 +424,112 @@ class TestRecallSweep:
             gt, pred, EvalConfig(num_recall_steps=2, smota_mode="adjusted")
         )
         assert adjusted.samota == pytest.approx(ratio.samota, abs=1e-9)
+
+
+def crowded_scored_scenario(rng: np.random.Generator) -> tuple[dict, dict]:
+    """Two sequences of overlapping cars with scored, jittered results.
+
+    Cars stand 3 m apart with 4 m long boxes, so every result overlaps
+    several ground-truth boxes and the assignment decides.  Each sequence
+    has one identity switch and low-scored false positives near the cars;
+    nearly every result has its own score, so the sweep visits many
+    thresholds.
+    """
+    gt_seqs: dict[str, dict] = {}
+    pred_seqs: dict[str, dict] = {}
+    for name in ("a", "b"):
+        gt: dict[int, list[TrackedBox]] = {}
+        pred: dict[int, list[TrackedBox]] = {}
+        for f in range(6):
+            gt[f] = []
+            pred[f] = []
+            for gid in range(1, 6):
+                x = 3.0 * gid + 0.4 * f
+                gt[f].append(tb(gid, x))
+                if rng.uniform() < 0.8:
+                    pid = 10 * gid + (1 if gid == 2 and f >= 3 else 0)
+                    jitter = float(rng.uniform(-1.2, 1.2))
+                    score = round(float(rng.uniform(0.3, 1.0)), 3)
+                    pred[f].append(tb(pid, x + jitter, y=0.3, score=score))
+            if rng.uniform() < 0.5:
+                score = round(float(rng.uniform(0.0, 0.3)), 3)
+                pred[f].append(tb(900 + f, 3.0 * rng.uniform(1, 5), y=1.5, score=score))
+        gt_seqs[name] = gt
+        pred_seqs[name] = pred
+    return gt_seqs, pred_seqs
+
+
+def sweep_counting_iou(monkeypatch, gt, pred, cfg, memo: bool = True):
+    """Run ``recall_sweep`` and count its ``iou3d`` calls per box pair.
+
+    With ``memo=False`` every evaluation calls ``iou3d`` directly, as
+    per-threshold ``evaluate_sequences`` calls without a memo do.
+    """
+    calls: Counter = Counter()
+
+    def counting(a: Box3D, b: Box3D) -> float:
+        calls[(a, b)] += 1
+        return iou3d(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "iou3d", counting)
+        if not memo:
+            patch.setattr(metrics, "_iou_memo", lambda: counting)
+        report = recall_sweep(gt, pred, cfg)
+    return report, calls
+
+
+class TestRecallSweepIouMemo:
+    def test_one_iou3d_call_per_distinct_pair(self, monkeypatch, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        cfg = EvalConfig(num_recall_steps=10)
+        _, memo_calls = sweep_counting_iou(monkeypatch, gt, pred, cfg)
+        _, plain_calls = sweep_counting_iou(monkeypatch, gt, pred, cfg, memo=False)
+        # The scenario really makes the sweep revisit pairs.
+        assert sum(plain_calls.values()) > 5 * len(plain_calls)
+        assert set(memo_calls) == set(plain_calls)
+        assert set(memo_calls.values()) == {1}
+
+    def test_report_equals_unmemoized_sweep(self, monkeypatch, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        cfg = EvalConfig(num_recall_steps=10)
+        memo_report, _ = sweep_counting_iou(monkeypatch, gt, pred, cfg)
+        plain_report, _ = sweep_counting_iou(monkeypatch, gt, pred, cfg, memo=False)
+        assert memo_report.to_dict() == plain_report.to_dict()
+        assert memo_report == plain_report
+        assert memo_report.ids > 0 and memo_report.rows[-1].fp > 0
+
+    def test_rows_equal_per_threshold_evaluations(self, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        report = recall_sweep(gt, pred, EvalConfig(num_recall_steps=10))
+        assert len({row.threshold for row in report.rows}) > 3
+        for row in report.rows:
+            filtered = {
+                name: {
+                    f: [b for b in boxes if b.score >= row.threshold]
+                    for f, boxes in frames.items()
+                }
+                for name, frames in pred.items()
+            }
+            counts = evaluate_sequences(gt, filtered, 0.25)
+            assert (row.mota, row.motp, row.fp, row.fn, row.ids) == (
+                counts.mota, counts.motp, counts.fp, counts.fn, counts.ids
+            )
+
+    def test_direct_callers_use_iou3d_by_default(self, monkeypatch, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        calls: Counter = Counter()
+
+        def counting(a: Box3D, b: Box3D) -> float:
+            calls[(a, b)] += 1
+            return iou3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou3d", counting)
+        evaluate_sequence(gt["a"], pred["a"], 0.25)
+        assert calls
+        before = sum(calls.values())
+        evaluate_sequence(gt["a"], pred["a"], 0.25)
+        assert sum(calls.values()) == 2 * before
 
 
 class TestReport:

@@ -176,6 +176,37 @@ class TestFitGround:
         assert np.count_nonzero(plane_labels == GROUND) >= 0.99 * 5000
         assert np.count_nonzero(object_labels == GROUND) == 0
 
+    def test_plane_under_standing_boxes_is_the_ground(self, rng):
+        # LiDAR-like scene: noisy flat ground (sigma 2 cm) and box-shaped
+        # cars standing on it, seen on their sides and roofs.  The sides
+        # reach down into the inlier band, so a raw three-point hypothesis
+        # tilts or lifts toward them; the least-squares refit over the
+        # hypothesis' inliers sits on the ground.
+        ground_z = -1.73
+        ground = np.column_stack(
+            [
+                rng.uniform(0.0, 40.0, size=10000),
+                rng.uniform(-20.0, 20.0, size=10000),
+                rng.normal(ground_z, 0.02, size=10000),
+            ]
+        )
+        l, w, h, n = 4.0, 1.8, 1.5, 300
+        cars = []
+        for _ in range(10):
+            cx, cy = rng.uniform(5.0, 35.0), rng.uniform(-15.0, 15.0)
+            face = rng.integers(0, 5, size=n)
+            u = rng.uniform(-0.5, 0.5, size=(n, 2))
+            x = np.select([face == 0, face == 1], [l / 2, -l / 2], u[:, 0] * l)
+            y = np.select([face == 2, face == 3], [w / 2, -w / 2], u[:, 1] * w)
+            z = np.where(face == 4, h, rng.uniform(0.0, h, size=n))
+            cars.append(np.column_stack([cx + x, cy + y, ground_z + z]))
+        _, fit = fit_ground(make_cloud(np.vstack([ground, *cars])), seed=7)
+        assert fit.found
+        a, b, c, d = fit.plane
+        corners = np.array([[0.0, -20.0], [0.0, 20.0], [40.0, -20.0], [40.0, 20.0]])
+        fitted_z = -(d + a * corners[:, 0] + b * corners[:, 1]) / c
+        assert np.abs(fitted_z - ground_z).max() < 0.01
+
     def test_three_coplanar_points(self):
         cloud = make_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         labeled, fit = fit_ground(cloud, min_inlier_fraction=1.0)
