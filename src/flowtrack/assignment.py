@@ -42,35 +42,40 @@ def max_similarity_assignment(similarity: np.ndarray) -> list[tuple[int, int]]:
     if not np.all(np.isfinite(similarity)):
         raise ValueError("similarity matrix must be finite")
 
+    # Python lists and floats (IEEE doubles, so every sum and comparison is
+    # the one numpy scalars would make, only faster).  Potentials u, v, the
+    # column-to-row matching p and the cost rows are 1-based with a sentinel
+    # at index 0.
     n = max(n_rows, n_cols)
-    cost = np.zeros((n, n))
-    cost[:n_rows, :n_cols] = -similarity
-
-    # Potentials u, v and the column-to-row matching p, 1-based with a
-    # sentinel at index 0.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
+    pad = [0.0] * (n - n_cols)
+    cost = [[]] + [[0.0, *row, *pad] for row in (-similarity).tolist()]
+    cost += [[0.0] * (n + 1)] * (n - n_rows)
+    inf = float("inf")
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    p, way = [0] * (n + 1), [0] * (n + 1)
+    columns = range(1, n + 1)
+    for i in columns:
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = np.inf
+            row = cost[i0]
+            u_i0 = u[i0]
+            delta = inf
             j1 = -1
-            for j in range(1, n + 1):
+            for j in columns:
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                cur = row[j] - u_i0 - v[j]
+                m = minv[j]
+                if cur < m:
+                    minv[j] = m = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if m < delta:
+                    delta = m
                     j1 = j
             for j in range(n + 1):
                 if used[j]:

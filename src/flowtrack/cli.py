@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .flow import (
     FileFlowEstimator,
+    FlowDataError,
     FlowEstimator,
     NearestNeighborFlowEstimator,
     OracleFlowEstimator,
@@ -33,7 +34,9 @@ from .flow import (
 )
 from .geometry import Box3D
 from .kitti_io import (
+    LabelFormatError,
     LabelRow,
+    VelodyneFormatError,
     camera_to_lidar_box,
     label_to_box,
     read_calib,
@@ -45,18 +48,25 @@ from .kitti_io import (
     write_results,
     write_velodyne,
 )
-from .metrics import EvalConfig, MetricsReport, TrackedBox, recall_sweep
-from .preprocess import Calibration, Frustum, PointCloud, fit_ground, sample_points, filter_fov
+from .metrics import EvalConfig, EvaluationInputError, MetricsReport, TrackedBox, recall_sweep
+from .preprocess import (
+    Calibration, CalibrationError, Frustum, PointCloud, fit_ground, sample_points, filter_fov,
+)
 from .sim import FrameData, Scenario, demo_scenario, generate, read_scenario
 from .tracker import (
     Detection,
     EmittedTrack,
+    FrameInputError,
     PipelineConfig,
     Tracker,
     TrackerConfig,
 )
 
 DEFAULT_NUM_POINTS = 6000
+
+# Malformed inputs: ``main`` reports them in one line and exits with status 2.
+DOMAIN_ERRORS = (CalibrationError, EvaluationInputError, FlowDataError, FrameInputError,
+                 LabelFormatError, VelodyneFormatError)
 
 
 def write_manifest(
@@ -501,7 +511,6 @@ def _add_eval_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--category", default="Car")
     p.add_argument("--recall-steps", type=int, default=40)
     p.add_argument("--smota-mode", choices=("ratio", "adjusted"), default="ratio")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
 
 
@@ -521,26 +530,13 @@ def _add_decimate_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
     p.add_argument("--keep", choices=("even", "odd"), default=None)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        prog="flowtrack",
-        description="3D multi-object tracking with scene-flow motion prediction",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_track_parser(subparsers)
-    _add_eval_parser(subparsers)
-    _add_sim_parser(subparsers)
-    _add_decimate_parser(subparsers)
-    args = parser.parse_args(argv)
-
-    started = time.time()
-    arg_record = {k: v for k, v in vars(args).items() if k != "command"}
-
+def _run_command(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, arg_record: dict
+) -> None:
+    """Run the parsed subcommand; ``arg_record`` gains the resolved config."""
     if args.command == "track":
         pipeline = (
             PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
@@ -607,6 +603,29 @@ def main(argv: Sequence[str] | None = None) -> int:
             stride, offset = args.stride, 0
         kept = run_decimation(args.in_dir, args.out, stride, offset)
         print(f"kept {len(kept)} frames")
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point."""
+    parser = argparse.ArgumentParser(
+        prog="flowtrack",
+        description="3D multi-object tracking with scene-flow motion prediction",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    _add_track_parser(subparsers)
+    _add_eval_parser(subparsers)
+    _add_sim_parser(subparsers)
+    _add_decimate_parser(subparsers)
+    args = parser.parse_args(argv)
+
+    started = time.time()
+    arg_record = {k: v for k, v in vars(args).items() if k != "command"}
+    try:
+        _run_command(parser, args, arg_record)
+    except DOMAIN_ERRORS as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"flowtrack {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
     write_manifest(
         args.out, args.command, arg_record, getattr(args, "seed", None), started, time.time()

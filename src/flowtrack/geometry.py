@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 # Tolerance used when deciding whether clipped polygon edges are collinear.
 CLIP_TOL = 1e-9
+
+# Slack of iou_matrix's bulk reject, meters: numpy's and math's hypot may
+# differ in the last bit, so pairs this close to iou3d's own cut reach iou3d.
+PREFILTER_SLACK = 1e-9
 
 
 def wrap_angle(angle: float) -> float:
@@ -114,7 +119,9 @@ def _polygon_area(polygon: np.ndarray) -> float:
         return 0.0
     x = polygon[:, 0]
     y = polygon[:, 1]
-    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    area = 0.5 * float(np.dot(x, y_next) - np.dot(y, x_next))
     return max(area, 0.0)
 
 
@@ -203,6 +210,43 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     volume_b = _polygon_area(corners_b) * (b_top - b_bottom)
     union = volume_a + volume_b - inter_volume
     return min(max(inter_volume / union, 0.0), 1.0)
+
+
+def _extents(boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
+    """Center x, y, bottom, top and footprint circumradius of each box."""
+    x, y, z, l, w, h = np.array([(b.x, b.y, b.z, b.l, b.w, b.h) for b in boxes]).T
+    return x, y, z - h / 2.0, z + h / 2.0, np.hypot(l, w) / 2.0
+
+
+def iou_matrix(
+    rows: Sequence[Box3D],
+    cols: Sequence[Box3D],
+    iou: Callable[[Box3D, Box3D], float] = iou3d,
+    categories: tuple[Sequence[str], Sequence[str]] | None = None,
+) -> np.ndarray:
+    """Matrix of ``iou(rows[i], cols[j])``, shape (len(rows), len(cols)).
+
+    ``iou`` is called in row-major order, and only on the pairs that pass
+    :func:`iou3d`'s cheap rejects (vertical overlap, footprint circumcircles)
+    done in bulk and widened by ``PREFILTER_SLACK``, and whose categories
+    (row categories, column categories) match when ``categories`` is given.
+    Every other cell is 0.0, which is what :func:`iou3d` returns for it.
+    """
+    similarity = np.zeros((len(rows), len(cols)))
+    if not len(rows) or not len(cols):
+        return similarity
+    ax, ay, a_bottom, a_top, a_radius = _extents(rows)
+    bx, by, b_bottom, b_top, b_radius = _extents(cols)
+    dz = np.minimum.outer(a_top, b_top) - np.maximum.outer(a_bottom, b_bottom)
+    distance = np.hypot(np.subtract.outer(ax, bx), np.subtract.outer(ay, by))
+    reach = np.add.outer(a_radius, b_radius) + PREFILTER_SLACK
+    candidate = (dz > -PREFILTER_SLACK) & (distance <= reach)
+    if categories is not None:
+        row_categories, col_categories = (np.asarray(c, dtype=object) for c in categories)
+        candidate &= np.equal.outer(row_categories, col_categories)
+    ii, jj = np.nonzero(candidate)
+    similarity[ii, jj] = [iou(rows[i], cols[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    return similarity
 
 
 def points_in_box(box: Box3D, points: np.ndarray, margin: float = 0.0) -> np.ndarray:

@@ -208,7 +208,8 @@ def read_calib(path: Path) -> Calibration:
     Raises
     ------
     CalibrationError
-        Naming the first missing key.
+        Naming the first missing key, or a key whose row has the wrong
+        number of values.
     """
     path = Path(path)
     values: dict[str, np.ndarray] = {}
@@ -226,19 +227,23 @@ def read_calib(path: Path) -> Calibration:
             continue
         values[key.strip()] = numbers
 
-    def pick(*keys: str) -> np.ndarray:
+    def pick(shape: tuple[int, int], *keys: str) -> np.ndarray:
         for key in keys:
             if key in values:
-                return values[key]
+                size = shape[0] * shape[1]
+                if values[key].size != size:
+                    raise CalibrationError(
+                        f"{path}: calibration key {key!r} needs {size} numbers, "
+                        f"got {values[key].size}"
+                    )
+                return values[key].reshape(shape)
         raise CalibrationError(f"{path}: missing calibration key {keys[0]!r}")
 
-    projection = pick("P2").reshape(3, 4)
-    rect_values = pick("R0_rect", "R_rect")
+    projection = pick((3, 4), "P2")
     rect = np.eye(4)
-    rect[:3, :3] = rect_values.reshape(3, 3)
-    tr_values = pick("Tr_velo_to_cam", "Tr_velo_cam")
+    rect[:3, :3] = pick((3, 3), "R0_rect", "R_rect")
     velo_to_cam = np.eye(4)
-    velo_to_cam[:3, :4] = tr_values.reshape(3, 4)
+    velo_to_cam[:3, :4] = pick((3, 4), "Tr_velo_to_cam", "Tr_velo_cam")
     return Calibration(projection=projection, rect=rect, velo_to_cam=velo_to_cam)
 
 

@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .assignment import max_similarity_assignment
-from .geometry import Box3D, iou3d
+from .geometry import Box3D, iou3d, iou_matrix
 
 
 class EvaluationInputError(ValueError):
@@ -243,10 +241,9 @@ def match_frame(
     free_gt = [i for i in range(len(gt)) if i not in taken_gt]
     free_pred = [j for j in range(len(pred)) if j not in taken_pred]
     if free_gt and free_pred:
-        similarity = np.zeros((len(free_gt), len(free_pred)))
-        for a, i in enumerate(free_gt):
-            for b, j in enumerate(free_pred):
-                similarity[a, b] = iou(gt[i].box, pred[j].box)
+        similarity = iou_matrix(
+            [gt[i].box for i in free_gt], [pred[j].box for j in free_pred], iou
+        )
         for a, b in max_similarity_assignment(similarity):
             if similarity[a, b] >= iou_thres:
                 matches.append((free_gt[a], free_pred[b]))

@@ -186,6 +186,72 @@ def best_assignment_bruteforce(
     return best_total, best_pairs
 
 
+def hungarian_reference(similarity: np.ndarray) -> list[tuple[int, int]]:
+    """Maximum-similarity assignment by the scalar numpy Hungarian method.
+
+    This is the package's earlier solver, kept unchanged: the same algorithm,
+    scan order and strict comparisons as ``max_similarity_assignment``, but
+    computed on numpy arrays and numpy scalars.  It is the referee for the
+    exact pairs, tie-breaks included, that the list-based solver must return.
+    """
+    similarity = np.asarray(similarity, dtype=float)
+    n_rows, n_cols = similarity.shape
+    if n_rows == 0 or n_cols == 0:
+        return []
+
+    n = max(n_rows, n_cols)
+    cost = np.zeros((n, n))
+    cost[:n_rows, :n_cols] = -similarity
+
+    # Potentials u, v and the column-to-row matching p, 1-based with a
+    # sentinel at index 0.
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = np.inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+
+    pairs = [
+        (p[j] - 1, j - 1)
+        for j in range(1, n + 1)
+        if p[j] - 1 < n_rows and j - 1 < n_cols
+    ]
+    pairs.sort()
+    return pairs
+
+
 def _iou_for_counts(a: Box3D, b: Box3D) -> float:
     """IoU used inside the reference evaluator, via Monte-Carlo-free
     geometry: axis-aligned closed form when both boxes are unrotated, else a

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowtrack.assignment import max_similarity_assignment
-from oracles import best_assignment_bruteforce
+from oracles import best_assignment_bruteforce, hungarian_reference
 
 
 def total(similarity: np.ndarray, pairs) -> float:
@@ -93,3 +96,35 @@ class TestOptimality:
             pairs = max_similarity_assignment(values)
             best_total, _ = best_assignment_bruteforce(values)
             assert total(values, pairs) == pytest.approx(best_total, abs=1e-12)
+
+
+def similarity_matrices(elements: st.SearchStrategy[float]) -> st.SearchStrategy[np.ndarray]:
+    shapes = st.tuples(st.integers(0, 9), st.integers(0, 9))
+    return shapes.flatmap(lambda shape: arrays(float, shape, elements=elements))
+
+
+class TestAgainstScalarReference:
+    """The list-based solver returns exactly the pairs of the numpy-scalar
+    Hungarian it replaced, tie-breaks included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_matrices(st.floats(-1.0, 1.0, allow_nan=False)))
+    def test_random_and_rectangular(self, similarity):
+        assert max_similarity_assignment(similarity) == hungarian_reference(similarity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(similarity_matrices(st.sampled_from([0.0, 0.5, 1.0])))
+    def test_tie_heavy(self, similarity):
+        assert max_similarity_assignment(similarity) == hungarian_reference(similarity)
+
+    def test_empty_sides(self):
+        for shape in [(0, 0), (0, 4), (4, 0)]:
+            similarity = np.zeros(shape)
+            assert max_similarity_assignment(similarity) == hungarian_reference(similarity) == []
+
+    def test_iou_like_sparse_matrices(self, rng):
+        for _ in range(40):
+            size = int(rng.integers(20, 50))
+            similarity = rng.uniform(0.0, 1.0, size=(size, size + int(rng.integers(-3, 4))))
+            similarity[rng.uniform(size=similarity.shape) < 0.9] = 0.0
+            assert max_similarity_assignment(similarity) == hungarian_reference(similarity)

@@ -147,14 +147,22 @@ class TestFlowSources:
             tracked_dir / "results.txt"
         ).read_bytes()
 
-    def test_missing_flow_file_names_frame(self, sim_dir, tmp_path):
+    def test_missing_flow_file_names_frame(self, sim_dir, tmp_path, capsys):
         flow_dir = tmp_path / "flow"
         shutil.copytree(sim_dir / "flow", flow_dir)
         (flow_dir / "000005.sfl").unlink()
+        args = track_args(sim_dir, tmp_path / "out", **{
+            "--flow-source": "file", "--flow-dir": flow_dir,
+        })
         with pytest.raises(FlowDataError, match="frame 5"):
-            run(track_args(sim_dir, tmp_path / "out", **{
-                "--flow-source": "file", "--flow-dir": flow_dir,
-            }))
+            cli.run_tracking_files(
+                detections_path=sim_dir / "detections.txt", clouds_dir=sim_dir / "velodyne",
+                calib_path=sim_dir / "calib.txt", out_dir=tmp_path / "out",
+                flow_source="file", flow_dir=flow_dir, num_points=2000,
+            )
+        # The command reports the same error in one line, with status 2.
+        assert run(args) == 2
+        assert "frame 5" in capsys.readouterr().err
 
     def test_nn_flow_runs(self, sim_dir, tmp_path):
         out = tmp_path / "nn"
@@ -270,6 +278,41 @@ class TestEvalCommand:
         assert report["sAMOTA"] == 100.0
 
 
+class TestCleanFailures:
+    def test_malformed_label_file_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "results.txt"
+        bad.write_text("0 1 Car 0 0 not-a-number\n")
+        code = run(["eval", "--gt", sim_dir / "gt.txt", "--results", bad,
+                    "--out", tmp_path / "eval"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack eval: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(bad) in err
+
+    def test_short_calibration_row_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        calib = tmp_path / "calib.txt"
+        lines = (sim_dir / "calib.txt").read_text().splitlines()
+        calib.write_text("\n".join(
+            " ".join(line.split()[:4]) if line.startswith("P2") else line for line in lines
+        ) + "\n")
+        args = track_args(sim_dir, tmp_path / "out", **{"--calib": calib})
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: ")
+        assert "'P2' needs 12 numbers, got 3" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "decimate"])
+    def test_ignored_seed_flag_removed(self, sim_dir, tmp_path, command):
+        if command == "eval":
+            args = ["eval", "--gt", sim_dir / "gt.txt", "--results", sim_dir / "gt.txt"]
+        else:
+            args = ["decimate", "--in", sim_dir, "--stride", "2"]
+        with pytest.raises(SystemExit):
+            run([*args, "--seed", "3", "--out", tmp_path / "out"])
+
+
 class TestDecimateCommand:
     def test_keep_even_halves_scene(self, sim_dir, tmp_path):
         out = tmp_path / "half"
@@ -325,3 +368,27 @@ class TestImport:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_cv_track_and_eval_load_no_scipy(self, sim_dir, tmp_path):
+        # The association path (IoU matrix and assignment) stays scipy-free:
+        # importing scipy.optimize alone costs more than a whole small eval.
+        src = str(Path(flowtrack.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        track = track_args(
+            sim_dir, tmp_path / "trk", **{"--predictor": "cv", "--flow-source": None}
+        )
+        evaluate = ["eval", "--gt", sim_dir / "gt.txt", "--results",
+                    tmp_path / "trk" / "results.txt", "--out", tmp_path / "eval"]
+        probe = (
+            "import sys, flowtrack.cli as cli; "
+            f"assert cli.main({[str(a) for a in track]!r}) == 0; "
+            f"assert cli.main({[str(a) for a in evaluate]!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "eval" / "report_iou0.25.json").exists()

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nearby_box, random_box
-from flowtrack.geometry import Box3D, corners_bev, iou3d, points_in_box, wrap_angle
+from flowtrack.geometry import (
+    Box3D,
+    corners_bev,
+    iou3d,
+    iou_matrix,
+    points_in_box,
+    wrap_angle,
+)
 from oracles import (
     aligned_iou3d,
     mc_iou3d,
@@ -187,6 +194,93 @@ class TestIou3d:
             b = nearby_box(rng, a)
             estimate = mc_iou3d(a, b, num_samples=200_000, seed=int(rng.integers(1 << 31)))
             assert iou3d(a, b) == pytest.approx(estimate, abs=0.02)
+
+
+def loop_iou_matrix(rows, cols, categories=None) -> np.ndarray:
+    """The plain double loop the shared builder must reproduce bit for bit."""
+    matrix = np.zeros((len(rows), len(cols)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            if categories is None or categories[0][i] == categories[1][j]:
+                matrix[i, j] = iou3d(a, b)
+    return matrix
+
+
+def recording_iou(calls: list):
+    def iou(a: Box3D, b: Box3D) -> float:
+        calls.append((a, b))
+        return iou3d(a, b)
+
+    return iou
+
+
+def corner_to_corner(gap: float) -> tuple[Box3D, Box3D]:
+    """Two 3 x 4 boxes (circumradius exactly 2.5) turned so that a corner of
+    each points at the other along the x axis, centers ``5 - gap`` apart."""
+    diagonal = math.atan2(4.0, 3.0)
+    a = Box3D(x=0.0, y=0.0, z=0.0, l=3.0, w=4.0, h=1.0, theta=-diagonal)
+    b = Box3D(x=5.0 - gap, y=0.0, z=0.0, l=3.0, w=4.0, h=1.0, theta=math.pi - diagonal)
+    return a, b
+
+
+class TestIouMatrix:
+    def assert_matches_loop(self, rows, cols, categories=None):
+        calls: list = []
+        built = iou_matrix(rows, cols, recording_iou(calls), categories)
+        expected = loop_iou_matrix(rows, cols, categories)
+        assert built.shape == expected.shape
+        assert built.tobytes() == expected.tobytes()
+        # The bulk reject never drops a pair with positive IoU.
+        called = {(id(a), id(b)) for a, b in calls}
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                if expected[i, j] > 0.0:
+                    assert (id(a), id(b)) in called
+        return calls
+
+    def test_empty_sides(self, rng):
+        boxes = [random_box(rng) for _ in range(3)]
+        assert iou_matrix([], boxes).shape == (0, 3)
+        assert iou_matrix(boxes, []).shape == (3, 0)
+        assert iou_matrix([], [], categories=([], [])).shape == (0, 0)
+
+    def test_category_mismatch_zero_and_not_computed(self):
+        box = Box3D(x=0, y=0, z=0, l=4, w=2, h=1.5, theta=0.3)
+        rows = [box, box]
+        cols = [box, box, box]
+        categories = (["Car", "Pedestrian"], ["Car", "Pedestrian", "Car"])
+        calls = self.assert_matches_loop(rows, cols, categories)
+        assert len(calls) == 3
+        assert iou_matrix(rows, cols, categories=categories).tolist() == [
+            [1.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0],
+        ]
+
+    def test_centers_exactly_circumradii_apart(self):
+        a, b = corner_to_corner(0.0)
+        diagonal = Box3D(x=3.0, y=4.0, z=0.0, l=3.0, w=4.0, h=1.0, theta=0.0)
+        assert math.hypot(b.x - a.x, b.y - a.y) == 5.0
+        calls = self.assert_matches_loop([a], [b, diagonal])
+        # Both pairs sit exactly on iou3d's own cut, so iou3d decides them.
+        assert len(calls) == 2
+
+    @given(st.floats(min_value=0.0, max_value=1e-3))
+    def test_near_the_circumradius_cut(self, gap):
+        a, b = corner_to_corner(gap)
+        self.assert_matches_loop([a], [b])
+
+    def test_vertically_stacked_boxes(self):
+        low = Box3D(x=0, y=0, z=0.0, l=4, w=2, h=2, theta=0.1)
+        high = Box3D(x=0.5, y=0, z=2.0, l=4, w=2, h=2, theta=0.4)
+        overlapping = Box3D(x=0, y=0.2, z=1.5, l=4, w=2, h=2, theta=0.0)
+        self.assert_matches_loop([low, high], [high, low, overlapping])
+
+    def test_random_boxes(self, rng):
+        for _ in range(30):
+            rows = [random_box(rng) for _ in range(int(rng.integers(1, 12)))]
+            cols = [nearby_box(rng, rows[int(rng.integers(len(rows)))]) for _ in range(8)]
+            cols += [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
+            self.assert_matches_loop(rows, cols)
 
 
 class TestPointsInBox:

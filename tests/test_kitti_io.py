@@ -243,6 +243,22 @@ class TestCalibrationFiles:
         with pytest.raises(CalibrationError, match="P2"):
             read_calib(path)
 
+    @pytest.mark.parametrize("key", ["P2", "R_rect", "Tr_velo_cam"])
+    def test_short_row_named(self, tmp_path, key):
+        nominal = Calibration.nominal()
+        rows = {
+            "P2": nominal.projection.ravel(),
+            "R_rect": nominal.rect[:3, :3].ravel(),
+            "Tr_velo_cam": nominal.velo_to_cam[:3, :4].ravel(),
+        }
+        rows[key] = rows[key][:3]
+        path = tmp_path / "calib.txt"
+        path.write_text(
+            "".join(f"{k}: {' '.join(str(v) for v in values)}\n" for k, values in rows.items())
+        )
+        with pytest.raises(CalibrationError, match=rf"'{key}' needs \d+ numbers, got 3"):
+            read_calib(path)
+
     def test_unrelated_keys_ignored(self, tmp_path):
         calib = Calibration.nominal()
         path = tmp_path / "calib.txt"
