@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -141,6 +141,22 @@ def _gt_boxes_by_frame(
     return boxes
 
 
+class CloudFiles(Mapping[int, PointCloud]):
+    """A directory's ``<frame>.bin`` clouds by frame index, read on lookup."""
+
+    def __init__(self, directory: Path) -> None:
+        self._paths = {int(path.stem): path for path in sorted(Path(directory).glob("*.bin"))}
+
+    def __getitem__(self, frame: int) -> PointCloud:
+        return read_velodyne(self._paths[frame])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 def run_tracking(
     detections_by_frame: Mapping[int, Sequence[Detection]],
     clouds_by_frame: Mapping[int, PointCloud] | None,
@@ -151,12 +167,12 @@ def run_tracking(
     num_points: int = DEFAULT_NUM_POINTS,
     seed: int = 0,
 ) -> dict[int, list[EmittedTrack]]:
-    """Run the tracker over a sequence held in memory.
+    """Run the tracker over a sequence given as mappings by frame index.
 
     Frames are processed in ascending index order; the frame range is the
-    union of the detection and cloud keys starting at 0.  Clouds are only
-    preprocessed for the flow predictor: the constant-velocity predictor
-    never reads them.
+    union of the detection and cloud keys starting at 0.  Only the flow
+    predictor looks clouds up, once per frame, in frame order (so a
+    :class:`CloudFiles` reads none for the constant-velocity predictor).
     """
     frames: set[int] = set(detections_by_frame)
     if clouds_by_frame:
@@ -165,14 +181,14 @@ def run_tracking(
         return {}
     last_frame = max(frames)
 
-    clouds = clouds_by_frame if predictor == "flow" else None
+    clouds = (clouds_by_frame or {}) if predictor == "flow" else {}
     tracker = Tracker(config=tracker_config, predictor=predictor)
     results: dict[int, list[EmittedTrack]] = {}
     prev_sampled: PointCloud | None = None
     for frame in range(last_frame + 1):
         sampled = None
-        if clouds is not None and frame in clouds:
-            sampled = preprocess_frame(clouds[frame], frustum, num_points, seed, frame)
+        if (cloud := clouds.get(frame)) is not None:
+            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
         flow = None
         if prev_sampled is not None and sampled is not None and flow_estimator is not None:
             flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
@@ -217,12 +233,7 @@ def run_tracking_files(
         for frame, rows in detection_rows.items()
     }
 
-    clouds_by_frame = None
-    if clouds_dir is not None:
-        clouds_by_frame = {
-            int(path.stem): read_velodyne(path)
-            for path in sorted(Path(clouds_dir).glob("*.bin"))
-        }
+    clouds_by_frame = CloudFiles(clouds_dir) if clouds_dir is not None else None
 
     flow_estimator: FlowEstimator | None = None
     if predictor == "flow":

@@ -33,7 +33,7 @@ class LabelFormatError(ValueError):
 
 class VelodyneFormatError(ValueError):
     """Raised for point-cloud files whose size is not a whole number of
-    x/y/z/intensity records."""
+    x/y/z/intensity records, or that hold a non-finite coordinate."""
 
 
 @dataclass
@@ -63,35 +63,22 @@ class LabelRow:
 
 def _parse_row(tokens: list[str], path: Path, line_number: int) -> LabelRow:
     n = len(tokens)
-    if n in (15, 16):
-        frame, track_id = 0, -1
-        rest = tokens
-    elif n in (17, 18):
-        frame, track_id = int(tokens[0]), int(float(tokens[1]))
-        rest = tokens[2:]
-    else:
+    if n not in (15, 16, 17, 18):
         raise LabelFormatError(
             f"{path}:{line_number}: row has {n} columns; expected 15-18"
         )
+    rest = tokens[2:] if n >= 17 else tokens
     try:
-        return LabelRow(
-            frame=frame,
-            track_id=track_id,
-            category=rest[0],
-            truncated=float(rest[1]),
-            occluded=int(float(rest[2])),
-            alpha=float(rest[3]),
-            bbox=(float(rest[4]), float(rest[5]), float(rest[6]), float(rest[7])),
-            h=float(rest[8]),
-            w=float(rest[9]),
-            l=float(rest[10]),
-            x=float(rest[11]),
-            y=float(rest[12]),
-            z=float(rest[13]),
-            rotation_y=float(rest[14]),
-            score=float(rest[15]) if len(rest) == 16 else None,
-        )
-    except ValueError as exc:
+        frame, track_id = (int(tokens[0]), int(float(tokens[1]))) if n >= 17 else (0, -1)
+        numbers = list(map(float, rest[1:]))
+        if not all(map(math.isfinite, numbers)):
+            bad = next(tok for tok, value in zip(rest[1:], numbers) if not math.isfinite(value))
+            raise ValueError(f"non-finite number {bad!r}")
+        # The numbers come in the file's column order, which is the field order.
+        return LabelRow(frame, track_id, rest[0], numbers[0], int(numbers[1]), numbers[2],
+                        tuple(numbers[3:7]), *numbers[7:14],
+                        score=numbers[14] if len(numbers) == 15 else None)
+    except (ValueError, OverflowError) as exc:
         raise LabelFormatError(f"{path}:{line_number}: {exc}") from exc
 
 
@@ -101,12 +88,13 @@ def read_labels(path: Path) -> dict[int, list[LabelRow]]:
     Raises
     ------
     LabelFormatError
-        For any row with an unaccepted column count or unparsable field,
-        naming the line number.
+        For any row with an unaccepted column count, an unparsable field or
+        a non-finite number, naming the line number.
     """
     path = Path(path)
     frames: dict[int, list[LabelRow]] = {}
-    for line_number, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_bytes().decode(errors="replace")
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -171,7 +159,8 @@ def read_velodyne(path: Path) -> PointCloud:
     Raises
     ------
     VelodyneFormatError
-        If the file size is not a multiple of one record (16 bytes).
+        If the file size is not a multiple of one record (16 bytes), or a
+        record has a non-finite coordinate.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -180,6 +169,9 @@ def read_velodyne(path: Path) -> PointCloud:
             f"{path}: size {len(data)} is not a multiple of 16-byte records"
         )
     records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
+    bad = np.flatnonzero(~np.isfinite(records[:, :3]).all(axis=1))
+    if len(bad):
+        raise VelodyneFormatError(f"{path}: record {bad[0]} has a non-finite coordinate")
     return PointCloud(
         positions=records[:, :3],
         features=records[:, 3:4],
@@ -213,7 +205,7 @@ def read_calib(path: Path) -> Calibration:
     """
     path = Path(path)
     values: dict[str, np.ndarray] = {}
-    for raw in path.read_text().splitlines():
+    for raw in path.read_bytes().decode(errors="replace").splitlines():
         line = raw.strip()
         if not line:
             continue

@@ -262,6 +262,30 @@ def _refit_plane(positions: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, -float(normal @ centroid)
 
 
+def _inlier_bounds(
+    positions: np.ndarray, normals: np.ndarray, offsets: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Per plane, at least the count of points ``_plane_distances`` puts within
+    ``threshold``: chunks of planes are scored by one single-precision product
+    with the homogeneous coordinates, whose rounding error ``slack`` exceeds."""
+    homogeneous = np.ones((4, len(positions)), dtype=np.float32)
+    homogeneous[:3] = positions.T
+    planes = np.column_stack([normals, offsets]).astype(np.float32)
+    slack = 1e-5 * (1.0 + np.abs(positions).max() + np.abs(offsets).max(initial=0.0))
+    # Eight planes per product, so the block stays in cache; the blocks are
+    # reused, as fresh ones cost about as much in page faults as the product.
+    distances = np.empty((8, len(positions)), dtype=np.float32)
+    inside = np.empty(distances.shape, dtype=bool)
+    bounds = np.empty(len(planes), dtype=int)
+    for start in range(0, len(planes), len(distances)):
+        chunk = planes[start : start + len(distances)]
+        block, mask = distances[: len(chunk)], inside[: len(chunk)]
+        np.abs(np.matmul(chunk, homogeneous, out=block), out=block)
+        np.less_equal(block, threshold + slack, out=mask)
+        bounds[start : start + len(chunk)] = [np.count_nonzero(row) for row in mask]
+    return bounds
+
+
 def fit_ground(
     cloud: PointCloud,
     inlier_threshold: float = 0.15,
@@ -303,25 +327,31 @@ def fit_ground(
     rng = np.random.default_rng(seed)
     positions = cloud.positions
 
-    best_count = -1
-    best_plane: tuple[np.ndarray, float] | None = None
-    for _ in range(iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        p0, p1, p2 = positions[idx]
-        normal = np.cross(p1 - p0, p2 - p0)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        count = int(np.sum(_plane_distances(positions, normal, -float(normal @ p0)) <= inlier_threshold))
-        if count > best_count:
-            best_count = count
-            best_plane = (normal, -float(normal @ p0))
+    # One draw per hypothesis, in order: the random stream of a one-at-a-time loop.
+    triples = [rng.choice(n, size=3, replace=False) for _ in range(iterations)]
+    p0, p1, p2 = positions[np.array(triples, dtype=int).reshape(-1, 3).T]
+    normals = np.cross(p1 - p0, p2 - p0)
+    norms = np.sqrt(np.vecdot(normals, normals))
+    valid = np.flatnonzero(~(norms < 1e-12))
+    normals = normals[valid] / norms[valid, None]
+    bounds = _inlier_bounds(positions, normals, -np.vecdot(normals, p0[valid]), inlier_threshold)
 
-    if best_plane is None or best_count / n < min_inlier_fraction:
+    # Exact counts (the scalar expressions of a one-at-a-time loop) for each
+    # hypothesis whose bound reaches the best so far; the first of equals wins.
+    best, best_count, inliers = -1, -1, None
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < best_count:
+            break
+        p0, p1, p2 = positions[triples[valid[i]]]
+        normal = np.cross(p1 - p0, p2 - p0)
+        normal = normal / np.linalg.norm(normal)
+        mask = _plane_distances(positions, normal, -float(normal @ p0)) <= inlier_threshold
+        count = int(mask.sum())
+        if count > best_count or (count == best_count and i < best):
+            best, best_count, inliers = i, count, mask
+    if inliers is None or best_count / n < min_inlier_fraction:
         return cloud, GroundFit(found=False)
 
-    inliers = _plane_distances(positions, *best_plane) <= inlier_threshold
     normal, offset = _refit_plane(positions[inliers])
     refined = _plane_distances(positions, normal, offset) <= inlier_threshold
 

@@ -354,22 +354,19 @@ class Tracker:
                 raise FrameInputError(
                     "flow predictor needs prev_cloud and flow once tracklets exist"
                 )
-            if len(flow) != len(prev_cloud):
-                raise FrameInputError(
-                    f"flow has {len(flow)} vectors for {len(prev_cloud)} points"
-                )
-        self.frames_seen += 1
 
         predicted: list[Box3D] = []
         for tracklet in self.tracklets:
             if self.predictor == "cv":
                 predicted.append(predict_constant_velocity(tracklet))
             else:
+                # compute_offset rejects a misaligned flow before any state changes.
                 offset, n_points = compute_offset(tracklet, prev_cloud, flow)
                 if n_points == 0:
                     predicted.append(predict_constant_velocity(tracklet))
                 else:
                     predicted.append(predict(tracklet, offset))
+        self.frames_seen += 1
 
         similarity = build_similarity(
             predicted, detections, categories=[t.category for t in self.tracklets]

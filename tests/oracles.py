@@ -17,6 +17,7 @@ import numpy as np
 
 from flowtrack.geometry import Box3D
 from flowtrack.metrics import TrackedBox
+from flowtrack.preprocess import GROUND, UNLABELED, GroundFit, PointCloud
 
 
 def wrap_reference(angle: float) -> float:
@@ -356,3 +357,63 @@ def reference_counts(
         "num_matches": total_matches,
         "iou_sum": iou_sum,
     }
+
+
+def fit_ground_reference(
+    cloud: PointCloud,
+    inlier_threshold: float = 0.15,
+    iterations: int = 200,
+    min_inlier_fraction: float = 0.25,
+    seed: int | tuple = 0,
+) -> tuple[PointCloud, GroundFit]:
+    """RANSAC ground fit scoring one hypothesis at a time.
+
+    The plain loop the batched ``fit_ground`` must reproduce bit for bit:
+    one ``rng.choice`` triple per iteration, a skipped degenerate triple,
+    the first strictly best inlier count kept, then a least-squares refit
+    over the winner's inliers.
+    """
+
+    def distances(normal: np.ndarray, offset: float) -> np.ndarray:
+        return np.abs(positions @ normal + offset)
+
+    n = len(cloud)
+    if n < 3:
+        raise ValueError(f"ground fitting needs at least 3 points, got {n}")
+    rng = np.random.default_rng(seed)
+    positions = cloud.positions
+
+    best_count = -1
+    best_plane: tuple[np.ndarray, float] | None = None
+    for _ in range(iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        p0, p1, p2 = positions[idx]
+        normal = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        count = int(np.sum(distances(normal, -float(normal @ p0)) <= inlier_threshold))
+        if count > best_count:
+            best_count = count
+            best_plane = (normal, -float(normal @ p0))
+
+    if best_plane is None or best_count / n < min_inlier_fraction:
+        return cloud, GroundFit(found=False)
+
+    inliers = distances(*best_plane) <= inlier_threshold
+    centroid = positions[inliers].mean(axis=0)
+    _, _, vt = np.linalg.svd(positions[inliers] - centroid, full_matrices=False)
+    normal, offset = vt[-1], -float(vt[-1] @ centroid)
+    refined = distances(normal, offset) <= inlier_threshold
+
+    labels = cloud.labels.copy()
+    relabelable = (labels == UNLABELED) | (labels == GROUND)
+    labels[refined & relabelable] = GROUND
+    labeled = PointCloud(positions=cloud.positions, features=cloud.features, labels=labels)
+    fit = GroundFit(
+        found=True,
+        plane=(float(normal[0]), float(normal[1]), float(normal[2]), float(offset)),
+        num_inliers=int(refined.sum()),
+    )
+    return labeled, fit

@@ -192,6 +192,41 @@ class TestFlowSources:
             without / "results.txt"
         ).read_bytes()
 
+    def test_constant_velocity_reads_no_cloud(self, sim_dir, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "read_velodyne", reads.append)
+        assert run(track_args(sim_dir, tmp_path / "cv", **{"--predictor": "cv"})) == 0
+        assert reads == []
+
+    def test_flow_reads_each_cloud_once_in_order(self, sim_dir, tracked_dir, tmp_path,
+                                                 monkeypatch):
+        eager = {
+            int(path.stem): cli.read_velodyne(path)
+            for path in sorted((sim_dir / "velodyne").glob("*.bin"))
+        }
+        reads = []
+        read = cli.read_velodyne
+        monkeypatch.setattr(cli, "read_velodyne", lambda path: reads.append(path.name) or read(path))
+        assert run(track_args(sim_dir, tmp_path / "lazy")) == 0
+        assert reads == [f"{frame:06d}.bin" for frame in sorted(eager)]
+        # The lazy mapping tracks exactly as a dict of every cloud read up front.
+        calib = cli.read_calib(sim_dir / "calib.txt")
+        detections = {
+            frame: cli._rows_to_detections(rows, calib, "Car")
+            for frame, rows in cli.read_labels(sim_dir / "detections.txt").items()
+        }
+        estimator = cli.OracleFlowEstimator(
+            cli._gt_boxes_by_frame(cli.read_labels(sim_dir / "gt.txt"), calib, "Car")
+        )
+        frustum = cli.Frustum(calibration=calib, image_width=1200, image_height=400)
+        results = run_tracking(detections, eager, estimator, TrackerConfig(),
+                               frustum=frustum, num_points=2000)
+        cli.write_results(tmp_path / "eager.txt", results, calib)
+        assert (tmp_path / "eager.txt").read_bytes() == (tracked_dir / "results.txt").read_bytes()
+        assert (tmp_path / "lazy" / "results.txt").read_bytes() == (
+            tracked_dir / "results.txt"
+        ).read_bytes()
+
     def test_constant_velocity_frame_range_spans_clouds(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "preprocess_frame", lambda *args: calls.append(args))
@@ -302,6 +337,32 @@ class TestCleanFailures:
         assert err.startswith("flowtrack track: error: ")
         assert "'P2' needs 12 numbers, got 3" in err
         assert err.count("\n") == 1
+
+    def test_non_finite_cloud_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        clouds = tmp_path / "velodyne"
+        shutil.copytree(sim_dir / "velodyne", clouds)
+        records = np.fromfile(clouds / "000003.bin", dtype="<f4").reshape(-1, 4)
+        records[5, 0] = np.nan
+        records.tofile(clouds / "000003.bin")
+        assert run(track_args(sim_dir, tmp_path / "out", **{"--clouds": clouds})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: ")
+        assert err.count("\n") == 1
+        assert "000003.bin: record 5 has a non-finite coordinate" in err
+
+    def test_non_finite_detection_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "detections.txt").read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[12] = "nan"
+        lines[2] = " ".join(tokens)
+        detections = tmp_path / "detections.txt"
+        detections.write_text("\n".join(lines) + "\n")
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "o"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{detections}:3: non-finite number 'nan'" in err
 
     @pytest.mark.parametrize("command", ["eval", "decimate"])
     def test_ignored_seed_flag_removed(self, sim_dir, tmp_path, command):

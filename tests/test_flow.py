@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowtrack.flow import (
     FLOW_MAGIC,
@@ -210,6 +212,23 @@ class TestFlowFiles:
         file_path.write_bytes(FLOW_MAGIC + struct.pack("<I", 1) + payload.tobytes())
         with pytest.raises(FlowDataError, match="finite"):
             read_flow_file(file_path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from([FLOW_MAGIC, b"", b"SFL", b"XXXX"]),
+        st.one_of(st.integers(0, 2**32 - 1).map(lambda c: struct.pack("<I", c)), st.binary(max_size=5)),
+        st.lists(st.floats(width=32), max_size=18),
+        st.binary(max_size=5),
+    )
+    def test_fuzzed_file_raises_only_flow_data_error(self, tmp_path, magic, count, values, tail):
+        file_path = tmp_path / "f.sfl"
+        file_path.write_bytes(magic + count + np.array(values, dtype="<f4").tobytes() + tail)
+        try:
+            sources, field = read_flow_file(file_path)
+        except FlowDataError:
+            return
+        assert len(sources) == len(field) and np.isfinite(sources).all()
 
     def test_missing_file_names_frame(self, tmp_path):
         with pytest.raises(FlowDataError, match="frame 7"):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowtrack.geometry import Box3D, wrap_angle
 from flowtrack.kitti_io import (
@@ -79,6 +81,20 @@ class TestLabelGrammar:
     def test_unparsable_field_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(DET_ROW.replace("10.00", "ten") + "\n")
+        with pytest.raises(LabelFormatError, match=r"bad\.txt:1"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_field_names_line(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(DET_ROW + "\n" + TRACK_PREFIX + DET_ROW.replace("1.60", token) + "\n")
+        with pytest.raises(LabelFormatError, match=rf"bad\.txt:2: non-finite number '{token}'"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("prefix", ["x 7 ", "3 inf ", "3 nan "])
+    def test_unparsable_frame_or_track_id_names_line(self, tmp_path, prefix):
+        path = tmp_path / "bad.txt"
+        path.write_text(prefix + DET_ROW + "\n")
         with pytest.raises(LabelFormatError, match=r"bad\.txt:1"):
             read_labels(path)
 
@@ -207,6 +223,20 @@ class TestVelodyne:
         with pytest.raises(VelodyneFormatError, match="33"):
             read_velodyne(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_names_file(self, tmp_path, value):
+        records = np.zeros((3, 4), dtype="<f4")
+        records[1, 2] = value
+        path = tmp_path / "000004.bin"
+        path.write_bytes(records.tobytes())
+        with pytest.raises(VelodyneFormatError, match=r"000004\.bin: record 1 "):
+            read_velodyne(path)
+
+    def test_non_finite_intensity_kept(self, tmp_path):
+        path = tmp_path / "000000.bin"
+        path.write_bytes(np.array([[1.0, 2.0, 3.0, np.nan]], dtype="<f4").tobytes())
+        assert np.isnan(read_velodyne(path).features[0, 0])
+
     def test_missing_intensity_written_as_zero(self, tmp_path):
         cloud = PointCloud(positions=np.array([[1.0, 2.0, 3.0]]))
         path = tmp_path / "p.bin"
@@ -323,3 +353,71 @@ class TestResults:
         assert x1 < x2 and y1 < y2
         behind = result_row(0, track(1, -15.0))
         assert behind.bbox == (-1.0, -1.0, -1.0, -1.0)
+
+
+# --- fuzzing: a malformed file raises the reader's own error, nothing else ---
+
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "0x10", "1_0", "", "Car", "-", "+1", "1,5"]),
+)
+
+
+def label_lines():
+    row = st.lists(NUMBER_TOKENS, min_size=12, max_size=19).map(
+        lambda tokens: " ".join(tokens[:2] + ["Car"] + tokens[2:])
+    )
+    return st.lists(st.one_of(row, st.text(max_size=40)), max_size=6).map("\n".join)
+
+
+def calib_lines():
+    key = st.sampled_from(["P2", "R0_rect", "R_rect", "Tr_velo_to_cam", "Tr_velo_cam", "P0", ""])
+    numbers = st.lists(NUMBER_TOKENS, max_size=14).map(" ".join)
+    line = st.tuples(key, st.sampled_from([":", " ", ": "]), numbers).map("".join)
+    return st.lists(st.one_of(line, st.text(max_size=30)), max_size=5).map("\n".join)
+
+
+class TestReaderFuzz:
+    @FUZZ
+    @given(st.one_of(label_lines().map(str.encode), st.binary(max_size=80)))
+    def test_labels(self, tmp_path, content):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(content)
+        try:
+            frames = read_labels(path)
+        except LabelFormatError:
+            return
+        for rows in frames.values():
+            for row in rows:
+                numbers = [row.truncated, row.alpha, *row.bbox, row.h, row.w, row.l,
+                           row.x, row.y, row.z, row.rotation_y]
+                assert all(math.isfinite(v) for v in numbers)
+
+    @FUZZ
+    @given(st.one_of(calib_lines().map(str.encode), st.binary(max_size=80)))
+    def test_calibration(self, tmp_path, content):
+        path = tmp_path / "calib.txt"
+        path.write_bytes(content)
+        try:
+            calib = read_calib(path)
+        except CalibrationError:
+            return
+        assert calib.projection.shape == (3, 4)
+
+    @FUZZ
+    @given(
+        st.lists(st.tuples(*[st.floats(width=32)] * 4), max_size=6),
+        st.sampled_from([b"", b"", b"\x00", b"\x00" * 7]),
+    )
+    def test_velodyne(self, tmp_path, records, tail):
+        path = tmp_path / "000000.bin"
+        path.write_bytes(np.array(records, dtype="<f4").tobytes() + tail)
+        try:
+            cloud = read_velodyne(path)
+        except VelodyneFormatError:
+            return
+        assert len(cloud) == len(records) and np.isfinite(cloud.positions).all()

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtrack.preprocess import (
     GROUND,
@@ -15,9 +17,11 @@ from flowtrack.preprocess import (
     Frustum,
     PointCloud,
     filter_fov,
+    _inlier_bounds,
     fit_ground,
     sample_points,
 )
+from oracles import fit_ground_reference
 
 
 def make_cloud(positions, labels=None, features=None) -> PointCloud:
@@ -245,6 +249,132 @@ class TestFitGround:
         a, _ = fit_ground(cloud, seed=5)
         b, _ = fit_ground(cloud, seed=5)
         assert np.array_equal(a.labels, b.labels)
+
+
+# Hypothesis counts around the batch size of the ground fit's inlier counting.
+ITERATIONS = st.sampled_from([0, 1, 7, 8, 9, 23])
+
+
+@st.composite
+def random_clouds(draw):
+    """Uniform or plane-plus-clutter clouds; optionally half duplicates, so
+    that some triples are degenerate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 400))
+    positions = rng.uniform(-20.0, 20.0, size=(n, 3))
+    if draw(st.booleans()):
+        positions[: n // 2, 2] = rng.normal(-1.7, draw(st.sampled_from([0.0, 0.02, 0.2])), n // 2)
+    if draw(st.booleans()):
+        positions[n // 2 :] = positions[rng.integers(0, max(n // 2, 1), n - n // 2)]
+    labels = rng.choice([UNLABELED, GROUND, 3], size=n, p=[0.8, 0.1, 0.1])
+    return make_cloud(positions, labels=labels)
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Points of a small integer lattice scaled by a power of two, with the
+    inlier threshold a whole number of lattice steps: many points lie
+    exactly on the edge of a hypothesis' inlier band."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.125, 0.25, 1.0]))
+    extent = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 300))
+    positions = rng.integers(-extent, extent + 1, size=(n, 3)) * step
+    return make_cloud(positions), step * draw(st.integers(1, 2))
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Clouds on which every triple is degenerate: one repeated point, or
+    collinear points at whole multiples of an integer direction."""
+    n = draw(st.integers(3, 50))
+    if draw(st.booleans()):
+        return make_cloud(np.tile([1.5, -2.0, 0.25], (n, 1)))
+    direction = np.array(draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)))
+    steps = np.array(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    return make_cloud(steps[:, None] * direction + np.array([4.0, 0.0, -1.0]))
+
+
+def assert_same_fit(cloud, **kwargs):
+    labeled, fit = fit_ground(cloud, **kwargs)
+    expected_cloud, expected_fit = fit_ground_reference(cloud, **kwargs)
+    assert fit == expected_fit
+    assert np.array_equal(labeled.labels, expected_cloud.labels)
+    assert np.array_equal(labeled.positions, cloud.positions)
+    return fit
+
+
+class TestFitGroundMatchesReference:
+    """The batched hypothesis scoring gives the same fit, bit for bit, as
+    scoring one hypothesis at a time (``tests/oracles.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        random_clouds(),
+        ITERATIONS,
+        st.sampled_from([0.01, 0.05, 0.15, 2.0]),
+        st.sampled_from([0.0, 0.25, 0.6]),
+        st.integers(0, 1000),
+    )
+    def test_random_clouds(self, cloud, iterations, threshold, fraction, seed):
+        assert_same_fit(
+            cloud, inlier_threshold=threshold, iterations=iterations,
+            min_inlier_fraction=fraction, seed=seed,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_clouds(), ITERATIONS, st.sampled_from([0.0, 0.25]), st.integers(0, 1000))
+    def test_lattice_points_on_the_band_edge(self, lattice, iterations, fraction, seed):
+        cloud, threshold = lattice
+        assert_same_fit(
+            cloud, inlier_threshold=threshold, iterations=iterations,
+            min_inlier_fraction=fraction, seed=seed,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_clouds(), ITERATIONS, st.integers(0, 1000))
+    def test_all_triples_degenerate(self, cloud, iterations, seed):
+        fit = assert_same_fit(cloud, iterations=iterations, min_inlier_fraction=0.0, seed=seed)
+        assert not fit.found
+
+    def test_inlier_bounds_hold_at_the_band_edge(self, rng):
+        # Thresholds equal to a point's distance as the one-plane expression
+        # computes it: the single-precision product rounds that distance
+        # either way, and its bound must still count the point.
+        positions = rng.uniform(-20.0, 20.0, size=(2000, 3))
+        normals = rng.normal(size=(40, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        offsets = rng.uniform(-5.0, 5.0, size=40)
+        distances = np.column_stack(
+            [np.abs(positions @ normal + offset) for normal, offset in zip(normals, offsets)]
+        )
+        for edge in distances[rng.integers(len(positions), size=40), np.arange(40)]:
+            bounds = _inlier_bounds(positions, normals, offsets, edge)
+            assert (bounds >= np.count_nonzero(distances <= edge, axis=0)).all()
+            assert (bounds <= np.count_nonzero(distances <= edge + 1e-3, axis=0)).all()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_of_equal_counts_wins_over_a_looser_bound(self, seed):
+        # Two parallel layers of 25 points; three more points lie 1e-9 m
+        # beyond the band of the upper layer's plane.  Both planes count 25
+        # inliers, but the upper one's single-precision bound is 28, so the
+        # search meets it first and must still pick the first hypothesis.
+        grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+        layers = [np.column_stack([grid, np.full(25, z)]) for z in (0.0, 1.0)]
+        beyond = np.column_stack([grid[:3] + 0.5, np.full(3, 1.25 + 1e-9)])
+        cloud = make_cloud(np.vstack([*layers, beyond]))
+        assert_same_fit(cloud, inlier_threshold=0.25, iterations=20, min_inlier_fraction=0.0,
+                        seed=seed)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 7, 8, 9, 200])
+    def test_plane_with_clutter(self, rng, iterations):
+        ground = np.column_stack(
+            [rng.uniform(0, 40, 3000), rng.uniform(-20, 20, 3000), rng.normal(-1.73, 0.02, 3000)]
+        )
+        cloud = make_cloud(np.vstack([ground, rng.uniform(-5, 40, size=(1000, 3))]))
+        fit = assert_same_fit(cloud, iterations=iterations, seed=11)
+        if iterations in (0, 200):
+            assert fit.found == (iterations == 200)
 
 
 class TestSamplePoints:
