@@ -110,8 +110,18 @@ def preprocess_frame(
     return sample_points(cloud, num_points, seed=(seed, frame_index, 1))
 
 
+def _sized(row: LabelRow, path: Path) -> LabelRow:
+    """``row``, checked to describe a box: its sizes must be positive."""
+    if min(row.h, row.w, row.l) <= 0:
+        raise LabelFormatError(
+            f"{path}: frame {row.frame}, id {row.track_id}: box sizes must be positive, "
+            f"got h={row.h} w={row.w} l={row.l}"
+        )
+    return row
+
+
 def _rows_to_detections(
-    rows: Sequence[LabelRow], calib: Calibration, category: str | None
+    rows: Sequence[LabelRow], calib: Calibration, category: str | None, path: Path
 ) -> list[Detection]:
     detections = []
     for row in rows:
@@ -119,7 +129,7 @@ def _rows_to_detections(
             continue
         detections.append(
             Detection(
-                box=camera_to_lidar_box(row, calib),
+                box=camera_to_lidar_box(_sized(row, path), calib),
                 confidence=row.score if row.score is not None else 1.0,
                 category=row.category,
             )
@@ -128,7 +138,8 @@ def _rows_to_detections(
 
 
 def _gt_boxes_by_frame(
-    gt_rows: Mapping[int, Sequence[LabelRow]], calib: Calibration, category: str | None
+    gt_rows: Mapping[int, Sequence[LabelRow]], calib: Calibration, category: str | None,
+    path: Path,
 ) -> dict[int, dict[int, Box3D]]:
     boxes: dict[int, dict[int, Box3D]] = {}
     for frame, rows in gt_rows.items():
@@ -136,7 +147,7 @@ def _gt_boxes_by_frame(
         for row in rows:
             if category is not None and row.category != category:
                 continue
-            frame_boxes[row.track_id] = camera_to_lidar_box(row, calib)
+            frame_boxes[row.track_id] = camera_to_lidar_box(_sized(row, path), calib)
         boxes[frame] = frame_boxes
     return boxes
 
@@ -229,7 +240,7 @@ def run_tracking_files(
 
     detection_rows = read_labels(detections_path)
     detections_by_frame = {
-        frame: _rows_to_detections(rows, calib, pipeline.category)
+        frame: _rows_to_detections(rows, calib, pipeline.category, detections_path)
         for frame, rows in detection_rows.items()
     }
 
@@ -241,7 +252,7 @@ def run_tracking_files(
             if gt_path is None:
                 raise ValueError("--flow-source oracle needs --gt for the true motions")
             flow_estimator = OracleFlowEstimator(
-                _gt_boxes_by_frame(read_labels(gt_path), calib, pipeline.category)
+                _gt_boxes_by_frame(read_labels(gt_path), calib, pipeline.category, gt_path)
             )
         elif flow_source == "nn":
             flow_estimator = NearestNeighborFlowEstimator(nn_max_distance)
@@ -284,7 +295,8 @@ def load_tracked_frames(
         for row in rows:
             if category is not None and row.category != category:
                 continue
-            boxes.append(TrackedBox(track_id=row.track_id, box=label_to_box(row), score=row.score))
+            box = label_to_box(_sized(row, path))
+            boxes.append(TrackedBox(track_id=row.track_id, box=box, score=row.score))
         frames[frame] = boxes
     return frames
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .assignment import max_similarity_assignment
 from .geometry import Box3D, iou3d, iou_matrix
@@ -177,18 +179,20 @@ class MetricsReport:
 
 
 Frames = Mapping[int, Sequence[TrackedBox]]
-IouFn = Callable[[Box3D, Box3D], float]
 
 
-def _check_unique_ids(frames: Frames, kind: str) -> None:
-    for frame, boxes in frames.items():
-        seen: set[int] = set()
-        for tracked in boxes:
-            if tracked.track_id in seen:
-                raise EvaluationInputError(
-                    f"duplicate {kind} row for frame {frame}, id {tracked.track_id}"
-                )
-            seen.add(tracked.track_id)
+def _check_sequence(gt: Frames, pred: Frames) -> None:
+    for frames, kind in ((gt, "ground-truth"), (pred, "result")):
+        for frame, boxes in frames.items():
+            seen: set[int] = set()
+            for tracked in boxes:
+                if tracked.track_id in seen:
+                    raise EvaluationInputError(
+                        f"duplicate {kind} row for frame {frame}, id {tracked.track_id}"
+                    )
+                seen.add(tracked.track_id)
+    if sum(len(boxes) for boxes in gt.values()) == 0:
+        raise EvaluationInputError("ground truth holds no boxes")
 
 
 def match_frame(
@@ -196,8 +200,7 @@ def match_frame(
     pred: Sequence[TrackedBox],
     iou_thres: float,
     prev_pairs: Mapping[int, int] | None = None,
-    *,
-    iou: IouFn | None = None,
+    ious: np.ndarray | None = None,
 ) -> FrameMatch:
     """Match one frame of ground truth against one frame of predictions.
 
@@ -213,8 +216,9 @@ def match_frame(
         Minimum IoU of a valid match.
     prev_pairs : mapping, optional
         Previous-frame assignment as ``gt_id -> pred_id``.
-    iou : callable, optional
-        IoU of a ``(gt box, result box)`` pair; :func:`iou3d` by default.
+    ious : np.ndarray, optional
+        IoU of every ``(gt[i], pred[j])`` pair, shape ``(len(gt), len(pred))``;
+        computed with :func:`iou3d` by default.
 
     Returns
     -------
@@ -222,7 +226,8 @@ def match_frame(
         Matched index pairs ``(gt_index, pred_index)`` plus the frame's FP
         (unmatched predictions) and FN (unmatched ground truth).
     """
-    iou = iou or iou3d
+    if ious is None:
+        ious = iou_matrix([t.box for t in gt], [p.box for p in pred], iou3d)
     prev_pairs = prev_pairs or {}
     pred_index_by_id = {p.track_id: j for j, p in enumerate(pred)}
 
@@ -233,7 +238,7 @@ def match_frame(
         j = pred_index_by_id.get(prev_pairs.get(truth.track_id))
         if j is None or j in taken_pred:
             continue
-        if iou(truth.box, pred[j].box) >= iou_thres:
+        if ious[i, j] >= iou_thres:
             matches.append((i, j))
             taken_gt.add(i)
             taken_pred.add(j)
@@ -241,9 +246,7 @@ def match_frame(
     free_gt = [i for i in range(len(gt)) if i not in taken_gt]
     free_pred = [j for j in range(len(pred)) if j not in taken_pred]
     if free_gt and free_pred:
-        similarity = iou_matrix(
-            [gt[i].box for i in free_gt], [pred[j].box for j in free_pred], iou
-        )
+        similarity = ious[np.ix_(free_gt, free_pred)]
         for a, b in max_similarity_assignment(similarity):
             if similarity[a, b] >= iou_thres:
                 matches.append((free_gt[a], free_pred[b]))
@@ -254,8 +257,49 @@ def match_frame(
     )
 
 
+class _SequenceFrames:
+    """One checked sequence: per frame its ground truth and the IoU matrix
+    against all its results, built once, plus memoized frame matches.
+
+    A frame's match at one IoU threshold is memoized on ``(frame, number of
+    kept results, previous partner of each ground-truth id)``.  Kept results
+    are the frame's rows at or above a score threshold; those sets are
+    nested, so their size identifies them.
+    """
+
+    def __init__(self, gt: Frames, pred: Frames) -> None:
+        self.frames = sorted(set(gt) | set(pred))
+        self.gt = {f: list(gt.get(f, [])) for f in self.frames}
+        self.gt_ids = {f: [t.track_id for t in boxes] for f, boxes in self.gt.items()}
+        self.ious: dict[int, np.ndarray] = {}
+        self.columns: dict[int, dict[int, int]] = {}
+        for f in self.frames:
+            rows = pred.get(f, [])
+            self.ious[f] = iou_matrix([t.box for t in self.gt[f]], [p.box for p in rows], iou3d)
+            self.columns[f] = {p.track_id: j for j, p in enumerate(rows)}
+        self.memo: dict[tuple, tuple[dict[int, int], list[int], list[float]]] = {}
+
+    def match(
+        self, frame: int, kept: Sequence[TrackedBox], iou_thres: float, prev_pairs: dict[int, int]
+    ) -> tuple[dict[int, int], list[int], list[float]]:
+        """Matched ``gt_id -> pred_id``, unmatched gt ids, matched IoUs in order."""
+        key = (frame, len(kept), tuple(map(prev_pairs.get, self.gt_ids[frame])))
+        found = self.memo.get(key)
+        if found is None:
+            gt = self.gt[frame]
+            ious = self.ious[frame][:, [self.columns[frame][p.track_id] for p in kept]]
+            result = match_frame(gt, kept, iou_thres, prev_pairs, ious)
+            matched = {gt[i].track_id: kept[j].track_id for i, j in result.matches}
+            found = self.memo[key] = (
+                matched,
+                [gid for gid in self.gt_ids[frame] if gid not in matched],
+                [float(ious[i, j]) for i, j in result.matches],
+            )
+        return found
+
+
 def evaluate_sequence(
-    gt: Frames, pred: Frames, iou_thres: float, *, iou: IouFn | None = None
+    gt: Frames, pred: Frames, iou_thres: float, *, frames: _SequenceFrames | None = None
 ) -> SequenceCounts:
     """CLEAR counts of one sequence.
 
@@ -271,57 +315,43 @@ def evaluate_sequence(
         Frame index to boxes.  ``(frame, id)`` pairs must be unique.
     iou_thres : float
         Minimum IoU of a valid match.
-    iou : callable, optional
-        IoU of a ``(gt box, result box)`` pair; :func:`iou3d` by default.
+    frames : _SequenceFrames, optional
+        IoU matrices and match memo of the already checked sequence that
+        ``pred`` filters by score, as :func:`recall_sweep` passes them;
+        checked and built from ``gt`` and ``pred`` by default.
 
     Raises
     ------
     EvaluationInputError
         On duplicate ``(frame, id)`` rows or empty ground truth.
     """
-    _check_unique_ids(gt, "ground-truth")
-    _check_unique_ids(pred, "result")
-    if sum(len(boxes) for boxes in gt.values()) == 0:
-        raise EvaluationInputError("ground truth holds no boxes")
-
-    iou = iou or iou3d
+    if frames is None:
+        _check_sequence(gt, pred)
+        frames = _SequenceFrames(gt, pred)
     counts = SequenceCounts()
     prev_pairs: dict[int, int] = {}
     # Per ground-truth identity: prediction id of its most recent matched
-    # frame (kept through gaps), and whether an interruption is open.
+    # frame (kept through gaps); identities with an open interruption.
     last_id: dict[int, int] = {}
-    in_gap: dict[int, bool] = {}
+    in_gap: set[int] = set()
 
-    frames = sorted(set(gt) | set(pred))
-    for frame in frames:
-        gt_boxes = list(gt.get(frame, []))
-        pred_boxes = list(pred.get(frame, []))
-        frame_match = match_frame(gt_boxes, pred_boxes, iou_thres, prev_pairs, iou=iou)
-
-        counts.fp += frame_match.fp
-        counts.fn += frame_match.fn
-        counts.num_gt += len(gt_boxes)
-        counts.num_matches += len(frame_match.matches)
-
-        matched_pred: dict[int, int] = {}
-        for i, j in frame_match.matches:
-            counts.iou_sum += iou(gt_boxes[i].box, pred_boxes[j].box)
-            matched_pred[gt_boxes[i].track_id] = pred_boxes[j].track_id
-
-        for truth in gt_boxes:
-            gid = truth.track_id
-            pid = matched_pred.get(gid)
-            if pid is not None:
-                previous = last_id.get(gid)
-                if previous is not None and previous != pid:
-                    counts.ids += 1
-                if in_gap.get(gid, False):
-                    counts.frag += 1
-                    in_gap[gid] = False
+    for frame in frames.frames:
+        kept = pred.get(frame, [])
+        matched_pred, unmatched, ious = frames.match(frame, kept, iou_thres, prev_pairs)
+        counts.fp += len(kept) - len(ious)
+        counts.fn += len(unmatched)
+        counts.num_gt += len(frames.gt[frame])
+        counts.num_matches += len(ious)
+        for value in ious:
+            counts.iou_sum += value
+        for gid, pid in matched_pred.items():
+            if last_id.setdefault(gid, pid) != pid:
+                counts.ids += 1
                 last_id[gid] = pid
-            elif gid in last_id:
-                in_gap[gid] = True
-
+            if gid in in_gap:
+                counts.frag += 1
+                in_gap.remove(gid)
+        in_gap |= last_id.keys() & unmatched
         prev_pairs = matched_pred
 
     return counts
@@ -332,40 +362,18 @@ def evaluate_sequences(
     pred_by_sequence: Mapping[str, Frames],
     iou_thres: float,
     *,
-    iou: IouFn | None = None,
+    frames: Mapping[str, _SequenceFrames] | None = None,
 ) -> SequenceCounts:
     """Evaluate each sequence independently and fold the counts."""
     total = SequenceCounts()
     for name in sorted(gt_by_sequence):
         pred = pred_by_sequence.get(name, {})
         total = total.merge(
-            evaluate_sequence(gt_by_sequence[name], pred, iou_thres, iou=iou)
+            evaluate_sequence(
+                gt_by_sequence[name], pred, iou_thres, frames=frames[name] if frames else None
+            )
         )
     return total
-
-
-def _iou_memo() -> IouFn:
-    """:func:`iou3d` that computes each distinct ``(gt, result)`` box pair once.
-
-    Boxes are frozen, so equal boxes hash alike and have equal IoUs.
-    """
-    memo: dict[tuple[Box3D, Box3D], float] = {}
-
-    def iou(gt_box: Box3D, pred_box: Box3D) -> float:
-        key = (gt_box, pred_box)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = iou3d(gt_box, pred_box)
-        return value
-
-    return iou
-
-
-def _filter_by_score(frames: Frames, threshold: float) -> dict[int, list[TrackedBox]]:
-    return {
-        frame: [b for b in boxes if b.score >= threshold]
-        for frame, boxes in frames.items()
-    }
 
 
 def smota_value(
@@ -400,9 +408,17 @@ def recall_sweep(
     configured IoU threshold.  Targets that no threshold reaches reuse the
     lowest threshold.  The accuracy of each row is scaled by its target
     recall (see :func:`smota_value`) and the averages are reported on a
-    0-100 scale.  A threshold only drops result boxes, so the evaluations
-    revisit the same box pairs; the IoU of each distinct ``(gt, result)``
-    pair is computed once per sweep.
+    0-100 scale.
+
+    Every distinct score is evaluated, from the highest down: recall is not
+    monotone in the threshold, since frames keep their previous pairs.
+    The inputs are checked once (scores, unique ``(frame, id)`` rows,
+    non-empty ground truth), and each sequence's IoU matrices are built
+    once.  Lowering the threshold by one score only adds the rows carrying
+    it, so most frames are matched again with the same kept results and the
+    same previous pairs: a frame's match is memoized on ``(frame, number of
+    kept results, previous partner of each ground-truth id)`` and computed
+    once per distinct key.
 
     Parameters
     ----------
@@ -416,11 +432,14 @@ def recall_sweep(
     Raises
     ------
     EvaluationInputError
-        If any result box lacks a score.
+        If any result box lacks a score, or on duplicate ``(frame, id)``
+        rows or empty ground truth.
     """
     gt_seqs = _normalize_sequences(gt)
     pred_seqs = _normalize_sequences(pred)
-    for frames in pred_seqs.values():
+    # Frames entered by each score as the threshold falls to it.
+    entering: dict[float, set[tuple[str, int]]] = {}
+    for name, frames in pred_seqs.items():
         for frame, boxes in frames.items():
             for tracked in boxes:
                 if tracked.score is None:
@@ -428,35 +447,24 @@ def recall_sweep(
                         f"result box in frame {frame} has no confidence score; "
                         "the recall sweep needs scores"
                     )
+                entering.setdefault(float(tracked.score), set()).add((name, frame))
 
-    scores = sorted(
-        {
-            float(b.score)
-            for frames in pred_seqs.values()
-            for boxes in frames.values()
-            for b in boxes
-        },
-        reverse=True,
-    )
-    if not scores:
-        scores = [0.0]
+    sequences = {}
+    for name in sorted(gt_seqs):
+        _check_sequence(gt_seqs[name], pred_seqs.get(name, {}))
+        sequences[name] = _SequenceFrames(gt_seqs[name], pred_seqs.get(name, {}))
+    kept = {name: {frame: [] for frame in pred_seqs.get(name, {})} for name in gt_seqs}
 
-    counts_cache: dict[float, SequenceCounts] = {}
-    iou = _iou_memo()
-
-    def counts_at(threshold: float) -> SequenceCounts:
-        if threshold not in counts_cache:
-            filtered = {
-                name: _filter_by_score(frames, threshold)
-                for name, frames in pred_seqs.items()
-            }
-            counts_cache[threshold] = evaluate_sequences(
-                gt_seqs, filtered, cfg.iou_thres, iou=iou
-            )
-        return counts_cache[threshold]
-
-    candidates = [(threshold, counts_at(threshold)) for threshold in scores]
-    lowest_threshold = scores[-1]
+    candidates: list[tuple[float, SequenceCounts]] = []
+    for threshold in sorted(entering, reverse=True) or [0.0]:
+        for name, frame in entering.get(threshold, ()):
+            if name in kept:
+                kept[name][frame] = [
+                    b for b in pred_seqs[name][frame] if b.score >= threshold
+                ]
+        counts = evaluate_sequences(gt_seqs, kept, cfg.iou_thres, frames=sequences)
+        candidates.append((threshold, counts))
+    lowest = candidates[-1]
 
     rows: list[RecallRow] = []
     best: tuple[float, SequenceCounts] | None = None
@@ -471,7 +479,7 @@ def recall_sweep(
         if eligible:
             _, threshold, counts = min(eligible, key=lambda item: (item[0], -item[1]))
         else:
-            threshold, counts = lowest_threshold, counts_at(lowest_threshold)
+            threshold, counts = lowest
         row = RecallRow(
             recall_target=target,
             threshold=threshold,

@@ -317,7 +317,7 @@ def fit_ground(
     Returns
     -------
     tuple
-        ``(labeled_cloud, fit)``.  When no plane reaches
+        ``(labeled_cloud, fit)``.  When no plane has an inlier or reaches
         ``min_inlier_fraction`` the cloud is returned unchanged and
         ``fit.found`` is False.
     """
@@ -349,7 +349,7 @@ def fit_ground(
         count = int(mask.sum())
         if count > best_count or (count == best_count and i < best):
             best, best_count, inliers = i, count, mask
-    if inliers is None or best_count / n < min_inlier_fraction:
+    if best_count <= 0 or best_count / n < min_inlier_fraction:
         return cloud, GroundFit(found=False)
 
     normal, offset = _refit_plane(positions[inliers])

@@ -4,7 +4,10 @@ Every function here computes its answer by a different route than the
 library code: sampling instead of clipping, exhaustive enumeration instead
 of optimization, whole-timeline analysis instead of streaming state.  Tests
 compare the two routes; nothing in this module may import algorithmic code
-from the package beyond plain data containers.
+from the package beyond plain data containers, except
+``recall_sweep_reference``: it re-runs the package's per-sequence evaluation
+(refereed by ``reference_counts``) anew at every threshold, the
+route the memoized sweep replaces.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from flowtrack.geometry import Box3D
-from flowtrack.metrics import TrackedBox
+from flowtrack.metrics import (
+    EvalConfig,
+    MetricsReport,
+    RecallRow,
+    SequenceCounts,
+    TrackedBox,
+    evaluate_sequences,
+    smota_value,
+)
 from flowtrack.preprocess import GROUND, UNLABELED, GroundFit, PointCloud
 
 
@@ -398,7 +409,7 @@ def fit_ground_reference(
             best_count = count
             best_plane = (normal, -float(normal @ p0))
 
-    if best_plane is None or best_count / n < min_inlier_fraction:
+    if best_plane is None or best_count == 0 or best_count / n < min_inlier_fraction:
         return cloud, GroundFit(found=False)
 
     inliers = distances(*best_plane) <= inlier_threshold
@@ -417,3 +428,59 @@ def fit_ground_reference(
         num_inliers=int(refined.sum()),
     )
     return labeled, fit
+
+
+def recall_sweep_reference(
+    gt: Mapping, pred: Mapping, cfg: EvalConfig
+) -> MetricsReport:
+    """Recall sweep that filters the results and evaluates every sequence
+    anew at each distinct score, with no state shared between
+    thresholds.  Inputs are ``frame -> boxes`` or ``sequence -> frame ->
+    boxes``; every result box needs a score."""
+
+    def named(data: Mapping) -> dict:
+        if data and isinstance(next(iter(data.values())), Mapping):
+            return dict(data)
+        return {"": data}
+
+    gt_seqs, pred_seqs = named(gt), named(pred)
+    scores = sorted(
+        {float(b.score) for frames in pred_seqs.values() for boxes in frames.values() for b in boxes},
+        reverse=True,
+    ) or [0.0]
+    candidates: list[tuple[float, SequenceCounts]] = []
+    for threshold in scores:
+        filtered = {
+            name: {f: [b for b in boxes if b.score >= threshold] for f, boxes in frames.items()}
+            for name, frames in pred_seqs.items()
+        }
+        candidates.append((threshold, evaluate_sequences(gt_seqs, filtered, cfg.iou_thres)))
+
+    rows: list[RecallRow] = []
+    best: tuple[float, SequenceCounts] | None = None
+    for k in range(1, cfg.num_recall_steps + 1):
+        target = k / cfg.num_recall_steps
+        eligible = [(c.recall, t, c) for t, c in candidates if c.recall >= target - 1e-12]
+        if eligible:
+            _, threshold, counts = min(eligible, key=lambda item: (item[0], -item[1]))
+        else:
+            threshold, counts = candidates[-1]
+        rows.append(RecallRow(
+            recall_target=target, threshold=threshold, mota=counts.mota, motp=counts.motp,
+            smota=smota_value(counts, target, cfg.smota_mode),
+            fp=counts.fp, fn=counts.fn, ids=counts.ids,
+        ))
+        if best is None or counts.mota > best[1].mota:
+            best = (threshold, counts)
+
+    def mean(values: list[float]) -> float:
+        return math.fsum(values) / len(values)
+
+    assert best is not None
+    return MetricsReport(
+        iou_thres=cfg.iou_thres, category=cfg.category, rows=rows,
+        samota=100.0 * mean([r.smota for r in rows]),
+        amota=100.0 * mean([r.mota for r in rows]),
+        amotp=100.0 * mean([r.motp for r in rows]),
+        mota=best[1].mota, motp=best[1].motp, ids=best[1].ids, frag=best[1].frag,
+    )

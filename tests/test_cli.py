@@ -212,11 +212,11 @@ class TestFlowSources:
         # The lazy mapping tracks exactly as a dict of every cloud read up front.
         calib = cli.read_calib(sim_dir / "calib.txt")
         detections = {
-            frame: cli._rows_to_detections(rows, calib, "Car")
+            frame: cli._rows_to_detections(rows, calib, "Car", sim_dir / "detections.txt")
             for frame, rows in cli.read_labels(sim_dir / "detections.txt").items()
         }
         estimator = cli.OracleFlowEstimator(
-            cli._gt_boxes_by_frame(cli.read_labels(sim_dir / "gt.txt"), calib, "Car")
+            cli._gt_boxes_by_frame(cli.read_labels(sim_dir / "gt.txt"), calib, "Car", sim_dir / "gt.txt")
         )
         frustum = cli.Frustum(calibration=calib, image_width=1200, image_height=400)
         results = run_tracking(detections, eager, estimator, TrackerConfig(),
@@ -313,6 +313,17 @@ class TestEvalCommand:
         assert report["sAMOTA"] == 100.0
 
 
+def write_with_bad_size(source: Path, target: Path, column: int, value: str) -> tuple[int, int]:
+    """Copy a label file with one size column (10 h, 11 w, 12 l) of its
+    third row replaced; returns that row's frame and track id."""
+    lines = source.read_text().splitlines()
+    tokens = lines[2].split()
+    tokens[column] = value
+    lines[2] = " ".join(tokens)
+    target.write_text("\n".join(lines) + "\n")
+    return int(tokens[0]), int(tokens[1])
+
+
 class TestCleanFailures:
     def test_malformed_label_file_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         bad = tmp_path / "results.txt"
@@ -363,6 +374,60 @@ class TestCleanFailures:
         assert err.startswith("flowtrack track: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{detections}:3: non-finite number 'nan'" in err
+
+    @pytest.mark.parametrize("column, value", [(10, "0"), (11, "-1.5"), (12, "0.0")])
+    def test_nonpositive_size_result_row_one_line_exit_2(
+        self, sim_dir, tracked_dir, tmp_path, capsys, column, value
+    ):
+        results = tmp_path / "results.txt"
+        frame, track_id = write_with_bad_size(tracked_dir / "results.txt", results, column, value)
+        args = ["eval", "--gt", sim_dir / "gt.txt", "--results", results, "--out", tmp_path / "e"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack eval: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{results}: frame {frame}, id {track_id}: box sizes must be positive" in err
+
+    def test_nonpositive_size_detection_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        detections = tmp_path / "detections.txt"
+        frame, _ = write_with_bad_size(sim_dir / "detections.txt", detections, 10, "0")
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "o"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{detections}: frame {frame}, id -1: box sizes must be positive" in err
+
+    def test_nonpositive_size_oracle_gt_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        frame, track_id = write_with_bad_size(sim_dir / "gt.txt", gt, 12, "-4")
+        assert run(track_args(sim_dir, tmp_path / "out", **{"--gt": gt})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: ")
+        assert err.count("\n") == 1
+        assert f"{gt}: frame {frame}, id {track_id}: box sizes must be positive" in err
+
+    def test_other_categories_keep_any_size(self, sim_dir, tracked_dir, tmp_path):
+        # KITTI marks ignored regions with DontCare rows of size -1.
+        dont_care = "DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10"
+        paths = {}
+        for name, source, track_id, score in (
+            ("gt", sim_dir / "gt.txt", -1, ""),
+            ("results", tracked_dir / "results.txt", 99, " 0.5"),
+            ("detections", sim_dir / "detections.txt", -1, " 0.5"),
+        ):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(
+                source.read_text() + f"2 {track_id} {dont_care}{score}\n"
+            )
+        assert run(["eval", "--gt", paths["gt"], "--results", paths["results"],
+                    "--out", tmp_path / "e"]) == 0
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", tracked_dir / "results.txt",
+                    "--out", tmp_path / "e0"]) == 0
+        assert ((tmp_path / "e" / "report_iou0.25.json").read_bytes()
+                == (tmp_path / "e0" / "report_iou0.25.json").read_bytes())
+        assert run(["track", "--detections", paths["detections"], "--predictor", "cv",
+                    "--out", tmp_path / "t"]) == 0
 
     @pytest.mark.parametrize("command", ["eval", "decimate"])
     def test_ignored_seed_flag_removed(self, sim_dir, tmp_path, command):

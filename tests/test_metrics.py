@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import flowtrack.metrics as metrics
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
@@ -23,7 +25,7 @@ from flowtrack.metrics import (
     smota_value,
 )
 
-from oracles import best_assignment_bruteforce, reference_counts
+from oracles import best_assignment_bruteforce, recall_sweep_reference, reference_counts
 
 
 def tb(track_id: int, x: float, y: float = 0.0, score: float | None = None) -> TrackedBox:
@@ -459,45 +461,66 @@ def crowded_scored_scenario(rng: np.random.Generator) -> tuple[dict, dict]:
     return gt_seqs, pred_seqs
 
 
-def sweep_counting_iou(monkeypatch, gt, pred, cfg, memo: bool = True):
-    """Run ``recall_sweep`` and count its ``iou3d`` calls per box pair.
-
-    With ``memo=False`` every evaluation calls ``iou3d`` directly, as
-    per-threshold ``evaluate_sequences`` calls without a memo do.
-    """
+def counting(monkeypatch, name: str, key) -> Counter:
+    """Patch ``flowtrack.metrics.<name>`` to count its calls by ``key(args)``."""
     calls: Counter = Counter()
+    original = getattr(metrics, name)
 
-    def counting(a: Box3D, b: Box3D) -> float:
-        calls[(a, b)] += 1
-        return iou3d(a, b)
+    def counted(*args, **kwargs):
+        calls[key(args)] += 1
+        return original(*args, **kwargs)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(metrics, "iou3d", counting)
-        if not memo:
-            patch.setattr(metrics, "_iou_memo", lambda: counting)
+    monkeypatch.setattr(metrics, name, counted)
+    return calls
+
+
+def frame_state(args) -> tuple:
+    """What a frame's match depends on: its ground-truth rows, its kept
+    result rows (as the input's objects) and each ground-truth id's
+    previous partner."""
+    gt, kept, _, prev_pairs = args[:4]
+    return (
+        tuple(map(id, gt)),
+        tuple(map(id, kept)),
+        tuple(prev_pairs.get(t.track_id) for t in gt),
+    )
+
+
+class TestRecallSweepMemo:
+    def test_match_frame_once_per_frame_state(self, monkeypatch, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        evaluations = counting(monkeypatch, "evaluate_sequence", lambda args: None)
+        matches = counting(monkeypatch, "match_frame", frame_state)
+        recall_sweep(gt, pred, EvalConfig(num_recall_steps=10))
+        scores = {b.score for frames in pred.values() for rows in frames.values() for b in rows}
+        # Every threshold still evaluates both sequences, six frames each ...
+        assert evaluations[None] == 2 * len(scores)
+        # ... but each frame state is matched once, and most recur.
+        assert set(matches.values()) == {1}
+        assert sum(matches.values()) < evaluations[None] * 6 / 5
+
+    def test_iou3d_once_per_box_pair(self, monkeypatch, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        calls = counting(monkeypatch, "iou3d", lambda args: (args[0], args[1]))
+        report = recall_sweep(gt, pred, EvalConfig(num_recall_steps=10))
+        assert len({row.threshold for row in report.rows}) > 3
+        pairs = {
+            (t.box, p.box)
+            for name in gt
+            for f in gt[name]
+            for t in gt[name][f]
+            for p in pred[name].get(f, [])
+        }
+        assert calls and set(calls) <= pairs
+        assert set(calls.values()) == {1}
+
+    def test_report_equals_reference_sweep(self, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        cfg = EvalConfig(num_recall_steps=10)
         report = recall_sweep(gt, pred, cfg)
-    return report, calls
-
-
-class TestRecallSweepIouMemo:
-    def test_one_iou3d_call_per_distinct_pair(self, monkeypatch, rng):
-        gt, pred = crowded_scored_scenario(rng)
-        cfg = EvalConfig(num_recall_steps=10)
-        _, memo_calls = sweep_counting_iou(monkeypatch, gt, pred, cfg)
-        _, plain_calls = sweep_counting_iou(monkeypatch, gt, pred, cfg, memo=False)
-        # The scenario really makes the sweep revisit pairs.
-        assert sum(plain_calls.values()) > 5 * len(plain_calls)
-        assert set(memo_calls) == set(plain_calls)
-        assert set(memo_calls.values()) == {1}
-
-    def test_report_equals_unmemoized_sweep(self, monkeypatch, rng):
-        gt, pred = crowded_scored_scenario(rng)
-        cfg = EvalConfig(num_recall_steps=10)
-        memo_report, _ = sweep_counting_iou(monkeypatch, gt, pred, cfg)
-        plain_report, _ = sweep_counting_iou(monkeypatch, gt, pred, cfg, memo=False)
-        assert memo_report.to_dict() == plain_report.to_dict()
-        assert memo_report == plain_report
-        assert memo_report.ids > 0 and memo_report.rows[-1].fp > 0
+        assert report.to_dict() == recall_sweep_reference(gt, pred, cfg).to_dict()
+        assert report == recall_sweep_reference(gt, pred, cfg)
+        assert report.ids > 0 and report.rows[-1].fp > 0
 
     def test_rows_equal_per_threshold_evaluations(self, rng):
         gt, pred = crowded_scored_scenario(rng)
@@ -518,18 +541,80 @@ class TestRecallSweepIouMemo:
 
     def test_direct_callers_use_iou3d_by_default(self, monkeypatch, rng):
         gt, pred = crowded_scored_scenario(rng)
-        calls: Counter = Counter()
-
-        def counting(a: Box3D, b: Box3D) -> float:
-            calls[(a, b)] += 1
-            return iou3d(a, b)
-
-        monkeypatch.setattr(metrics, "iou3d", counting)
+        calls = counting(monkeypatch, "iou3d", lambda args: (args[0], args[1]))
         evaluate_sequence(gt["a"], pred["a"], 0.25)
         assert calls
         before = sum(calls.values())
         evaluate_sequence(gt["a"], pred["a"], 0.25)
         assert sum(calls.values()) == 2 * before
+
+    def test_inputs_checked_before_sweeping(self, rng):
+        gt, pred = crowded_scored_scenario(rng)
+        with pytest.raises(EvaluationInputError, match="no boxes"):
+            recall_sweep({"a": gt["a"], "b": {0: []}}, pred, EvalConfig())
+        # A duplicate scored below every other row is still caught.
+        first = pred["b"][5][0]
+        pred["b"][5].append(TrackedBox(first.track_id, first.box, score=-1.0))
+        with pytest.raises(EvaluationInputError, match=f"result row for frame 5, id {first.track_id}"):
+            recall_sweep(gt, pred, EvalConfig())
+
+
+@st.composite
+def scored_sequences(draw) -> tuple[dict, dict]:
+    """Scored multi-sequence inputs with tied scores, frames without
+    results or without ground truth, ground-truth gaps, forced identity
+    switches, false positives and a result-only sequence."""
+    score = st.sampled_from([0.2, 0.4, 0.5, 0.7, 0.9, 0.95])
+    gt_seqs: dict[str, dict] = {}
+    pred_seqs: dict[str, dict] = {}
+    for name in "abc"[: draw(st.integers(1, 3))]:
+        num_frames = draw(st.integers(1, 6))
+        gt: dict[int, list[TrackedBox]] = {}
+        pred: dict[int, list[TrackedBox]] = {}
+        switch_at = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4))
+        for f in range(num_frames):
+            gt_rows, pred_rows = [], []
+            for gid in range(1, 5):
+                x = 3.0 * gid + 0.4 * f
+                if draw(st.integers(0, 4)):
+                    gt_rows.append(tb(gid, x))
+                if draw(st.integers(0, 3)):
+                    pid = 10 * gid + (f >= switch_at[gid - 1])
+                    jitter = draw(st.sampled_from([-1.5, -0.8, 0.0, 0.3, 1.2]))
+                    pred_rows.append(tb(pid, x + jitter, y=0.2, score=draw(score)))
+            if draw(st.booleans()):
+                pred_rows.append(tb(900 + f, 3.0 * draw(st.integers(1, 4)), y=1.5, score=draw(score)))
+            # A frame key may be absent on either side.
+            if gt_rows or draw(st.booleans()):
+                gt[f] = gt_rows
+            if pred_rows or draw(st.booleans()):
+                pred[f] = pred_rows
+        gt_seqs[name], pred_seqs[name] = gt, pred
+    if draw(st.booleans()):
+        pred_seqs["z"] = {0: [tb(1, 0.0, score=draw(score))]}
+    assume(all(any(frames.values()) for frames in gt_seqs.values()))
+    return gt_seqs, pred_seqs
+
+
+class TestRecallSweepMatchesReference:
+    """The memoized sweep reports exactly what evaluating every threshold
+    anew reports (``tests/oracles.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scored_sequences(),
+        st.sampled_from([0.1, 0.25, 0.5, 0.7]),
+        st.integers(1, 12),
+        st.sampled_from(["ratio", "adjusted"]),
+    )
+    def test_random_scored_sequences(self, data, iou_thres, steps, mode):
+        gt, pred = data
+        cfg = EvalConfig(iou_thres=iou_thres, num_recall_steps=steps, smota_mode=mode)
+        report = recall_sweep(gt, pred, cfg)
+        reference = recall_sweep_reference(gt, pred, cfg)
+        assert report.to_dict() == reference.to_dict()
+        assert report.rows == reference.rows
+        assert report == reference
 
 
 class TestReport:

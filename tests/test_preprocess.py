@@ -15,6 +15,7 @@ from flowtrack.preprocess import (
     Calibration,
     CalibrationError,
     Frustum,
+    GroundFit,
     PointCloud,
     filter_fov,
     _inlier_bounds,
@@ -223,6 +224,16 @@ class TestFitGround:
         assert not fit.found
         assert np.array_equal(labeled.labels, cloud.labels)
         assert np.array_equal(labeled.positions, cloud.positions)
+
+    def test_plane_without_inliers_is_not_found(self):
+        # A zero-width band may leave even the hypothesis' own three points
+        # outside it; with no inlier there is nothing to refit.
+        cloud = make_cloud(np.random.default_rng(1).uniform(-1, 1, size=(11, 3)))
+        labeled, fit = fit_ground(
+            cloud, inlier_threshold=0.0, iterations=1, min_inlier_fraction=0.0, seed=0
+        )
+        assert fit == GroundFit(found=False)
+        assert labeled is cloud
 
     def test_instance_labels_never_relabeled(self, rng):
         positions = np.column_stack(
