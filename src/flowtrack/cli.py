@@ -20,8 +20,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .flow import (
     FileFlowEstimator,
@@ -29,7 +27,6 @@ from .flow import (
     FlowEstimator,
     NearestNeighborFlowEstimator,
     OracleFlowEstimator,
-    estimate_oracle,
     save_flow,
 )
 from .geometry import Box3D
@@ -37,12 +34,12 @@ from .kitti_io import (
     LabelFormatError,
     LabelRow,
     VelodyneFormatError,
-    camera_to_lidar_box,
+    camera_to_lidar_boxes,
     label_to_box,
     read_calib,
     read_labels,
     read_velodyne,
-    result_row,
+    result_rows,
     write_calib,
     write_labels,
     write_results,
@@ -123,18 +120,15 @@ def _sized(row: LabelRow, path: Path) -> LabelRow:
 def _rows_to_detections(
     rows: Sequence[LabelRow], calib: Calibration, category: str | None, path: Path
 ) -> list[Detection]:
-    detections = []
-    for row in rows:
-        if category is not None and row.category != category:
-            continue
-        detections.append(
-            Detection(
-                box=camera_to_lidar_box(_sized(row, path), calib),
-                confidence=row.score if row.score is not None else 1.0,
-                category=row.category,
-            )
+    kept = [_sized(row, path) for row in rows if category is None or row.category == category]
+    return [
+        Detection(
+            box=box,
+            confidence=row.score if row.score is not None else 1.0,
+            category=row.category,
         )
-    return detections
+        for row, box in zip(kept, camera_to_lidar_boxes(kept, calib))
+    ]
 
 
 def _gt_boxes_by_frame(
@@ -143,12 +137,10 @@ def _gt_boxes_by_frame(
 ) -> dict[int, dict[int, Box3D]]:
     boxes: dict[int, dict[int, Box3D]] = {}
     for frame, rows in gt_rows.items():
-        frame_boxes = {}
-        for row in rows:
-            if category is not None and row.category != category:
-                continue
-            frame_boxes[row.track_id] = camera_to_lidar_box(_sized(row, path), calib)
-        boxes[frame] = frame_boxes
+        kept = [_sized(row, path) for row in rows if category is None or row.category == category]
+        boxes[frame] = {
+            row.track_id: box for row, box in zip(kept, camera_to_lidar_boxes(kept, calib))
+        }
     return boxes
 
 
@@ -368,11 +360,6 @@ def run_evaluation(
     return reports
 
 
-def _gt_row(frame: int, obj_id: int, category: str, box: Box3D, calib: Calibration) -> LabelRow:
-    row = result_row(frame, EmittedTrack(obj_id, box, 1.0, category), calib)
-    return replace(row, score=None)
-
-
 def write_scenario_outputs(
     frames: Sequence[FrameData],
     out_dir: Path,
@@ -396,18 +383,15 @@ def write_scenario_outputs(
     det_rows: dict[int, list[LabelRow]] = {}
     for frame_data in frames:
         write_velodyne(out_dir / "velodyne" / f"{frame_data.index:06d}.bin", frame_data.cloud)
+        gt_tracks = [EmittedTrack(g.obj_id, g.box, 1.0, g.category) for g in frame_data.gt]
         gt_rows[frame_data.index] = [
-            _gt_row(frame_data.index, g.obj_id, g.category, g.box, calib)
-            for g in frame_data.gt
+            replace(row, score=None) for row in result_rows(frame_data.index, gt_tracks, calib)
         ]
-        det_rows[frame_data.index] = [
-            result_row(
-                frame_data.index,
-                EmittedTrack(-1, d.box, d.confidence, d.category),
-                calib,
-            )
-            for d in frame_data.detections
-        ]
+        det_rows[frame_data.index] = result_rows(
+            frame_data.index,
+            [EmittedTrack(-1, d.box, d.confidence, d.category) for d in frame_data.detections],
+            calib,
+        )
     write_labels(out_dir / "gt.txt", gt_rows)
     write_labels(out_dir / "detections.txt", det_rows)
 

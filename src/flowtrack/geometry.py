@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ import numpy as np
 CLIP_TOL = 1e-9
 
 # Slack of iou_matrix's bulk reject, meters: numpy's and math's hypot may
-# differ in the last bit, so pairs this close to iou3d's own cut reach iou3d.
+# differ in the last bit, so pairs this close to iou3d's own cut reach the
+# clipping kernel.
 PREFILTER_SLACK = 1e-9
 
 
@@ -90,6 +91,22 @@ class Box3D:
         return replace(self, x=self.x + dx, y=self.y + dy, z=self.z + dz)
 
 
+def _corner_xy(x, y, l, w, c, s):
+    """Footprint corner coordinates as two lists of four, counter-clockwise
+    from the corner at ``(+l/2, +w/2)`` in the box frame.
+
+    The arguments are floats or equally shaped arrays (``c``, ``s``: cosine
+    and sine of the yaw).  Each coordinate is spelled out elementwise rather
+    than taken from a matrix product, whose BLAS summation order is not
+    specified, so the scalar and the batched IoU agree bit for bit.
+    """
+    hl, hw = l / 2.0, w / 2.0
+    lc, ls, wc, ws = hl * c, hl * s, hw * c, hw * s
+    xs = [lc - ws + x, -lc - ws + x, -lc + ws + x, lc + ws + x]
+    ys = [ls + wc + y, -ls + wc + y, -ls - wc + y, ls - wc + y]
+    return xs, ys
+
+
 def corners_bev(box: Box3D) -> np.ndarray:
     """Footprint corners of a box in the horizontal plane.
 
@@ -104,149 +121,215 @@ def corners_bev(box: Box3D) -> np.ndarray:
         Array of shape (4, 2) with the corners in counter-clockwise order,
         starting at the corner that lies at ``(+l/2, +w/2)`` in the box frame.
     """
-    c = math.cos(box.theta)
-    s = math.sin(box.theta)
-    hl = box.l / 2.0
-    hw = box.w / 2.0
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.x, box.y])
+    xs, ys = _corner_xy(
+        box.x, box.y, box.l, box.w, math.cos(box.theta), math.sin(box.theta)
+    )
+    return np.array([xs, ys]).T
 
 
-def _polygon_area(polygon: np.ndarray) -> float:
-    """Shoelace area of a polygon given as an (n, 2) array of CCW vertices."""
-    if len(polygon) < 3:
-        return 0.0
-    x = polygon[:, 0]
-    y = polygon[:, 1]
-    x_next = np.concatenate((x[1:], x[:1]))
-    y_next = np.concatenate((y[1:], y[:1]))
-    area = 0.5 * float(np.dot(x, y_next) - np.dot(y, x_next))
-    return max(area, 0.0)
+def _footprint_xy(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner x and y of each row of a :func:`_box_fields` array, (n, 4)
+    each, with :func:`corners_bev`'s bits (``math`` trigonometry per box)."""
+    theta = fields[:, 6].tolist()
+    cos = np.array(list(map(math.cos, theta)), dtype=float)
+    sin = np.array(list(map(math.sin, theta)), dtype=float)
+    xs, ys = _corner_xy(fields[:, 0], fields[:, 1], fields[:, 3], fields[:, 4], cos, sin)
+    return np.stack(xs, axis=1), np.stack(ys, axis=1)
 
 
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Intersection of two convex polygons by successive half-plane clipping.
+def footprints(boxes: Sequence[Box3D]) -> np.ndarray:
+    """:func:`corners_bev` of every box at once, shape (n, 4, 2)."""
+    return np.stack(_footprint_xy(_box_fields(boxes)), axis=2)
 
-    Both inputs must list vertices counter-clockwise.  Vertices exactly on a
-    clip edge count as inside, so clipping a polygon against itself returns
-    the polygon unchanged.  Intersections with a nearly parallel edge
-    (cross product below ``CLIP_TOL``) are skipped; such degenerate overlaps
-    contribute zero area.
+
+def _shoelace(xs: np.ndarray, ys: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Area of each polygon whose first ``count`` CCW vertices fill a row of
+    ``xs`` and ``ys``; 0.0 below three vertices.
+
+    Both shoelace sums run sequentially in vertex order (padding adds 0.0),
+    an order a scalar loop can reproduce exactly.
     """
-    output = [tuple(p) for p in subject]
-    for i in range(len(clip)):
-        if not output:
-            break
-        cx1, cy1 = clip[i]
-        cx2, cy2 = clip[(i + 1) % len(clip)]
-        ex, ey = cx2 - cx1, cy2 - cy1
-        vertices = output
-        output = []
-        signs = [ex * (py - cy1) - ey * (px - cx1) for px, py in vertices]
-        for j, (px, py) in enumerate(vertices):
-            k = (j + 1) % len(vertices)
-            qx, qy = vertices[k]
-            inside_p = signs[j] >= 0.0
-            inside_q = signs[k] >= 0.0
-            if inside_p:
-                output.append((px, py))
-            if inside_p != inside_q:
-                dx, dy = qx - px, qy - py
-                den = ex * dy - ey * dx
-                if abs(den) < CLIP_TOL:
-                    continue
-                t = (ey * (px - cx1) - ex * (py - cy1)) / den
-                output.append((px + t * dx, py + t * dy))
-    return np.array(output) if output else np.empty((0, 2))
+    pair = np.arange(len(xs))
+    forward = np.zeros(len(xs))
+    backward = np.zeros(len(xs))
+    for k in range(xs.shape[1]):
+        after = np.where(k + 1 < count, k + 1, 0)
+        used = k < count
+        forward += np.where(used, xs[:, k] * ys[pair, after], 0.0)
+        backward += np.where(used, ys[:, k] * xs[pair, after], 0.0)
+    return np.where(count >= 3, np.maximum(0.5 * (forward - backward), 0.0), 0.0)
 
 
-def _sort_key(box: Box3D) -> tuple:
-    return (box.x, box.y, box.z, box.l, box.w, box.h, box.theta)
+def _clip_polygons(
+    xs: np.ndarray, ys: np.ndarray, clip_xs: np.ndarray, clip_ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersections of convex polygon pairs by successive half-plane
+    clipping (Sutherland & Hodgman), all pairs at once.
+
+    Row ``p`` holds the subject's CCW vertices (``xs``, ``ys``) and the clip
+    polygon's (``clip_xs``, ``clip_ys``).  Vertices exactly on a clip edge
+    count as inside, so clipping a polygon against itself returns it
+    unchanged.  Intersections with a nearly parallel edge (cross product
+    below ``CLIP_TOL``) are skipped; such degenerate overlaps contribute zero
+    area.  Returns the clipped vertices, zero-padded to the widest result,
+    and each row's vertex count.
+    """
+    rows = len(xs)
+    pair = np.arange(rows)[:, None]
+    count = np.full(rows, xs.shape[1])
+    corners = clip_xs.shape[1]
+    for i in range(corners):
+        x1, y1 = clip_xs[:, i, None], clip_ys[:, i, None]
+        ex = clip_xs[:, (i + 1) % corners, None] - x1
+        ey = clip_ys[:, (i + 1) % corners, None] - y1
+        column = np.arange(xs.shape[1])
+        width = 2 * len(column)
+        valid = column < count[:, None]
+        after = np.where(column + 1 < count[:, None], column + 1, 0)
+        rel_x, rel_y = xs - x1, ys - y1
+        inside = (ex * rel_y - ey * rel_x >= 0.0) & valid
+        dx, dy = xs[pair, after] - xs, ys[pair, after] - ys
+        den = ex * dy - ey * dx
+        crossing = valid & (inside != inside[pair, after]) & (np.abs(den) >= CLIP_TOL)
+        with np.errstate(all="ignore"):
+            t = (ey * rel_x - ex * rel_y) / den
+            # Each vertex emits itself if inside, then its edge's crossing.
+            new_xs = np.stack([xs, xs + t * dx], axis=2).reshape(rows, width)
+            new_ys = np.stack([ys, ys + t * dy], axis=2).reshape(rows, width)
+        emit = np.stack([inside, crossing], axis=2).reshape(rows, width)
+        count = emit.sum(axis=1)
+        p, k = np.nonzero(emit)
+        slot = (np.cumsum(emit, axis=1) - 1)[p, k]
+        xs = np.zeros((rows, count.max(initial=0)))
+        ys = np.zeros_like(xs)
+        xs[p, slot] = new_xs[p, k]
+        ys[p, slot] = new_ys[p, k]
+    return xs, ys, count
 
 
-def iou3d(a: Box3D, b: Box3D) -> float:
-    """Intersection-over-union of two oriented 3D boxes.
+def _box_fields(boxes: Sequence[Box3D]) -> np.ndarray:
+    """``x, y, z, l, w, h, theta`` of each box, shape (n, 7)."""
+    return np.array(
+        [(b.x, b.y, b.z, b.l, b.w, b.h, b.theta) for b in boxes], dtype=float
+    ).reshape(-1, 7)
+
+
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each element pair; numpy's may differ in the last bit."""
+    return np.array(list(map(math.hypot, a.tolist(), b.tolist())), dtype=float)
+
+
+def _field_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each pair of rows of two (n, 7) :func:`_box_fields` arrays."""
+    # Canonical order: the pair's lexicographically smaller row of fields
+    # goes first, which makes the result exactly symmetric.
+    swap = np.zeros(len(a), dtype=bool)
+    for k in reversed(range(a.shape[1])):
+        swap = (a[:, k] > b[:, k]) | ((a[:, k] == b[:, k]) & swap)
+    a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+
+    a_bottom, a_top = a[:, 2] - a[:, 5] / 2.0, a[:, 2] + a[:, 5] / 2.0
+    b_bottom, b_top = b[:, 2] - b[:, 5] / 2.0, b[:, 2] + b[:, 5] / 2.0
+    dz = np.minimum(a_top, b_top) - np.maximum(a_bottom, b_bottom)
+    # Cheap reject: footprints cannot overlap when the center distance
+    # exceeds the sum of the footprint circumradii.
+    reach = _hypot(a[:, 3], a[:, 4]) / 2.0 + _hypot(b[:, 3], b[:, 4]) / 2.0
+    near = (dz > 0.0) & (_hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= reach)
+
+    ious = np.zeros(len(a))
+    a, b, dz = a[near], b[near], dz[near]
+    (a_xs, a_ys), (b_xs, b_ys) = _footprint_xy(a), _footprint_xy(b)
+    inter_area = _shoelace(*_clip_polygons(a_xs, a_ys, b_xs, b_ys))
+    four = np.full(len(a), 4)
+    inter_volume = inter_area * dz
+    volume_a = _shoelace(a_xs, a_ys, four) * (a_top[near] - a_bottom[near])
+    volume_b = _shoelace(b_xs, b_ys, four) * (b_top[near] - b_bottom[near])
+    iou = np.minimum(np.maximum(inter_volume / (volume_a + volume_b - inter_volume), 0.0), 1.0)
+    ious[near] = np.where(inter_area > 0.0, iou, 0.0)
+    return ious
+
+
+def iou_pairs(a_boxes: Sequence[Box3D], b_boxes: Sequence[Box3D]) -> np.ndarray:
+    """IoU of each pair ``(a_boxes[k], b_boxes[k])`` of oriented 3D boxes.
 
     The overlap volume is the clipped footprint area times the vertical
-    extent overlap.  The arguments are internally put into a canonical order
-    before computing, which makes the result exactly symmetric.
-
-    Parameters
-    ----------
-    a, b : Box3D
-        Boxes to compare.
+    extent overlap.  Every pair is clipped in one batched pass; each pair's
+    boxes are put into a canonical order first, which makes the result
+    exactly symmetric.
 
     Returns
     -------
-    float
-        IoU in [0, 1].  Identical boxes give exactly 1.0; boxes whose
-        footprints or vertical extents do not overlap give exactly 0.0.
+    np.ndarray
+        Shape ``(len(a_boxes),)``, values in [0, 1].  Identical boxes give
+        exactly 1.0; boxes whose footprints or vertical extents do not
+        overlap give exactly 0.0.
     """
-    if _sort_key(a) > _sort_key(b):
-        a, b = b, a
-
-    a_bottom, a_top = a.z - a.h / 2.0, a.z + a.h / 2.0
-    b_bottom, b_top = b.z - b.h / 2.0, b.z + b.h / 2.0
-    dz = min(a_top, b_top) - max(a_bottom, b_bottom)
-    if dz <= 0.0:
-        return 0.0
-
-    # Cheap reject: footprints cannot overlap when the center distance
-    # exceeds the sum of the footprint circumradii.
-    radius_a = math.hypot(a.l, a.w) / 2.0
-    radius_b = math.hypot(b.l, b.w) / 2.0
-    if math.hypot(a.x - b.x, a.y - b.y) > radius_a + radius_b:
-        return 0.0
-
-    corners_a = corners_bev(a)
-    corners_b = corners_bev(b)
-    inter_area = _polygon_area(_clip_polygon(corners_a, corners_b))
-    if inter_area <= 0.0:
-        return 0.0
-
-    inter_volume = inter_area * dz
-    volume_a = _polygon_area(corners_a) * (a_top - a_bottom)
-    volume_b = _polygon_area(corners_b) * (b_top - b_bottom)
-    union = volume_a + volume_b - inter_volume
-    return min(max(inter_volume / union, 0.0), 1.0)
+    if len(a_boxes) != len(b_boxes):
+        raise ValueError(f"{len(a_boxes)} boxes paired with {len(b_boxes)}")
+    return _field_ious(_box_fields(a_boxes), _box_fields(b_boxes))
 
 
-def _extents(boxes: Sequence[Box3D]) -> tuple[np.ndarray, ...]:
-    """Center x, y, bottom, top and footprint circumradius of each box."""
-    x, y, z, l, w, h = np.array([(b.x, b.y, b.z, b.l, b.w, b.h) for b in boxes]).T
-    return x, y, z - h / 2.0, z + h / 2.0, np.hypot(l, w) / 2.0
+def iou3d(a: Box3D, b: Box3D) -> float:
+    """Intersection-over-union of two oriented 3D boxes: the one-pair case
+    of :func:`iou_pairs`."""
+    return float(iou_pairs([a], [b])[0])
+
+
+def _candidates(
+    rows: Sequence[Box3D], cols: Sequence[Box3D], categories: tuple | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs that pass the bulk reject, and
+    the two boxes' fields of each."""
+    a, b = _box_fields(rows), _box_fields(cols)
+    a_bottom, a_top = a[:, 2] - a[:, 5] / 2.0, a[:, 2] + a[:, 5] / 2.0
+    b_bottom, b_top = b[:, 2] - b[:, 5] / 2.0, b[:, 2] + b[:, 5] / 2.0
+    dz = np.minimum.outer(a_top, b_top) - np.maximum.outer(a_bottom, b_bottom)
+    distance = np.hypot(np.subtract.outer(a[:, 0], b[:, 0]), np.subtract.outer(a[:, 1], b[:, 1]))
+    reach = np.add.outer(np.hypot(a[:, 3], a[:, 4]) / 2.0, np.hypot(b[:, 3], b[:, 4]) / 2.0)
+    candidate = (dz > -PREFILTER_SLACK) & (distance <= reach + PREFILTER_SLACK)
+    if categories is not None:
+        row_categories, col_categories = (np.asarray(c, dtype=object) for c in categories)
+        candidate &= np.equal.outer(row_categories, col_categories)
+    ii, jj = np.nonzero(candidate)
+    return ii, jj, a[ii], b[jj]
+
+
+def iou_matrices(
+    problems: Sequence[tuple[Sequence[Box3D], Sequence[Box3D], tuple | None]],
+) -> list[np.ndarray]:
+    """:func:`iou_matrix` of each ``(rows, cols, categories)`` problem, with
+    one pass of the :func:`iou_pairs` kernel over the candidate pairs of all
+    of them."""
+    found = [_candidates(*problem) for problem in problems]
+    ious = _field_ious(
+        np.concatenate([np.empty((0, 7)), *(f[2] for f in found)]),
+        np.concatenate([np.empty((0, 7)), *(f[3] for f in found)]),
+    )
+    matrices = []
+    start = 0
+    for (rows, cols, _), (ii, jj, _, _) in zip(problems, found):
+        matrix = np.zeros((len(rows), len(cols)))
+        matrix[ii, jj] = ious[start:start + len(ii)]
+        start += len(ii)
+        matrices.append(matrix)
+    return matrices
 
 
 def iou_matrix(
     rows: Sequence[Box3D],
     cols: Sequence[Box3D],
-    iou: Callable[[Box3D, Box3D], float] = iou3d,
     categories: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> np.ndarray:
-    """Matrix of ``iou(rows[i], cols[j])``, shape (len(rows), len(cols)).
+    """Matrix of ``iou3d(rows[i], cols[j])``, shape (len(rows), len(cols)).
 
-    ``iou`` is called in row-major order, and only on the pairs that pass
-    :func:`iou3d`'s cheap rejects (vertical overlap, footprint circumcircles)
-    done in bulk and widened by ``PREFILTER_SLACK``, and whose categories
-    (row categories, column categories) match when ``categories`` is given.
-    Every other cell is 0.0, which is what :func:`iou3d` returns for it.
+    Only the pairs that pass :func:`iou3d`'s cheap rejects (vertical
+    overlap, footprint circumcircles) done in bulk and widened by
+    ``PREFILTER_SLACK``, and whose categories (row categories, column
+    categories) match when ``categories`` is given, reach the clipping
+    kernel, in row-major order.  Every other cell is 0.0, which is what
+    :func:`iou3d` returns for it.
     """
-    similarity = np.zeros((len(rows), len(cols)))
-    if not len(rows) or not len(cols):
-        return similarity
-    ax, ay, a_bottom, a_top, a_radius = _extents(rows)
-    bx, by, b_bottom, b_top, b_radius = _extents(cols)
-    dz = np.minimum.outer(a_top, b_top) - np.maximum.outer(a_bottom, b_bottom)
-    distance = np.hypot(np.subtract.outer(ax, bx), np.subtract.outer(ay, by))
-    reach = np.add.outer(a_radius, b_radius) + PREFILTER_SLACK
-    candidate = (dz > -PREFILTER_SLACK) & (distance <= reach)
-    if categories is not None:
-        row_categories, col_categories = (np.asarray(c, dtype=object) for c in categories)
-        candidate &= np.equal.outer(row_categories, col_categories)
-    ii, jj = np.nonzero(candidate)
-    similarity[ii, jj] = [iou(rows[i], cols[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-    return similarity
+    return iou_matrices([(rows, cols, categories)])[0]
 
 
 def points_in_box(box: Box3D, points: np.ndarray, margin: float = 0.0) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, wrap_angle
+from .geometry import Box3D, footprints, wrap_angle
 from .preprocess import Calibration, CalibrationError, PointCloud, UNLABELED
 from .tracker import EmittedTrack
 
@@ -122,32 +122,29 @@ def label_to_box(row: LabelRow) -> Box3D:
     )
 
 
-def camera_to_lidar_box(row: LabelRow, calib: Calibration) -> Box3D:
-    """Box of a label row in the sensor frame, via the calibration.
+def camera_to_lidar_boxes(rows: Sequence[LabelRow], calib: Calibration) -> list[Box3D]:
+    """Boxes of label rows in the sensor frame, via the calibration, all
+    rows in one conversion.
 
     The camera-frame location is the bottom-face center; the result uses
     the volumetric center, shifted by ``h / 2`` along the vertical axis.
     """
-    bottom_cam = np.array([[row.x, row.y, row.z]])
-    center_cam = bottom_cam - np.array([[0.0, row.h / 2.0, 0.0]])
-    center = calib.camera_to_lidar(center_cam)[0]
-    return Box3D(
-        x=float(center[0]),
-        y=float(center[1]),
-        z=float(center[2]),
-        l=row.l,
-        w=row.w,
-        h=row.h,
-        theta=wrap_angle(-row.rotation_y - math.pi / 2.0),
-    )
-
-
-def lidar_to_camera_location(box: Box3D, calib: Calibration) -> tuple[np.ndarray, float]:
-    """Camera-frame bottom-face center and yaw of a sensor-frame box."""
-    center_cam = calib.lidar_to_camera(box.center.reshape(1, 3))[0]
-    bottom_cam = center_cam + np.array([0.0, box.h / 2.0, 0.0])
-    rotation_y = wrap_angle(-box.theta - math.pi / 2.0)
-    return bottom_cam, rotation_y
+    bottom_cam = np.array([(row.x, row.y, row.z) for row in rows], dtype=float).reshape(-1, 3)
+    half_height = np.zeros_like(bottom_cam)
+    half_height[:, 1] = [row.h / 2.0 for row in rows]
+    centers = calib.camera_to_lidar(bottom_cam - half_height).tolist()
+    return [
+        Box3D(
+            x=x,
+            y=y,
+            z=z,
+            l=row.l,
+            w=row.w,
+            h=row.h,
+            theta=wrap_angle(-row.rotation_y - math.pi / 2.0),
+        )
+        for row, (x, y, z) in zip(rows, centers)
+    ]
 
 
 def read_velodyne(path: Path) -> PointCloud:
@@ -289,52 +286,62 @@ def write_labels(path: Path, frames: Mapping[int, Sequence[LabelRow]]) -> None:
     path.write_text("".join(_format_row(row) + "\n" for row in rows))
 
 
-def _project_bbox(box: Box3D, calib: Calibration) -> tuple[float, float, float, float]:
-    """2D bounds of the projected box corners; (-1, -1, -1, -1) when any
+def _project_bboxes(boxes: Sequence[Box3D], calib: Calibration) -> list[tuple[float, ...]]:
+    """2D bounds of each box's projected corners; (-1, -1, -1, -1) when any
     corner sits at or behind the camera plane."""
-    from .geometry import corners_bev
+    bev = footprints(boxes)
+    z, h = np.array([(b.z, b.h) for b in boxes], dtype=float).reshape(-1, 2).T
+    corners = np.zeros((len(boxes), 8, 3))
+    corners[:, :4, :2] = bev
+    corners[:, 4:, :2] = bev
+    corners[:, :4, 2] = (z - h / 2.0)[:, None]
+    corners[:, 4:, 2] = (z + h / 2.0)[:, None]
+    uv, depth = calib.project_to_image(corners.reshape(-1, 3))
+    uv = uv.reshape(-1, 8, 2)
+    behind = np.any(depth.reshape(-1, 8) <= 0.1, axis=1)
+    bounds = np.concatenate([uv.min(axis=1), uv.max(axis=1)], axis=1).tolist()
+    return [(-1.0, -1.0, -1.0, -1.0) if b else tuple(c) for b, c in zip(behind, bounds)]
 
-    bev = corners_bev(box)
-    corners = np.zeros((8, 3))
-    corners[:4, :2] = bev
-    corners[4:, :2] = bev
-    corners[:4, 2] = box.z - box.h / 2.0
-    corners[4:, 2] = box.z + box.h / 2.0
-    uv, depth = calib.project_to_image(corners)
-    if np.any(depth <= 0.1):
-        return (-1.0, -1.0, -1.0, -1.0)
-    return (
-        float(uv[:, 0].min()),
-        float(uv[:, 1].min()),
-        float(uv[:, 0].max()),
-        float(uv[:, 1].max()),
-    )
+
+def result_rows(
+    frame: int, tracks: Sequence[EmittedTrack], calib: Calibration | None = None
+) -> list[LabelRow]:
+    """Label rows of one frame's emitted tracks, converted to the camera
+    frame together."""
+    calibration = calib if calib is not None else Calibration.nominal()
+    boxes = [track.box for track in tracks]
+    fields = np.array([(b.x, b.y, b.z, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+    half_height = np.zeros((len(boxes), 3))
+    half_height[:, 1] = fields[:, 3] / 2.0
+    bottoms = (calibration.lidar_to_camera(fields[:, :3]) + half_height).tolist()
+    rows = []
+    for track, (x, y, z), bbox in zip(tracks, bottoms, _project_bboxes(boxes, calibration)):
+        rotation_y = wrap_angle(-track.box.theta - math.pi / 2.0)
+        rows.append(LabelRow(
+            frame=frame,
+            track_id=track.track_id,
+            category=track.category,
+            truncated=0.0,
+            occluded=0,
+            alpha=wrap_angle(rotation_y - math.atan2(x, z)),
+            bbox=bbox,
+            h=track.box.h,
+            w=track.box.w,
+            l=track.box.l,
+            x=x,
+            y=y,
+            z=z,
+            rotation_y=rotation_y,
+            score=track.confidence,
+        ))
+    return rows
 
 
 def result_row(
     frame: int, track: EmittedTrack, calib: Calibration | None = None
 ) -> LabelRow:
     """Label row of one emitted track, converted to the camera frame."""
-    calibration = calib if calib is not None else Calibration.nominal()
-    bottom_cam, rotation_y = lidar_to_camera_location(track.box, calibration)
-    alpha = wrap_angle(rotation_y - math.atan2(bottom_cam[0], bottom_cam[2]))
-    return LabelRow(
-        frame=frame,
-        track_id=track.track_id,
-        category=track.category,
-        truncated=0.0,
-        occluded=0,
-        alpha=alpha,
-        bbox=_project_bbox(track.box, calibration),
-        h=track.box.h,
-        w=track.box.w,
-        l=track.box.l,
-        x=float(bottom_cam[0]),
-        y=float(bottom_cam[1]),
-        z=float(bottom_cam[2]),
-        rotation_y=rotation_y,
-        score=track.confidence,
-    )
+    return result_rows(frame, [track], calib)[0]
 
 
 def write_results(
@@ -346,8 +353,9 @@ def write_results(
 
     Rows carry the score column and are sorted by (frame, track id).
     """
+    calibration = calib if calib is not None else Calibration.nominal()
     frames = {
-        frame: [result_row(frame, track, calib) for track in tracks]
+        frame: result_rows(frame, tracks, calibration)
         for frame, tracks in tracks_by_frame.items()
     }
     write_labels(path, frames)

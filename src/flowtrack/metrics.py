@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .assignment import max_similarity_assignment
-from .geometry import Box3D, iou3d, iou_matrix
+from .geometry import Box3D, iou_matrices, iou_matrix
 
 
 class EvaluationInputError(ValueError):
@@ -218,7 +218,7 @@ def match_frame(
         Previous-frame assignment as ``gt_id -> pred_id``.
     ious : np.ndarray, optional
         IoU of every ``(gt[i], pred[j])`` pair, shape ``(len(gt), len(pred))``;
-        computed with :func:`iou3d` by default.
+        computed with :func:`~flowtrack.geometry.iou_matrix` by default.
 
     Returns
     -------
@@ -227,7 +227,7 @@ def match_frame(
         (unmatched predictions) and FN (unmatched ground truth).
     """
     if ious is None:
-        ious = iou_matrix([t.box for t in gt], [p.box for p in pred], iou3d)
+        ious = iou_matrix([t.box for t in gt], [p.box for p in pred])
     prev_pairs = prev_pairs or {}
     pred_index_by_id = {p.track_id: j for j, p in enumerate(pred)}
 
@@ -271,12 +271,13 @@ class _SequenceFrames:
         self.frames = sorted(set(gt) | set(pred))
         self.gt = {f: list(gt.get(f, [])) for f in self.frames}
         self.gt_ids = {f: [t.track_id for t in boxes] for f, boxes in self.gt.items()}
-        self.ious: dict[int, np.ndarray] = {}
-        self.columns: dict[int, dict[int, int]] = {}
-        for f in self.frames:
-            rows = pred.get(f, [])
-            self.ious[f] = iou_matrix([t.box for t in self.gt[f]], [p.box for p in rows], iou3d)
-            self.columns[f] = {p.track_id: j for j, p in enumerate(rows)}
+        rows = {f: pred.get(f, []) for f in self.frames}
+        # One IoU kernel pass over the whole sequence: frames hold few boxes.
+        matrices = iou_matrices(
+            [([t.box for t in self.gt[f]], [p.box for p in rows[f]], None) for f in self.frames]
+        )
+        self.ious = dict(zip(self.frames, matrices))
+        self.columns = {f: {p.track_id: j for j, p in enumerate(rows[f])} for f in self.frames}
         self.memo: dict[tuple, tuple[dict[int, int], list[int], list[float]]] = {}
 
     def match(

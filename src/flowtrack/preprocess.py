@@ -88,21 +88,27 @@ class Calibration:
         Rectifying rotation as a 4x4 homogeneous matrix.
     velo_to_cam : np.ndarray
         Rigid sensor-to-camera transform as a 4x4 homogeneous matrix.
+    velo_to_cam_rect : np.ndarray
+        Composed sensor-to-rectified-camera transform ``rect @ velo_to_cam``,
+        shape (4, 4).  It and its inverse are computed once, on
+        construction; a calibration is not changed afterwards.
     """
 
     projection: np.ndarray
     rect: np.ndarray
     velo_to_cam: np.ndarray
+    velo_to_cam_rect: np.ndarray = field(init=False, repr=False, compare=False)
+    _cam_rect_to_velo: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.projection = np.asarray(self.projection, dtype=float).reshape(3, 4)
         self.rect = np.asarray(self.rect, dtype=float).reshape(4, 4)
         self.velo_to_cam = np.asarray(self.velo_to_cam, dtype=float).reshape(4, 4)
-
-    @property
-    def velo_to_cam_rect(self) -> np.ndarray:
-        """Composed sensor-to-rectified-camera transform, shape (4, 4)."""
-        return self.rect @ self.velo_to_cam
+        self.velo_to_cam_rect = self.rect @ self.velo_to_cam
+        try:
+            self._cam_rect_to_velo = np.linalg.inv(self.velo_to_cam_rect)
+        except np.linalg.LinAlgError:
+            self._cam_rect_to_velo = None
 
     def lidar_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map points of shape (n, 3) from the sensor frame to the rectified
@@ -112,11 +118,18 @@ class Calibration:
         return (homo @ self.velo_to_cam_rect.T)[:, :3]
 
     def camera_to_lidar(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`lidar_to_camera`."""
+        """Inverse of :meth:`lidar_to_camera`.
+
+        Raises
+        ------
+        CalibrationError
+            If the sensor-to-camera transform is singular.
+        """
+        if self._cam_rect_to_velo is None:
+            raise CalibrationError("sensor-to-camera transform is not invertible")
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         homo = np.hstack([points, np.ones((len(points), 1))])
-        inv = np.linalg.inv(self.velo_to_cam_rect)
-        return (homo @ inv.T)[:, :3]
+        return (homo @ self._cam_rect_to_velo.T)[:, :3]
 
     def project_to_image(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project sensor-frame points into the image.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import max_similarity_assignment
 from .flow import FlowField
-from .geometry import Box3D, iou3d, iou_matrix, points_in_box, wrap_angle
+from .geometry import Box3D, iou_matrix, points_in_box, wrap_angle
 from .preprocess import PointCloud
 
 # Face margin used when attributing sampled points to a tracklet box, meters.
@@ -260,7 +260,7 @@ def build_similarity(
     if categories is not None and len(categories) != len(predicted):
         raise ValueError("one category per predicted box is required")
     labels = None if categories is None else (categories, [d.category for d in detections])
-    return iou_matrix(predicted, [d.box for d in detections], iou3d, labels)
+    return iou_matrix(predicted, [d.box for d in detections], labels)
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import flowtrack.geometry as geometry
 from flowtrack.geometry import Box3D
 
 
@@ -37,6 +40,20 @@ def nearby_box(rng: np.random.Generator, base: Box3D) -> Box3D:
         h=float(rng.uniform(0.5, 5.0)),
         theta=float(rng.uniform(-np.pi, np.pi)),
     )
+
+
+def record_kernel_pairs(monkeypatch) -> Counter:
+    """Count the box pairs handed to the batched IoU kernel, keyed by
+    ``(row box, column box)``."""
+    pairs: Counter = Counter()
+    kernel = geometry._field_ious
+
+    def recording(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        pairs.update((Box3D(*p), Box3D(*q)) for p, q in zip(a.tolist(), b.tolist()))
+        return kernel(a, b)
+
+    monkeypatch.setattr(geometry, "_field_ious", recording)
+    return pairs
 
 
 @pytest.fixture

@@ -7,7 +7,11 @@ compare the two routes; nothing in this module may import algorithmic code
 from the package beyond plain data containers, except
 ``recall_sweep_reference``: it re-runs the package's per-sequence evaluation
 (refereed by ``reference_counts``) anew at every threshold, the
-route the memoized sweep replaces.
+route the memoized sweep replaces.  ``iou3d_reference`` and
+``result_rows_reference`` are the one-at-a-time routes the batched IoU
+kernel and result conversion replace: the same arithmetic, one pair or one
+row per call; the latter uses the package's ``Calibration`` transforms and
+``wrap_angle`` on one row at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from flowtrack.geometry import Box3D
+from flowtrack.geometry import Box3D, wrap_angle
+from flowtrack.kitti_io import LabelRow
 from flowtrack.metrics import (
     EvalConfig,
     MetricsReport,
@@ -28,7 +33,8 @@ from flowtrack.metrics import (
     evaluate_sequences,
     smota_value,
 )
-from flowtrack.preprocess import GROUND, UNLABELED, GroundFit, PointCloud
+from flowtrack.preprocess import GROUND, UNLABELED, Calibration, GroundFit, PointCloud
+from flowtrack.tracker import EmittedTrack
 
 
 def wrap_reference(angle: float) -> float:
@@ -166,6 +172,131 @@ def aligned_iou3d(a: Box3D, b: Box3D) -> float:
     )
     union = a.l * a.w * a.h + b.l * b.w * b.h - inter
     return inter / union
+
+
+CLIP_TOL = 1e-9
+
+
+def corners_reference(box: Box3D, blas: bool = False) -> np.ndarray:
+    """Footprint corners, CCW from ``(+l/2, +w/2)``, each coordinate spelled
+    out elementwise; ``blas=True`` takes them from a matrix product instead,
+    as the package did before its IoU kernel was batched."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    hl, hw = box.l / 2.0, box.w / 2.0
+    if blas:
+        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+        return local @ np.array([[c, -s], [s, c]]).T + np.array([box.x, box.y])
+    return np.array([
+        [hl * c - hw * s + box.x, hl * s + hw * c + box.y],
+        [-hl * c - hw * s + box.x, -hl * s + hw * c + box.y],
+        [-hl * c + hw * s + box.x, -hl * s - hw * c + box.y],
+        [hl * c + hw * s + box.x, hl * s - hw * c + box.y],
+    ])
+
+
+def polygon_area_reference(polygon: np.ndarray, blas: bool = False) -> float:
+    """Shoelace area of CCW vertices, both sums taken sequentially in vertex
+    order; ``blas=True`` takes them with ``np.dot`` instead."""
+    n = len(polygon)
+    if n < 3:
+        return 0.0
+    x, y = polygon[:, 0], polygon[:, 1]
+    x_next, y_next = np.roll(x, -1), np.roll(y, -1)
+    if blas:
+        return max(0.5 * float(np.dot(x, y_next) - np.dot(y, x_next)), 0.0)
+    forward = backward = 0.0
+    for k in range(n):
+        forward += x[k] * y_next[k]
+        backward += y[k] * x_next[k]
+    return max(0.5 * (forward - backward), 0.0)
+
+
+def clip_polygon_reference(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clipping of one convex CCW polygon by another, one
+    vertex at a time; edges within ``CLIP_TOL`` of parallel emit nothing."""
+    output = [tuple(p) for p in subject]
+    for i in range(len(clip)):
+        if not output:
+            break
+        cx1, cy1 = clip[i]
+        cx2, cy2 = clip[(i + 1) % len(clip)]
+        ex, ey = cx2 - cx1, cy2 - cy1
+        vertices = output
+        output = []
+        signs = [ex * (py - cy1) - ey * (px - cx1) for px, py in vertices]
+        for j, (px, py) in enumerate(vertices):
+            k = (j + 1) % len(vertices)
+            qx, qy = vertices[k]
+            inside_p = signs[j] >= 0.0
+            inside_q = signs[k] >= 0.0
+            if inside_p:
+                output.append((px, py))
+            if inside_p != inside_q:
+                dx, dy = qx - px, qy - py
+                den = ex * dy - ey * dx
+                if abs(den) < CLIP_TOL:
+                    continue
+                t = (ey * (px - cx1) - ex * (py - cy1)) / den
+                output.append((px + t * dx, py + t * dy))
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def iou3d_reference(a: Box3D, b: Box3D, blas: bool = False) -> float:
+    """IoU of two oriented boxes, one pair at a time: canonical pair order,
+    vertical and circumcircle rejects, clipped footprint area times vertical
+    overlap.  ``blas`` selects the corner and area formulation."""
+    if (a.x, a.y, a.z, a.l, a.w, a.h, a.theta) > (b.x, b.y, b.z, b.l, b.w, b.h, b.theta):
+        a, b = b, a
+    a_bottom, a_top = a.z - a.h / 2.0, a.z + a.h / 2.0
+    b_bottom, b_top = b.z - b.h / 2.0, b.z + b.h / 2.0
+    dz = min(a_top, b_top) - max(a_bottom, b_bottom)
+    if dz <= 0.0:
+        return 0.0
+    radius_a = math.hypot(a.l, a.w) / 2.0
+    radius_b = math.hypot(b.l, b.w) / 2.0
+    if math.hypot(a.x - b.x, a.y - b.y) > radius_a + radius_b:
+        return 0.0
+    corners_a = corners_reference(a, blas)
+    corners_b = corners_reference(b, blas)
+    inter_area = polygon_area_reference(clip_polygon_reference(corners_a, corners_b), blas)
+    if inter_area <= 0.0:
+        return 0.0
+    inter_volume = inter_area * dz
+    volume_a = polygon_area_reference(corners_a, blas) * (a_top - a_bottom)
+    volume_b = polygon_area_reference(corners_b, blas) * (b_top - b_bottom)
+    union = volume_a + volume_b - inter_volume
+    return min(max(inter_volume / union, 0.0), 1.0)
+
+
+def result_rows_reference(
+    frame: int, tracks: Sequence[EmittedTrack], calib: Calibration
+) -> list[LabelRow]:
+    """Camera-frame label rows of emitted tracks, converted one track at a
+    time: its center, then its eight corners, through the calibration."""
+    rows = []
+    for track in tracks:
+        box = track.box
+        center_cam = calib.lidar_to_camera(box.center.reshape(1, 3))[0]
+        bottom_cam = center_cam + np.array([0.0, box.h / 2.0, 0.0])
+        rotation_y = wrap_angle(-box.theta - math.pi / 2.0)
+        corners = np.zeros((8, 3))
+        corners[:4, :2] = corners[4:, :2] = corners_reference(box)
+        corners[:4, 2] = box.z - box.h / 2.0
+        corners[4:, 2] = box.z + box.h / 2.0
+        uv, depth = calib.project_to_image(corners)
+        bbox = (-1.0, -1.0, -1.0, -1.0)
+        if not np.any(depth <= 0.1):
+            bbox = (float(uv[:, 0].min()), float(uv[:, 1].min()),
+                    float(uv[:, 0].max()), float(uv[:, 1].max()))
+        rows.append(LabelRow(
+            frame=frame, track_id=track.track_id, category=track.category,
+            truncated=0.0, occluded=0,
+            alpha=wrap_angle(rotation_y - math.atan2(bottom_cam[0], bottom_cam[2])),
+            bbox=bbox, h=box.h, w=box.w, l=box.l,
+            x=float(bottom_cam[0]), y=float(bottom_cam[1]), z=float(bottom_cam[2]),
+            rotation_y=rotation_y, score=track.confidence,
+        ))
+    return rows
 
 
 def best_assignment_bruteforce(

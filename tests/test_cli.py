@@ -16,9 +16,11 @@ import flowtrack
 import flowtrack.cli as cli
 from flowtrack.cli import main, run_tracking
 from flowtrack.flow import FlowDataError
+import flowtrack.tracker as tracker
 from flowtrack.preprocess import PointCloud
-from flowtrack.sim import demo_scenario, write_scenario
+from flowtrack.sim import NoiseSpec, demo_scenario, generate, write_scenario
 from flowtrack.tracker import TrackerConfig
+from oracles import iou3d_reference
 
 SIM_ARGS = ["--frames", "12", "--objects", "3", "--num-points", "2000"]
 
@@ -226,6 +228,38 @@ class TestFlowSources:
         assert (tmp_path / "lazy" / "results.txt").read_bytes() == (
             tracked_dir / "results.txt"
         ).read_bytes()
+
+    def test_iou_kernel_tracks_like_the_scalar_loop(self, tmp_path, monkeypatch):
+        scenario = demo_scenario(
+            40, 12, seed=3, noise=NoiseSpec(0.4, 0.1, 0.8, 0.1, (0.5, 1.0))
+        )
+        frames = generate(scenario)
+        detections = {f.index: f.detections for f in frames}
+        calib = scenario.sensor.calibration()
+
+        def tracked(name):
+            results = run_tracking(detections, None, None, TrackerConfig(), predictor="cv")
+            cli.write_results(tmp_path / name, results, calib)
+            return (tmp_path / name).read_bytes()
+
+        kernel = tracked("kernel.txt")
+
+        def loop_iou_matrix(rows, cols, categories=None):
+            matrix = np.zeros((len(rows), len(cols)))
+            for i, a in enumerate(rows):
+                for j, b in enumerate(cols):
+                    if categories is None or categories[0][i] == categories[1][j]:
+                        matrix[i, j] = iou3d_reference(a, b)
+            return matrix
+
+        overlaps = []
+        monkeypatch.setattr(
+            tracker, "iou_matrix",
+            lambda *args: overlaps.append(m := loop_iou_matrix(*args)) or m,
+        )
+        assert tracked("loop.txt") == kernel
+        # Crowded: detections overlap more than one tracklet.
+        assert any(((m > 0).sum(axis=0) > 1).any() for m in overlaps)
 
     def test_constant_velocity_frame_range_spans_clouds(self, monkeypatch):
         calls = []

@@ -6,20 +6,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nearby_box, random_box
+import flowtrack.geometry as geometry
+import oracles
+from conftest import nearby_box, random_box, record_kernel_pairs
 from flowtrack.geometry import (
+    CLIP_TOL,
     Box3D,
     corners_bev,
+    footprints,
     iou3d,
+    iou_matrices,
     iou_matrix,
+    iou_pairs,
     points_in_box,
     wrap_angle,
 )
 from oracles import (
     aligned_iou3d,
+    corners_reference,
+    iou3d_reference,
     mc_iou3d,
     points_in_box_reference,
     wrap_reference,
@@ -197,21 +205,14 @@ class TestIou3d:
 
 
 def loop_iou_matrix(rows, cols, categories=None) -> np.ndarray:
-    """The plain double loop the shared builder must reproduce bit for bit."""
+    """The plain double loop over the scalar referee that the shared builder
+    must reproduce bit for bit."""
     matrix = np.zeros((len(rows), len(cols)))
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             if categories is None or categories[0][i] == categories[1][j]:
-                matrix[i, j] = iou3d(a, b)
+                matrix[i, j] = iou3d_reference(a, b)
     return matrix
-
-
-def recording_iou(calls: list):
-    def iou(a: Box3D, b: Box3D) -> float:
-        calls.append((a, b))
-        return iou3d(a, b)
-
-    return iou
 
 
 def corner_to_corner(gap: float) -> tuple[Box3D, Box3D]:
@@ -224,19 +225,22 @@ def corner_to_corner(gap: float) -> tuple[Box3D, Box3D]:
 
 
 class TestIouMatrix:
+    @pytest.fixture(autouse=True)
+    def kernel_pairs(self, monkeypatch):
+        self.pairs = record_kernel_pairs(monkeypatch)
+
     def assert_matches_loop(self, rows, cols, categories=None):
-        calls: list = []
-        built = iou_matrix(rows, cols, recording_iou(calls), categories)
+        self.pairs.clear()
+        built = iou_matrix(rows, cols, categories)
         expected = loop_iou_matrix(rows, cols, categories)
         assert built.shape == expected.shape
         assert built.tobytes() == expected.tobytes()
         # The bulk reject never drops a pair with positive IoU.
-        called = {(id(a), id(b)) for a, b in calls}
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 if expected[i, j] > 0.0:
-                    assert (id(a), id(b)) in called
-        return calls
+                    assert (a, b) in self.pairs
+        return sum(self.pairs.values())
 
     def test_empty_sides(self, rng):
         boxes = [random_box(rng) for _ in range(3)]
@@ -249,8 +253,7 @@ class TestIouMatrix:
         rows = [box, box]
         cols = [box, box, box]
         categories = (["Car", "Pedestrian"], ["Car", "Pedestrian", "Car"])
-        calls = self.assert_matches_loop(rows, cols, categories)
-        assert len(calls) == 3
+        assert self.assert_matches_loop(rows, cols, categories) == 3
         assert iou_matrix(rows, cols, categories=categories).tolist() == [
             [1.0, 0.0, 1.0],
             [0.0, 1.0, 0.0],
@@ -260,9 +263,8 @@ class TestIouMatrix:
         a, b = corner_to_corner(0.0)
         diagonal = Box3D(x=3.0, y=4.0, z=0.0, l=3.0, w=4.0, h=1.0, theta=0.0)
         assert math.hypot(b.x - a.x, b.y - a.y) == 5.0
-        calls = self.assert_matches_loop([a], [b, diagonal])
-        # Both pairs sit exactly on iou3d's own cut, so iou3d decides them.
-        assert len(calls) == 2
+        # Both pairs sit exactly on iou3d's own cut, so the kernel decides them.
+        assert self.assert_matches_loop([a], [b, diagonal]) == 2
 
     @given(st.floats(min_value=0.0, max_value=1e-3))
     def test_near_the_circumradius_cut(self, gap):
@@ -281,6 +283,167 @@ class TestIouMatrix:
             cols = [nearby_box(rng, rows[int(rng.integers(len(rows)))]) for _ in range(8)]
             cols += [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
             self.assert_matches_loop(rows, cols)
+
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+boxes = st.builds(
+    Box3D,
+    x=st.floats(-15.0, 15.0),
+    y=st.floats(-15.0, 15.0),
+    z=st.floats(-2.0, 2.0),
+    l=st.floats(0.5, 5.0),
+    w=st.floats(0.5, 5.0),
+    h=st.floats(0.5, 5.0),
+    theta=st.floats(-math.pi, math.pi),
+)
+
+
+def assert_kernel_matches_referee(a_boxes, b_boxes):
+    got = iou_pairs(a_boxes, b_boxes)
+    want = np.array([iou3d_reference(a, b) for a, b in zip(a_boxes, b_boxes)], dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # The canonical pair order makes the batch exactly symmetric too.
+    assert iou_pairs(b_boxes, a_boxes).tobytes() == want.tobytes()
+    return got
+
+
+class TestIouPairs:
+    """The batched kernel against the one-pair-at-a-time referee, bit for bit."""
+
+    @KERNEL
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_and_nearby_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        a_boxes = [random_box(rng) for _ in range(40)]
+        b_boxes = [nearby_box(rng, a) if i % 4 else random_box(rng) for i, a in enumerate(a_boxes)]
+        ious = assert_kernel_matches_referee(a_boxes, b_boxes)
+        assert np.count_nonzero(ious) > 0
+
+    @KERNEL
+    @given(st.lists(st.tuples(boxes, boxes), min_size=1, max_size=12))
+    def test_drawn_pairs(self, pairs):
+        assert_kernel_matches_referee([a for a, _ in pairs], [b for _, b in pairs])
+
+    @KERNEL
+    @given(boxes, st.floats(0.05, 0.95), st.floats(-math.pi, math.pi))
+    def test_identical_and_nested(self, outer, scale, turn):
+        # The inner box's circumcircle fits inside the outer footprint.
+        radius = scale * min(outer.l, outer.w) / 2.0
+        inner = Box3D(
+            outer.x, outer.y, outer.z, radius * math.sqrt(2.0), radius * math.sqrt(2.0),
+            outer.h * scale, outer.theta + turn,
+        )
+        ious = assert_kernel_matches_referee([outer, outer, inner], [outer, inner, inner])
+        assert ious[0] == 1.0 and ious[2] == 1.0
+        assert ious[1] == pytest.approx(inner.volume / outer.volume, rel=1e-9)
+
+    def test_empty_and_unpaired(self):
+        box = Box3D(x=0, y=0, z=0, l=4, w=2, h=1.5, theta=0.3)
+        assert iou_pairs([], []).shape == (0,)
+        with pytest.raises(ValueError):
+            iou_pairs([box], [])
+
+    @KERNEL
+    @given(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-1e-12, 1e-12)))
+    def test_corner_to_corner_at_the_circumradius_cut(self, gap):
+        a, b = corner_to_corner(gap)
+        ious = assert_kernel_matches_referee([a, b], [b, a])
+        if gap <= 0.0:
+            assert ious.tolist() == [0.0, 0.0]
+
+    @KERNEL
+    @given(st.floats(-5e-11, 5e-11), st.floats(0.1, 3.9), st.floats(-1e-9, 1e-9))
+    def test_near_parallel_edges(self, turn, shift, lateral):
+        # Long edges of the two boxes lie within CLIP_TOL of parallel and of
+        # one line, so the clip skips crossings of nearly parallel edges.
+        a = Box3D(x=0.0, y=0.0, z=0.0, l=4.0, w=2.0, h=1.0, theta=0.0)
+        b = Box3D(x=shift, y=2.0 + lateral, z=0.0, l=4.0, w=2.0, h=1.0, theta=turn)
+        c = Box3D(x=shift, y=lateral, z=0.2, l=4.0, w=2.0, h=1.0, theta=turn)
+        assert abs(turn) * 4.0 * 4.0 < CLIP_TOL
+        assert_kernel_matches_referee([a, a], [b, c])
+
+    def test_near_parallel_edges_reach_the_skip(self, rng, monkeypatch):
+        a = Box3D(x=0.0, y=0.0, z=0.0, l=4.0, w=2.0, h=1.0, theta=0.0)
+        others = [
+            Box3D(x=float(rng.uniform(0.1, 3.9)), y=2.0 + float(rng.uniform(-1e-9, 1e-9)),
+                  z=0.0, l=4.0, w=2.0, h=1.0, theta=float(rng.uniform(-5e-11, 5e-11)))
+            for _ in range(300)
+        ]
+        skipping = assert_kernel_matches_referee([a] * len(others), others)
+        # Without the tolerance the referee clips some of these pairs
+        # differently, so the skip was taken.
+        monkeypatch.setattr(oracles, "CLIP_TOL", 0.0)
+        without = [oracles.iou3d_reference(a, b) for b in others]
+        assert skipping.tolist() != without
+
+    @KERNEL
+    @given(boxes)
+    def test_touching_footprints_and_zero_vertical_overlap(self, box):
+        c, s = math.cos(box.theta), math.sin(box.theta)
+        beside = box.translated(box.l * c, box.l * s, 0.0)
+        above = box.translated(0.0, 0.0, box.h)
+        assert_kernel_matches_referee([box, box], [beside, above])
+        # Dyadic sizes make the shared face exact: both give exactly 0.0.
+        low = Box3D(x=0.5, y=-1.25, z=0.25, l=4.0, w=2.0, h=1.5, theta=0.0)
+        ious = assert_kernel_matches_referee(
+            [low, low], [low.translated(4.0, 0.0, 0.0), low.translated(0.5, 0.0, 1.5)]
+        )
+        assert ious.tolist() == [0.0, 0.0]
+
+    def test_iou3d_is_the_one_pair_case(self, rng):
+        for _ in range(50):
+            a = random_box(rng)
+            b = nearby_box(rng, a)
+            assert iou3d(a, b) == iou3d_reference(a, b)
+
+    @KERNEL
+    @given(st.integers(0, 2**32 - 1))
+    def test_matrices_share_one_kernel_call(self, seed):
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(int(rng.integers(0, 5))):
+            rows = [random_box(rng, center_range=4.0) for _ in range(int(rng.integers(0, 5)))]
+            cols = [random_box(rng, center_range=4.0) for _ in range(int(rng.integers(0, 5)))]
+            problems.append((rows, cols, None))
+        calls = []
+        kernel = geometry._field_ious
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_field_ious", lambda a, b: calls.append(len(a)) or kernel(a, b))
+            matrices = iou_matrices(problems)
+        assert len(calls) == 1
+        assert len(matrices) == len(problems)
+        for (rows, cols, _), matrix in zip(problems, matrices):
+            assert matrix.tobytes() == loop_iou_matrix(rows, cols).tobytes()
+            assert matrix.shape == (len(rows), len(cols))
+
+
+class TestExplicitArithmeticOrder:
+    """Corners and areas are spelled out elementwise and summed in vertex
+    order, so the scalar and batched routes agree bit for bit.  Against the
+    matrix-product and ``np.dot`` formulation they replaced, whose BLAS
+    summation order is unspecified, they agree to rounding only."""
+
+    def test_corners_bit_identical_across_routes(self, rng):
+        sample = [random_box(rng) for _ in range(200)]
+        batch = footprints(sample)
+        for box, corners in zip(sample, batch):
+            assert corners_bev(box).tobytes() == corners_reference(box).tobytes()
+            assert corners.tobytes() == corners_reference(box).tobytes()
+        assert footprints([]).shape == (0, 4, 2)
+
+    @KERNEL
+    @given(st.integers(0, 2**32 - 1))
+    def test_close_to_the_blas_formulation(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            a = random_box(rng)
+            b = nearby_box(rng, a)
+            assert np.allclose(corners_reference(a), corners_reference(a, blas=True), rtol=0, atol=1e-12)
+            assert iou3d_reference(a, b) == pytest.approx(
+                iou3d_reference(a, b, blas=True), rel=0, abs=1e-12
+            )
 
 
 class TestPointsInBox:

@@ -14,13 +14,13 @@ from flowtrack.kitti_io import (
     LabelFormatError,
     LabelRow,
     VelodyneFormatError,
-    camera_to_lidar_box,
+    camera_to_lidar_boxes,
     label_to_box,
-    lidar_to_camera_location,
     read_calib,
     read_labels,
     read_velodyne,
     result_row,
+    result_rows,
     write_calib,
     write_labels,
     write_results,
@@ -28,6 +28,7 @@ from flowtrack.kitti_io import (
 )
 from flowtrack.preprocess import Calibration, CalibrationError, PointCloud
 from flowtrack.tracker import EmittedTrack
+from oracles import result_rows_reference
 
 DET_ROW = "Car 0.00 0 -1.57 100.0 150.0 200.0 250.0 1.50 1.60 3.90 2.00 1.50 10.00 -1.50"
 TRACK_PREFIX = "3 7 "
@@ -146,6 +147,12 @@ def custom_calibration() -> Calibration:
     )
 
 
+def camera_location(box: Box3D, calib: Calibration) -> tuple[list[float], float]:
+    """Camera-frame bottom-face center and yaw that ``result_row`` writes."""
+    row = result_row(0, EmittedTrack(1, box, 1.0, "Car"), calib)
+    return [row.x, row.y, row.z], row.rotation_y
+
+
 class TestFrameConversion:
     def test_nominal_axis_permutation_and_height_shift(self):
         row = nominal_row(rotation_y=-math.pi / 2.0)
@@ -160,29 +167,31 @@ class TestFrameConversion:
     def test_label_to_box_matches_nominal_calibration(self):
         row = nominal_row()
         direct = label_to_box(row)
-        via_calib = camera_to_lidar_box(row, Calibration.nominal())
+        [via_calib] = camera_to_lidar_boxes([row], Calibration.nominal())
         assert direct.center == pytest.approx(via_calib.center, abs=1e-9)
         assert direct.theta == pytest.approx(via_calib.theta, abs=1e-12)
 
     def test_round_trip_nominal(self):
         row = nominal_row()
-        box = camera_to_lidar_box(row, Calibration.nominal())
-        bottom, rotation_y = lidar_to_camera_location(box, Calibration.nominal())
+        [box] = camera_to_lidar_boxes([row], Calibration.nominal())
+        bottom, rotation_y = camera_location(box, Calibration.nominal())
         assert bottom == pytest.approx([row.x, row.y, row.z], abs=1e-9)
         assert rotation_y == pytest.approx(row.rotation_y, abs=1e-9)
 
     def test_round_trip_custom_calibration(self, rng):
         calib = custom_calibration()
-        for _ in range(200):
-            row = nominal_row(
+        rows = [
+            nominal_row(
                 x=float(rng.uniform(-10, 10)),
                 y=float(rng.uniform(-2, 3)),
                 z=float(rng.uniform(4, 60)),
                 h=float(rng.uniform(1.0, 2.5)),
                 rotation_y=float(rng.uniform(-math.pi, math.pi)),
             )
-            box = camera_to_lidar_box(row, calib)
-            bottom, rotation_y = lidar_to_camera_location(box, calib)
+            for _ in range(200)
+        ]
+        for row, box in zip(rows, camera_to_lidar_boxes(rows, calib)):
+            bottom, rotation_y = camera_location(box, calib)
             assert bottom == pytest.approx([row.x, row.y, row.z], abs=1e-9)
             assert wrap_angle(rotation_y - row.rotation_y) == pytest.approx(
                 0.0, abs=1e-9
@@ -353,6 +362,103 @@ class TestResults:
         assert x1 < x2 and y1 < y2
         behind = result_row(0, track(1, -15.0))
         assert behind.bbox == (-1.0, -1.0, -1.0, -1.0)
+
+
+def scattered_tracks(rng: np.random.Generator, count: int) -> list[EmittedTrack]:
+    """Tracks in front of, behind and straddling the camera, ids unsorted."""
+    tracks = []
+    for track_id in rng.permutation(count):
+        box = Box3D(
+            x=float(rng.uniform(-20.0, 60.0)),
+            y=float(rng.uniform(-15.0, 15.0)),
+            z=float(rng.uniform(-2.0, 1.0)),
+            l=float(rng.uniform(0.5, 5.0)),
+            w=float(rng.uniform(0.5, 2.5)),
+            h=float(rng.uniform(0.5, 2.5)),
+            theta=float(rng.uniform(-math.pi, math.pi)),
+        )
+        tracks.append(EmittedTrack(int(track_id), box, float(rng.uniform()), "Car"))
+    return tracks
+
+
+def file_calibration(tmp_path, calib: Calibration) -> Calibration:
+    write_calib(tmp_path / "calib.txt", calib)
+    return read_calib(tmp_path / "calib.txt")
+
+
+BATCH = settings(max_examples=25, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestBatchedConversion:
+    """Each frame is converted in one batch.  Under the nominal calibration,
+    as the simulator writes it, every product is exact and the batch gives
+    the bits of one row at a time.  Under a general rotation a batched
+    matrix product may differ from a one-row product in the last bit, which
+    the six written decimals do not show."""
+
+    @BATCH
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_rows_equal_per_row_reference(self, tmp_path, seed, from_file):
+        rng = np.random.default_rng(seed)
+        calib = Calibration.nominal()
+        if from_file:
+            calib = file_calibration(tmp_path, calib)
+        tracks = scattered_tracks(rng, int(rng.integers(0, 30)))
+        assert result_rows(5, tracks, calib) == result_rows_reference(5, tracks, calib)
+        assert [result_row(5, t, calib) for t in tracks] == result_rows_reference(5, tracks, calib)
+
+    def test_behind_the_camera_gets_the_sentinel_bbox(self):
+        rows = result_rows(0, [track(1, 15.0), track(2, -15.0), track(3, 1.0)])
+        assert rows[0].bbox[0] < rows[0].bbox[2]
+        # The third box straddles the camera plane: some corners lie behind.
+        assert rows[1].bbox == rows[2].bbox == (-1.0, -1.0, -1.0, -1.0)
+        assert result_rows(0, []) == []
+
+    @pytest.mark.parametrize("calibration", ["default", "nominal file", "rotated file"])
+    def test_write_results_byte_identical(self, tmp_path, rng, calibration):
+        calib = {
+            "default": None,
+            "nominal file": file_calibration(tmp_path, Calibration.nominal()),
+            "rotated file": file_calibration(tmp_path, custom_calibration()),
+        }[calibration]
+        reference_calib = calib if calib is not None else Calibration.nominal()
+        # Unsorted frames, an empty one, and unsorted ids within frames.
+        tracks_by_frame = {7: scattered_tracks(rng, 25), 0: [], 3: scattered_tracks(rng, 40)}
+        write_results(tmp_path / "batched.txt", tracks_by_frame, calib)
+        reference = {
+            frame: result_rows_reference(frame, tracks, reference_calib)
+            for frame, tracks in tracks_by_frame.items()
+        }
+        write_labels(tmp_path / "reference.txt", reference)
+        written = (tmp_path / "batched.txt").read_bytes()
+        assert written == (tmp_path / "reference.txt").read_bytes()
+        assert b"-1.000000 -1.000000 -1.000000 -1.000000" in written
+
+    @pytest.mark.parametrize("calibration", ["nominal", "nominal file", "rotated file"])
+    def test_read_path_batch_equals_per_row(self, tmp_path, rng, calibration):
+        calib = Calibration.nominal()
+        if calibration != "nominal":
+            calib = file_calibration(
+                tmp_path, custom_calibration() if calibration == "rotated file" else calib
+            )
+        rows = [
+            nominal_row(
+                x=float(rng.uniform(-10, 10)), y=float(rng.uniform(-2, 3)),
+                z=float(rng.uniform(4, 60)), h=float(rng.uniform(1.0, 2.5)),
+                rotation_y=float(rng.uniform(-math.pi, math.pi)),
+            )
+            for _ in range(300)
+        ]
+        batched = camera_to_lidar_boxes(rows, calib)
+        one_by_one = [camera_to_lidar_boxes([row], calib)[0] for row in rows]
+        if calibration == "rotated file":
+            for box, single in zip(batched, one_by_one):
+                assert box.center == pytest.approx(single.center, rel=0, abs=1e-12)
+                assert box.theta == single.theta
+        else:
+            assert batched == one_by_one
+        assert camera_to_lidar_boxes([], calib) == []
 
 
 # --- fuzzing: a malformed file raises the reader's own error, nothing else ---

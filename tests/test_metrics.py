@@ -25,6 +25,7 @@ from flowtrack.metrics import (
     smota_value,
 )
 
+from conftest import record_kernel_pairs
 from oracles import best_assignment_bruteforce, recall_sweep_reference, reference_counts
 
 
@@ -501,7 +502,7 @@ class TestRecallSweepMemo:
 
     def test_iou3d_once_per_box_pair(self, monkeypatch, rng):
         gt, pred = crowded_scored_scenario(rng)
-        calls = counting(monkeypatch, "iou3d", lambda args: (args[0], args[1]))
+        calls = record_kernel_pairs(monkeypatch)
         report = recall_sweep(gt, pred, EvalConfig(num_recall_steps=10))
         assert len({row.threshold for row in report.rows}) > 3
         pairs = {
@@ -541,7 +542,7 @@ class TestRecallSweepMemo:
 
     def test_direct_callers_use_iou3d_by_default(self, monkeypatch, rng):
         gt, pred = crowded_scored_scenario(rng)
-        calls = counting(monkeypatch, "iou3d", lambda args: (args[0], args[1]))
+        calls = record_kernel_pairs(monkeypatch)
         evaluate_sequence(gt["a"], pred["a"], 0.25)
         assert calls
         before = sum(calls.values())

@@ -156,6 +156,18 @@ class TestFilterFov:
         with pytest.raises(CalibrationError):
             filter_fov(make_cloud([[10, 0, 0]]), frustum)
 
+    def test_singular_transform_raises_on_inversion(self):
+        calib = Calibration.nominal()
+        singular = Calibration(
+            projection=calib.projection, rect=calib.rect, velo_to_cam=np.zeros((4, 4))
+        )
+        assert singular.lidar_to_camera(np.ones((2, 3))).tolist() == [[0.0] * 3] * 2
+        with pytest.raises(CalibrationError, match="not invertible"):
+            singular.camera_to_lidar(np.ones((2, 3)))
+        frustum = Frustum(calibration=singular, image_width=1200, image_height=400)
+        with pytest.raises(CalibrationError):
+            filter_fov(make_cloud([[10, 0, 0]]), frustum)
+
 
 class TestFitGround:
     def test_synthetic_plane_with_objects(self, rng):
