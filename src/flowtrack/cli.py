@@ -18,13 +18,14 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .flow import (
     FileFlowEstimator,
     FlowDataError,
     FlowEstimator,
+    FlowField,
     NearestNeighborFlowEstimator,
     OracleFlowEstimator,
     save_flow,
@@ -49,7 +50,7 @@ from .metrics import EvalConfig, EvaluationInputError, MetricsReport, TrackedBox
 from .preprocess import (
     Calibration, CalibrationError, Frustum, PointCloud, fit_ground, sample_points, filter_fov,
 )
-from .sim import FrameData, Scenario, demo_scenario, generate, read_scenario
+from .sim import FrameData, demo_scenario, generate, read_scenario, select_frames
 from .tracker import (
     Detection,
     EmittedTrack,
@@ -148,16 +149,43 @@ class CloudFiles(Mapping[int, PointCloud]):
     """A directory's ``<frame>.bin`` clouds by frame index, read on lookup."""
 
     def __init__(self, directory: Path) -> None:
-        self._paths = {int(path.stem): path for path in sorted(Path(directory).glob("*.bin"))}
+        self.paths = {int(path.stem): path for path in sorted(Path(directory).glob("*.bin"))}
 
     def __getitem__(self, frame: int) -> PointCloud:
-        return read_velodyne(self._paths[frame])
+        return read_velodyne(self.paths[frame])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._paths)
+        return iter(self.paths)
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self.paths)
+
+
+def preprocessed_flows(
+    clouds_by_frame: Mapping[int, PointCloud],
+    frames: Iterable[int],
+    flow_estimator: FlowEstimator | None,
+    frustum: Frustum | None,
+    num_points: int,
+    seed: int,
+) -> Iterator[tuple[int, PointCloud | None, FlowField | None]]:
+    """The preprocess -> flow chain that ``track`` and ``sim --write-flow`` share.
+
+    Yields ``(k, prev, flow)`` for each frame ``k``: ``prev`` is the cloud of
+    frame ``k - 1`` preprocessed with draws keyed by ``(seed, k - 1)``, and
+    ``flow`` the estimate from ``k - 1`` to ``k``; either is ``None`` when an
+    input is missing.
+    """
+    prev_sampled: PointCloud | None = None
+    for frame in frames:
+        sampled = None
+        if (cloud := clouds_by_frame.get(frame)) is not None:
+            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+        flow = None
+        if prev_sampled is not None and sampled is not None and flow_estimator is not None:
+            flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
+        yield frame, prev_sampled, flow
+        prev_sampled = sampled
 
 
 def run_tracking(
@@ -172,8 +200,9 @@ def run_tracking(
 ) -> dict[int, list[EmittedTrack]]:
     """Run the tracker over a sequence given as mappings by frame index.
 
-    Frames are processed in ascending index order; the frame range is the
-    union of the detection and cloud keys starting at 0.  Only the flow
+    Frames are processed in ascending index order over every index from the
+    first to the last key of the detections and clouds together, so the
+    warm-up starts at the first frame that has input.  Only the flow
     predictor looks clouds up, once per frame, in frame order (so a
     :class:`CloudFiles` reads none for the constant-velocity predictor).
     """
@@ -182,23 +211,18 @@ def run_tracking(
         frames |= set(clouds_by_frame)
     if not frames:
         return {}
-    last_frame = max(frames)
 
     clouds = (clouds_by_frame or {}) if predictor == "flow" else {}
     tracker = Tracker(config=tracker_config, predictor=predictor)
-    results: dict[int, list[EmittedTrack]] = {}
-    prev_sampled: PointCloud | None = None
-    for frame in range(last_frame + 1):
-        sampled = None
-        if (cloud := clouds.get(frame)) is not None:
-            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
-        flow = None
-        if prev_sampled is not None and sampled is not None and flow_estimator is not None:
-            flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
-        detections = list(detections_by_frame.get(frame, []))
-        results[frame] = tracker.step(detections, prev_cloud=prev_sampled, flow=flow)
-        prev_sampled = sampled
-    return results
+    chain = preprocessed_flows(
+        clouds, range(min(frames), max(frames) + 1), flow_estimator, frustum, num_points, seed
+    )
+    return {
+        frame: tracker.step(
+            list(detections_by_frame.get(frame, [])), prev_cloud=prev_sampled, flow=flow
+        )
+        for frame, prev_sampled, flow in chain
+    }
 
 
 def run_tracking_files(
@@ -372,8 +396,9 @@ def write_scenario_outputs(
 
     Layout: ``calib.txt``, ``velodyne/<frame>.bin``, ``gt.txt``,
     ``detections.txt`` and optionally ``flow/<frame>.sfl``.  Flow files are
-    computed on the clouds as re-read from disk with the same preprocessing
-    seed, so a ``track`` run with that seed sees bit-identical sources.
+    computed by :func:`preprocessed_flows` on the clouds as re-read from
+    disk, so a ``track`` run with the same ``seed`` sees bit-identical
+    sources.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,78 +430,42 @@ def write_scenario_outputs(
             image_width=int(calib.projection[0, 2] * 2),
             image_height=int(calib.projection[1, 2] * 2),
         )
-        prev_sampled: PointCloud | None = None
-        for frame_data in frames:
-            cloud = read_velodyne(out_dir / "velodyne" / f"{frame_data.index:06d}.bin")
-            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame_data.index)
-            if prev_sampled is not None:
-                field = estimator.estimate(prev_sampled, sampled, frame_data.index - 1)
-                save_flow(
-                    out_dir / "flow", frame_data.index - 1, prev_sampled.positions, field
-                )
-            prev_sampled = sampled
-
-
-def run_simulation(
-    scenario: Scenario,
-    out_dir: Path,
-    write_flow: bool = False,
-    num_points: int = DEFAULT_NUM_POINTS,
-    preprocess_seed: int = 0,
-) -> list[FrameData]:
-    """Generate a scenario and write it out; returns the frames.
-
-    ``scenario.seed`` drives generation; ``preprocess_seed`` drives the
-    preprocessing chain used when writing flow files and must match the
-    ``--seed`` of the later ``track`` run (both default to 0).
-    """
-    frames = generate(scenario)
-    write_scenario_outputs(
-        frames,
-        out_dir,
-        scenario.sensor.calibration(),
-        write_flow=write_flow,
-        num_points=num_points,
-        seed=preprocess_seed,
-    )
-    return frames
+        chain = preprocessed_flows(
+            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], estimator, frustum,
+            num_points, seed,
+        )
+        for frame, prev_sampled, field in chain:
+            if field is not None:
+                save_flow(out_dir / "flow", frame - 1, prev_sampled.positions, field)
 
 
 def run_decimation(in_dir: Path, out_dir: Path, stride: int, offset: int) -> list[int]:
     """Decimate a written scenario directory, re-indexing frames densely.
 
-    Returns the list of original frame indices kept.
+    The frames are those with a cloud, a ground-truth row or a detection,
+    as ``track`` sees them.  No ``flow/`` is written.  Returns the list of
+    original frame indices kept.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
+    clouds = CloudFiles(in_dir / "velodyne").paths
+    labels = {
+        name: read_labels(in_dir / name)
+        for name in ("gt.txt", "detections.txt")
+        if (in_dir / name).exists()
+    }
+    kept = select_frames(sorted(set(clouds).union(*labels.values())), stride, offset)
+
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
-    original_indices = sorted(int(p.stem) for p in (in_dir / "velodyne").glob("*.bin"))
-    kept = original_indices[offset::stride]
-    if not kept:
-        import warnings
-
-        warnings.warn("decimation kept no frames", RuntimeWarning, stacklevel=2)
-
-    index_map = {old: new for new, old in enumerate(kept)}
-    (out_dir / "velodyne").mkdir(parents=True, exist_ok=True)
-    for old, new in index_map.items():
-        shutil.copyfile(
-            in_dir / "velodyne" / f"{old:06d}.bin", out_dir / "velodyne" / f"{new:06d}.bin"
-        )
-
-    for name in ("gt.txt", "detections.txt"):
-        source = in_dir / name
-        if not source.exists():
-            continue
-        rows = read_labels(source)
-        remapped: dict[int, list[LabelRow]] = {}
-        for old, new in index_map.items():
-            remapped[new] = [replace(r, frame=new) for r in rows.get(old, [])]
-        write_labels(out_dir / name, remapped)
+    if clouds:
+        (out_dir / "velodyne").mkdir(exist_ok=True)
+    for new, old in enumerate(kept):
+        if old in clouds:
+            shutil.copyfile(clouds[old], out_dir / "velodyne" / f"{new:06d}.bin")
+    for name, rows in labels.items():
+        write_labels(out_dir / name, {
+            new: [replace(r, frame=new) for r in rows.get(old, [])]
+            for new, old in enumerate(kept)
+        })
 
     calib_path = in_dir / "calib.txt"
     if calib_path.exists():
@@ -597,8 +586,9 @@ def _run_command(
             scenario = demo_scenario(frames=args.frames, num_objects=args.objects)
         if args.seed is not None:
             scenario.seed = args.seed
-        run_simulation(
-            scenario, args.out, write_flow=args.write_flow, num_points=args.num_points
+        write_scenario_outputs(
+            generate(scenario), args.out, scenario.sensor.calibration(),
+            write_flow=args.write_flow, num_points=args.num_points,
         )
         print(f"scenario written to {args.out}")
     elif args.command == "decimate":

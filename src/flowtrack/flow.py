@@ -65,20 +65,9 @@ class RigidMotion:
         """Transform points of shape (n, 3)."""
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
-    def compose(self, earlier: "RigidMotion") -> "RigidMotion":
-        """Motion equivalent to applying ``earlier`` first, then this one."""
-        return RigidMotion(
-            rotation=self.rotation @ earlier.rotation,
-            translation=self.rotation @ earlier.translation + self.translation,
-        )
-
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls(rotation=np.eye(3), translation=np.zeros(3))
-
     @classmethod
     def from_pose_delta(cls, prev_box: Box3D, curr_box: Box3D) -> "RigidMotion":
-        """Motion carrying a box pose at one frame onto its next pose.
+        """Motion carrying a box pose at one frame onto its pose at another.
 
         The rotation is the yaw change about the vertical axis; the
         translation is whatever maps the rotated previous center onto the

@@ -194,18 +194,12 @@ class Frustum:
         Half-angle widening applied to each image edge, degrees.  Points
         projecting up to this angle outside the image are still kept, so
         objects about to leave the field of view survive one more frame.
-    max_depth : float, optional
-        Far cutoff along the optical axis, meters.  ``None`` disables it.
-    depth_margin : float
-        Extra range kept beyond ``max_depth`` when a far cutoff is set.
     """
 
     calibration: Calibration
     image_width: int
     image_height: int
     margin_deg: float = 10.0
-    max_depth: float | None = None
-    depth_margin: float = 20.0
 
 
 @dataclass
@@ -256,9 +250,6 @@ def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
     el_hi = math.atan2(frustum.image_height - cy, fy) + margin
     with np.errstate(invalid="ignore"):
         keep &= (az >= az_lo) & (az <= az_hi) & (el >= el_lo) & (el <= el_hi)
-
-    if frustum.max_depth is not None:
-        keep &= depth <= frustum.max_depth + frustum.depth_margin
     return cloud.take(np.nonzero(keep)[0])
 
 

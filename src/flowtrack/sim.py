@@ -2,9 +2,10 @@
 
 A scenario holds rigid box-shaped objects following waypoint trajectories
 over a flat ground plane, watched by a forward-facing camera.  Each frame
-provides the point cloud, ground-truth boxes, noisy detections and the
-per-instance rigid motions since the previous frame, so exact scene flow is
-available by construction.
+provides the point cloud, ground-truth boxes and noisy detections.  Object
+points move rigidly with their boxes, so the pose change of any two frames'
+boxes (:func:`flowtrack.flow.motions_from_boxes`) is their exact motion and
+exact scene flow is available by construction.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .flow import RigidMotion
 from .geometry import Box3D, wrap_angle
 from .preprocess import UNLABELED, Calibration, Frustum, PointCloud
 from .tracker import Detection
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -178,15 +181,15 @@ class GtBox:
 class FrameData:
     """Everything the pipeline can consume for one frame.
 
-    ``motions`` maps object ids to the rigid motion carrying that object's
-    points from the previous frame onto this one; it is empty for frame 0.
+    Point labels in ``cloud`` are object ids (ground points are
+    ``UNLABELED``); the motion of an object's points between two frames is
+    the pose change of its boxes in ``gt``.
     """
 
     index: int
     cloud: PointCloud
     gt: list[GtBox]
     detections: list[Detection]
-    motions: dict[int, RigidMotion]
 
 
 def _sample_face_points(spec: ObjectSpec, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -244,8 +247,9 @@ def generate(scenario: Scenario) -> list[FrameData]:
     """Generate every frame of a scenario.
 
     Object surface points are sampled once in the object frame and moved
-    rigidly along the trajectory, so the per-instance motions reproduce
-    each point's displacement exactly.  Ground points are static.  All
+    rigidly along the trajectory, so the pose change of an object's boxes
+    between any two frames reproduces each of its points' displacement
+    exactly.  Ground points are static.  All
     randomness flows from the scenario seed; repeated calls are identical.
     """
     if scenario.frames < 1:
@@ -280,15 +284,12 @@ def generate(scenario: Scenario) -> list[FrameData]:
     )
 
     frames: list[FrameData] = []
-    prev_boxes: dict[int, Box3D] = {}
     for frame in range(scenario.frames):
         gt: list[GtBox] = []
         positions = [ground_points]
         labels = [np.full(len(ground_points), UNLABELED, dtype=int)]
-        boxes: dict[int, Box3D] = {}
         for spec in scenario.objects:
             box = spec.box_at(frame)
-            boxes[spec.obj_id] = box
             gt.append(GtBox(obj_id=spec.obj_id, category=spec.category, box=box))
             positions.append(_world_points(local_points[spec.obj_id], box))
             labels.append(np.full(scenario.points_per_object, spec.obj_id, dtype=int))
@@ -331,78 +332,42 @@ def generate(scenario: Scenario) -> list[FrameData]:
                 )
             )
 
-        motions = {
-            obj_id: RigidMotion.from_pose_delta(prev_boxes[obj_id], box)
-            for obj_id, box in boxes.items()
-            if obj_id in prev_boxes
-        }
         frames.append(
             FrameData(
                 index=frame,
                 cloud=cloud,
                 gt=gt,
                 detections=detections,
-                motions=motions,
             )
         )
-        prev_boxes = boxes
     return frames
+
+
+def select_frames(frames: Sequence[T], stride: int, offset: int) -> list[T]:
+    """Every ``stride``-th frame from ``offset`` on: the one decimation rule,
+    in memory and on disk.  An empty result emits a ``RuntimeWarning``."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if offset < 0:
+        raise ValueError(f"offset must be non-negative, got {offset}")
+    kept = list(frames[offset::stride])
+    if not kept:
+        warnings.warn("decimation kept no frames", RuntimeWarning, stacklevel=3)
+    return kept
 
 
 def decimate(frames: list[FrameData], stride: int = 2, offset: int = 0) -> list[FrameData]:
     """Keep every ``stride``-th frame starting at ``offset`` and re-index
     densely from zero.
 
-    The per-instance motions of a kept frame are the composition of the
-    dropped intermediate motions, so exact flow stays exact after
-    decimation.  Ground truth and detections travel with their frames.
-    An empty result emits a ``RuntimeWarning``.
+    Clouds, ground truth and detections travel with their frames, so the
+    exact motion between two kept frames is still the pose change of their
+    ground-truth boxes.  An empty result emits a ``RuntimeWarning``.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
-    kept_indices = list(range(offset, len(frames), stride))
-    if not kept_indices:
-        warnings.warn("decimation kept no frames", RuntimeWarning, stacklevel=2)
-        return []
-
-    result: list[FrameData] = []
-    for new_index, original_index in enumerate(kept_indices):
-        source = frames[original_index]
-        if new_index == 0:
-            motions: dict[int, RigidMotion] = {}
-        else:
-            previous_kept = kept_indices[new_index - 1]
-            motions = {}
-            present = set(source.motions)
-            for step_index in range(previous_kept + 1, original_index + 1):
-                present &= set(frames[step_index].motions)
-            for obj_id in present:
-                combined = RigidMotion.identity()
-                for step_index in range(previous_kept + 1, original_index + 1):
-                    combined = frames[step_index].motions[obj_id].compose(combined)
-                motions[obj_id] = combined
-        result.append(
-            FrameData(
-                index=new_index,
-                cloud=source.cloud,
-                gt=source.gt,
-                detections=source.detections,
-                motions=motions,
-            )
-        )
-    return result
-
-
-def keep_even(frames: list[FrameData]) -> list[FrameData]:
-    """Keep the even-numbered frames (0, 2, 4, ...)."""
-    return decimate(frames, stride=2, offset=0)
-
-
-def keep_odd(frames: list[FrameData]) -> list[FrameData]:
-    """Keep the odd-numbered frames (1, 3, 5, ...)."""
-    return decimate(frames, stride=2, offset=1)
+    return [
+        replace(frame, index=index)
+        for index, frame in enumerate(select_frames(frames, stride, offset))
+    ]
 
 
 def demo_scenario(

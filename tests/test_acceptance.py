@@ -35,7 +35,7 @@ from flowtrack.metrics import (
     recall_sweep,
 )
 from flowtrack.preprocess import Calibration, PointCloud
-from flowtrack.sim import demo_scenario, generate, keep_even
+from flowtrack.sim import decimate, demo_scenario, generate
 from flowtrack.tracker import Detection, Tracker, TrackerConfig, EmittedTrack
 
 from conftest import nearby_box, random_box
@@ -307,7 +307,7 @@ def test_criterion_7_frame_rate_robustness():
         frames=24,
     )
     full = generate(scenario)
-    half = keep_even(full)
+    half = decimate(full, stride=2, offset=0)
 
     def gt_of(frames):
         return {f.index: [eval_box(g.obj_id, g.box) for g in f.gt] for f in frames}

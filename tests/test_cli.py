@@ -271,6 +271,20 @@ class TestFlowSources:
         assert sorted(results) == [0, 1, 2, 3, 4]
         assert calls == []
 
+    def test_late_start_keeps_the_warm_up(self):
+        frames = generate(demo_scenario(frames=12, num_objects=3))
+        detections = {f.index: f.detections for f in frames}
+        from_zero = run_tracking(detections, None, None, TrackerConfig(), predictor="cv")
+        late = run_tracking(
+            {frame + 50: dets for frame, dets in detections.items()}, None, None,
+            TrackerConfig(), predictor="cv",
+        )
+        assert [len(from_zero[frame]) for frame in sorted(from_zero)] == [3] * 12
+        # Stepping from frame 0 used up the warm-up on 50 empty frames: [0, 0, 3, ...].
+        assert [len(late.get(frame, [])) for frame in range(50, 62)] == [3] * 12
+        assert sorted(late) == list(range(50, 62))
+        assert all(late[frame + 50] == tracks for frame, tracks in from_zero.items())
+
     def test_oracle_requires_ground_truth(self, sim_dir, tmp_path):
         with pytest.raises(ValueError, match="--gt"):
             run(track_args(sim_dir, tmp_path / "x", **{"--gt": None}))
@@ -498,6 +512,49 @@ class TestDecimateCommand:
         assert (quarter / "velodyne" / "000001.bin").read_bytes() == (
             direct / "velodyne" / "000001.bin"
         ).read_bytes()
+
+    def test_scene_without_clouds_keeps_label_frames(self, sim_dir, tmp_path):
+        labels_only = tmp_path / "labels_only"
+        labels_only.mkdir()
+        for name in ("calib.txt", "gt.txt", "detections.txt"):
+            shutil.copyfile(sim_dir / name, labels_only / name)
+        assert cli.run_decimation(labels_only, tmp_path / "half", 2, 0) == list(range(0, 12, 2))
+        cli.run_decimation(sim_dir, tmp_path / "with_clouds", 2, 0)
+        for name in ("gt.txt", "detections.txt"):
+            assert (tmp_path / "half" / name).read_bytes() == (
+                tmp_path / "with_clouds" / name
+            ).read_bytes()
+        assert not (tmp_path / "half" / "velodyne").exists()
+
+    def test_clouds_listed_as_track_lists_them(self, sim_dir, tmp_path):
+        scene = tmp_path / "scene"
+        shutil.copytree(sim_dir, scene)
+        (scene / "velodyne" / "000003.bin").rename(scene / "velodyne" / "3.bin")
+        assert cli.run_decimation(scene, tmp_path / "third", 3, 0) == [0, 3, 6, 9]
+        assert (tmp_path / "third" / "velodyne" / "000001.bin").read_bytes() == (
+            sim_dir / "velodyne" / "000003.bin"
+        ).read_bytes()
+
+    def test_oracle_flow_exact_across_dropped_frames(self, sim_dir, tmp_path):
+        third = tmp_path / "third"
+        assert run(["decimate", "--in", sim_dir, "--stride", "3", "--out", third]) == 0
+        assert run(track_args(third, tmp_path / "trk")) == 0
+        assert run(["eval", "--gt", third / "gt.txt", "--results",
+                    tmp_path / "trk" / "results.txt", "--out", tmp_path / "eval"]) == 0
+        report = json.loads((tmp_path / "eval" / "report_iou0.25.json").read_text())
+        assert (report["sAMOTA"], report["MOTA"], report["MOTP"]) == (100.0, 1.0, 1.0)
+
+    def test_file_flow_on_decimated_scene_exits_2(self, sim_dir, tmp_path, capsys):
+        half = tmp_path / "half"
+        assert run(["decimate", "--in", sim_dir, "--keep", "even", "--out", half]) == 0
+        assert not (half / "flow").exists()
+        args = track_args(half, tmp_path / "trk", **{
+            "--flow-source": "file", "--flow-dir": half / "flow",
+        })
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowtrack track: error: no flow file for frame 0")
+        assert err.count("\n") == 1
 
     def test_exactly_one_mode_required(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit):

@@ -52,24 +52,6 @@ class TestFlowField:
 
 
 class TestRigidMotion:
-    def test_identity(self, rng):
-        points = rng.uniform(-5, 5, size=(50, 3))
-        moved = RigidMotion.identity().apply(points)
-        assert np.array_equal(moved, points)
-
-    def test_compose_matches_sequential_application(self, rng):
-        def random_motion():
-            angle = float(rng.uniform(-math.pi, math.pi))
-            c, s = math.cos(angle), math.sin(angle)
-            rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            return RigidMotion(rotation=rotation, translation=rng.uniform(-3, 3, 3))
-
-        first, second = random_motion(), random_motion()
-        points = rng.uniform(-5, 5, size=(50, 3))
-        sequential = second.apply(first.apply(points))
-        composed = second.compose(first).apply(points)
-        assert np.max(np.abs(sequential - composed)) <= 1e-9
-
     def test_from_pose_delta_carries_prev_pose_to_curr(self):
         prev = Box3D(x=1, y=2, z=0, l=4, w=2, h=1.5, theta=0.2)
         curr = Box3D(x=3, y=1, z=0.5, l=4, w=2, h=1.5, theta=0.9)

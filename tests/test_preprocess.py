@@ -83,13 +83,12 @@ class TestCalibration:
         assert np.isnan(uv[0]).all()
 
 
-def nominal_frustum(margin_deg=0.0, **kwargs) -> Frustum:
+def nominal_frustum(margin_deg=0.0) -> Frustum:
     return Frustum(
         calibration=Calibration.nominal(),
         image_width=1200,
         image_height=400,
         margin_deg=margin_deg,
-        **kwargs,
     )
 
 
@@ -138,12 +137,6 @@ class TestFilterFov:
         kept = filter_fov(cloud, nominal_frustum(0.0))
         assert kept.labels.tolist() == [3, 5]
         assert kept.features.tolist() == [[0.5], [0.7]]
-
-    def test_far_cutoff(self):
-        frustum = nominal_frustum(0.0, max_depth=30.0, depth_margin=5.0)
-        cloud = make_cloud([[20.0, 0, 0], [34.0, 0, 0], [40.0, 0, 0]])
-        kept = filter_fov(cloud, frustum)
-        assert kept.positions[:, 0].tolist() == [20.0, 34.0]
 
     def test_degenerate_calibration_rejected(self):
         calib = Calibration.nominal()

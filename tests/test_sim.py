@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from flowtrack.flow import motions_from_boxes
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
 from flowtrack.preprocess import UNLABELED, PointCloud, filter_fov
 from flowtrack.sim import (
@@ -20,8 +21,6 @@ from flowtrack.sim import (
     decimate,
     demo_scenario,
     generate,
-    keep_even,
-    keep_odd,
     read_scenario,
     write_scenario,
 )
@@ -59,6 +58,21 @@ def quiet_scenario(objects, frames: int = 10, seed: int = 3) -> Scenario:
 
 def instance_points(frame: FrameData, obj_id: int) -> np.ndarray:
     return frame.cloud.positions[frame.cloud.labels == obj_id]
+
+
+def pose_motions(prev: FrameData, curr: FrameData):
+    """The motions the oracle flow uses: pose changes of the ground truth."""
+    return motions_from_boxes(
+        {g.obj_id: g.box for g in prev.gt}, {g.obj_id: g.box for g in curr.gt}
+    )
+
+
+def assert_motions_move_points(prev: FrameData, curr: FrameData) -> None:
+    motions = pose_motions(prev, curr)
+    assert set(motions) == {g.obj_id for g in curr.gt}
+    for obj_id, motion in motions.items():
+        moved = motion.apply(instance_points(prev, obj_id))
+        np.testing.assert_allclose(moved, instance_points(curr, obj_id), atol=1e-9)
 
 
 class TestTrajectories:
@@ -119,8 +133,8 @@ class TestGenerate:
 
     def test_static_object_identity_motion(self):
         frames = generate(quiet_scenario([straight_object(speed=0.0)]))
-        for frame in frames[1:]:
-            motion = frame.motions[1]
+        for prev, curr in zip(frames, frames[1:]):
+            motion = pose_motions(prev, curr)[1]
             probe = np.array([[10.0, 0.5, 1.2]])
             assert motion.apply(probe) == pytest.approx(probe, abs=1e-12)
 
@@ -130,7 +144,7 @@ class TestGenerate:
             gt_prev = prev.gt[0].box
             gt_curr = curr.gt[0].box
             assert gt_curr.x - gt_prev.x == pytest.approx(1.0, abs=1e-12)
-            moved = curr.motions[1].apply(gt_prev.center.reshape(1, 3))[0]
+            moved = pose_motions(prev, curr)[1].apply(gt_prev.center.reshape(1, 3))[0]
             assert moved == pytest.approx(gt_curr.center, abs=1e-12)
 
     def test_oracle_flow_exact_on_instance_points(self):
@@ -139,11 +153,7 @@ class TestGenerate:
         )
         frames = generate(scenario)
         for prev, curr in zip(frames, frames[1:]):
-            for obj_id, motion in curr.motions.items():
-                moved = motion.apply(instance_points(prev, obj_id))
-                np.testing.assert_allclose(
-                    moved, instance_points(curr, obj_id), atol=1e-9
-                )
+            assert_motions_move_points(prev, curr)
 
     def test_ground_points_static_and_unlabeled(self):
         frames = generate(quiet_scenario([straight_object()]))
@@ -243,7 +253,7 @@ class TestDecimate:
 
     def test_keep_even_reindexes(self):
         frames = self.scenario_frames(10)
-        kept = keep_even(frames)
+        kept = decimate(frames, stride=2, offset=0)
         assert [f.index for f in kept] == [0, 1, 2, 3, 4]
         assert [f.gt[0].box.x for f in kept] == [
             frames[i].gt[0].box.x for i in (0, 2, 4, 6, 8)
@@ -251,7 +261,7 @@ class TestDecimate:
 
     def test_keep_odd_offsets(self):
         frames = self.scenario_frames(10)
-        kept = keep_odd(frames)
+        kept = decimate(frames, stride=2, offset=1)
         assert len(kept) == 5
         assert kept[0].gt[0].box.x == frames[1].gt[0].box.x
 
@@ -275,16 +285,26 @@ class TestDecimate:
         with pytest.raises(ValueError, match="offset"):
             decimate(frames, offset=-1)
 
-    def test_composed_motion_stays_exact(self):
-        frames = self.scenario_frames(10)
-        for stride, offset in ((2, 0), (3, 0), (3, 1), (4, 2)):
-            kept = decimate(frames, stride=stride, offset=offset)
-            for prev, curr in zip(kept, kept[1:]):
-                for obj_id, motion in curr.motions.items():
-                    moved = motion.apply(instance_points(prev, obj_id))
-                    np.testing.assert_allclose(
-                        moved, instance_points(curr, obj_id), atol=1e-9
-                    )
+    def turning_frames(self, frames: int = 12) -> list[FrameData]:
+        objects = [
+            ObjectSpec(
+                obj_id=i + 1, category="Car", l=4.0, w=1.8, h=1.6,
+                waypoints=arc_waypoints(
+                    Waypoint(frame=0, x=12.0, y=8.0 * i - 8.0, z=0.8, yaw=0.3),
+                    0.8 + 0.3 * i, turn, frames,
+                ),
+            )
+            for i, turn in enumerate((0.05, -0.12, 0.2))
+        ]
+        return generate(quiet_scenario(objects, frames=frames))
+
+    def test_motion_between_kept_frames_stays_exact(self):
+        for frames in (self.scenario_frames(10), self.turning_frames()):
+            for stride, offset in ((2, 0), (3, 0), (3, 1), (4, 2)):
+                kept = decimate(frames, stride=stride, offset=offset)
+                assert len(kept) >= 2
+                for prev, curr in zip(kept, kept[1:]):
+                    assert_motions_move_points(prev, curr)
 
     def test_nested_strides_compose(self):
         frames = self.scenario_frames(10)
@@ -293,24 +313,8 @@ class TestDecimate:
         assert [f.index for f in twice] == [f.index for f in direct]
         for a, b in zip(twice, direct):
             assert a.cloud is b.cloud
-            for obj_id in a.motions:
-                np.testing.assert_allclose(
-                    a.motions[obj_id].rotation, b.motions[obj_id].rotation, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    a.motions[obj_id].translation,
-                    b.motions[obj_id].translation,
-                    atol=1e-12,
-                )
-
-    def test_departed_objects_excluded_from_motions(self):
-        frames = self.scenario_frames(10)
-        # Fake a disappearance: drop object 2's motion in frame 3.
-        del frames[3].motions[2]
-        kept = decimate(frames, stride=3)
-        assert 2 not in kept[1].motions
-        assert 1 in kept[1].motions
-        assert 2 in kept[2].motions
+            assert a.gt == b.gt
+            assert a.detections == b.detections
 
 
 class TestDemoScenario:
