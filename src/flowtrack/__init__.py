@@ -9,7 +9,7 @@ scenario generator, all wired together behind the ``flowtrack`` command.
 
 __version__ = "0.1.0"
 
-from .geometry import Box3D, iou3d, points_in_box, wrap_angle
+from .geometry import Box3D, iou3d, points_in_box, points_in_boxes, wrap_angle
 from .preprocess import (
     GROUND,
     UNLABELED,
@@ -41,6 +41,7 @@ from .tracker import (
     Tracker,
     TrackerConfig,
     Tracklet,
+    UsageError,
     associate,
     build_similarity,
     compute_offset,
@@ -62,6 +63,7 @@ __all__ = [
     "Box3D",
     "iou3d",
     "points_in_box",
+    "points_in_boxes",
     "wrap_angle",
     "GROUND",
     "UNLABELED",
@@ -89,6 +91,7 @@ __all__ = [
     "Tracker",
     "TrackerConfig",
     "Tracklet",
+    "UsageError",
     "associate",
     "build_similarity",
     "compute_offset",

@@ -16,7 +16,7 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
-from .geometry import Box3D, points_in_box, wrap_angle
+from .geometry import Box3D, points_in_boxes, wrap_angle
 from .preprocess import PointCloud
 
 FLOW_MAGIC = b"SFL1"
@@ -275,8 +275,9 @@ class OracleFlowEstimator:
         curr_boxes = self.boxes_by_frame.get(frame_index + 1, {})
         motions = motions_from_boxes(prev_boxes, curr_boxes)
         labels = np.full(len(prev), -1, dtype=int)
-        for instance_id in sorted(motions):
-            inside = points_in_box(prev_boxes[instance_id], prev.positions, margin=self.margin)
+        ids = sorted(motions)
+        members = points_in_boxes([prev_boxes[i] for i in ids], prev.positions, self.margin)
+        for instance_id, inside in zip(ids, members):
             unclaimed = inside[labels[inside] < 0]
             labels[unclaimed] = instance_id
         labeled = PointCloud(positions=prev.positions, features=prev.features, labels=labels)

@@ -23,6 +23,15 @@ CLIP_TOL = 1e-9
 # clipping kernel.
 PREFILTER_SLACK = 1e-9
 
+# Box-point pairs tested at once by points_in_boxes, at most: about 8 MB per
+# float temporary.
+MEMBERSHIP_CELLS = 1 << 20
+
+# Relative widening of points_in_boxes' x-window, per unit of a box's scale
+# (its |x| + |y| + l + w + 1): some ten orders of magnitude above the
+# rounding of the containment tests.
+WINDOW_SLACK = 1e-6
+
 
 def wrap_angle(angle: float) -> float:
     """Normalize an angle in radians to the half-open interval (-pi, pi].
@@ -332,16 +341,27 @@ def iou_matrix(
     return iou_matrices([(rows, cols, categories)])[0]
 
 
-def points_in_box(box: Box3D, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Indices of points inside an oriented box, boundary inclusive.
+def points_in_boxes(
+    boxes: Sequence[Box3D], points: np.ndarray, margin: float = 0.0
+) -> list[np.ndarray]:
+    """Indices of the points inside each oriented box, boundary inclusive.
 
     The footprint test checks the signed distance to each footprint edge,
     the vertical test checks the distance to the horizontal mid-plane.
+    Every (box, point) pair is tested with the same per-element expressions,
+    on :func:`corners_bev`'s corners, so a box's indices do not depend on the
+    other boxes.  Only the points whose x lies within the box footprint's
+    x-range, widened by ``2 * |margin|`` plus ``WINDOW_SLACK`` times the
+    box's scale, reach the tests; every point outside that window fails
+    them, since the tests' rounding stays far below that slack.  A box
+    narrower than that slack has all points tested.  Boxes are tested
+    ``MEMBERSHIP_CELLS // len(points)`` at a time, which bounds the
+    temporaries.
 
     Parameters
     ----------
-    box : Box3D
-        Containing box.
+    boxes : sequence of Box3D
+        Containing boxes.
     points : np.ndarray
         Array of shape (n, 3).
     margin : float, optional
@@ -351,20 +371,52 @@ def points_in_box(box: Box3D, points: np.ndarray, margin: float = 0.0) -> np.nda
 
     Returns
     -------
-    np.ndarray
-        Indices into ``points``, ascending, dtype int.
+    list of np.ndarray
+        Per box, indices into ``points``, ascending, dtype int.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-    mask = np.abs(points[:, 2] - box.z) <= box.h / 2.0 + margin
-    corners = corners_bev(box)
+    fields = _box_fields(boxes)
+    xs, ys = _footprint_xy(fields)
+    half_height = fields[:, 5] / 2.0 + margin
+    edges = []
     for i in range(4):
-        ex, ey = corners[(i + 1) % 4] - corners[i]
-        edge_len = math.hypot(ex, ey)
-        rel_x = points[:, 0] - corners[i, 0]
-        rel_y = points[:, 1] - corners[i, 1]
-        # cross / |edge| is the signed distance; positive means left of the
-        # edge, i.e. inside for a CCW polygon.
-        mask &= ex * rel_y - ey * rel_x >= -margin * edge_len
-    return np.nonzero(mask)[0]
+        ex, ey = xs[:, (i + 1) % 4] - xs[:, i], ys[:, (i + 1) % 4] - ys[:, i]
+        edges.append((xs[:, i], ys[:, i], ex, ey, -margin * _hypot(ex, ey)))
+
+    scale = 1.0 + np.abs(fields[:, 0]) + np.abs(fields[:, 1]) + fields[:, 3] + fields[:, 4]
+    slack = 2.0 * abs(margin) + WINDOW_SLACK * scale
+    order = np.argsort(points[:, 0])
+    sorted_x = points[order, 0]
+    lo = np.searchsorted(sorted_x, xs.min(axis=1) - slack, side="left")
+    hi = np.searchsorted(sorted_x, xs.max(axis=1) + slack, side="right")
+    narrow = np.minimum(fields[:, 3], fields[:, 4]) < WINDOW_SLACK * scale
+    lo[narrow], hi[narrow] = 0, len(points)
+
+    members: list[np.ndarray] = []
+    step = max(MEMBERSHIP_CELLS // max(len(points), 1), 1)
+    for start in range(0, len(fields), step):
+        ids = np.arange(start, min(start + step, len(fields)))
+        counts = hi[ids] - lo[ids]
+        box = np.repeat(ids, counts)
+        # Each box's window of the x order, one after the other.
+        shift = np.repeat(lo[ids] - (np.cumsum(counts) - counts), counts)
+        index = order[np.arange(len(box)) + shift]
+        mask = np.abs(points[index, 2] - fields[box, 2]) <= half_height[box]
+        for x0, y0, ex, ey, reach in edges:
+            rel_x = points[index, 0] - x0[box]
+            rel_y = points[index, 1] - y0[box]
+            # cross / |edge| is the signed distance; positive means left of
+            # the edge, i.e. inside for a CCW polygon.
+            mask &= ex[box] * rel_y - ey[box] * rel_x >= reach[box]
+        box, index = box[mask], index[mask]
+        index = index[np.lexsort((index, box))]
+        members += np.split(index, np.cumsum(np.bincount(box - start, minlength=len(ids)))[:-1])
+    return members
+
+
+def points_in_box(box: Box3D, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Indices of points inside an oriented box: the one-box case of
+    :func:`points_in_boxes`."""
+    return points_in_boxes([box], points, margin)[0]

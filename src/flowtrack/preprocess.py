@@ -75,6 +75,22 @@ class PointCloud:
         )
 
 
+def _affine(points: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Points of shape (n, 3) under the affine map of the first three rows
+    of ``matrix`` (its last column is the translation), shape (n, 3).
+
+    Each coordinate is spelled out elementwise rather than taken from a
+    matrix product: numpy multiplies one point with a matrix-vector kernel
+    and many with a matrix-matrix kernel, whose summation orders differ, so
+    the product would give a point bits that depend on the batch size.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    return np.stack(
+        [x * m[0] + y * m[1] + z * m[2] + m[3] for m in matrix[:3].tolist()], axis=1
+    )
+
+
 @dataclass
 class Calibration:
     """Sensor-to-image calibration.
@@ -113,9 +129,7 @@ class Calibration:
     def lidar_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map points of shape (n, 3) from the sensor frame to the rectified
         camera frame."""
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        homo = np.hstack([points, np.ones((len(points), 1))])
-        return (homo @ self.velo_to_cam_rect.T)[:, :3]
+        return _affine(points, self.velo_to_cam_rect)
 
     def camera_to_lidar(self, points: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`lidar_to_camera`.
@@ -127,9 +141,7 @@ class Calibration:
         """
         if self._cam_rect_to_velo is None:
             raise CalibrationError("sensor-to-camera transform is not invertible")
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        homo = np.hstack([points, np.ones((len(points), 1))])
-        return (homo @ self._cam_rect_to_velo.T)[:, :3]
+        return _affine(points, self._cam_rect_to_velo)
 
     def project_to_image(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project sensor-frame points into the image.
@@ -142,8 +154,7 @@ class Calibration:
             camera plane get ``uv`` rows of NaN.
         """
         cam = self.lidar_to_camera(points)
-        homo = np.hstack([cam, np.ones((len(cam), 1))])
-        uvw = homo @ self.projection.T
+        uvw = _affine(cam, self.projection)
         uv = np.full((len(cam), 2), np.nan)
         valid = uvw[:, 2] > 0
         uv[valid] = uvw[valid, :2] / uvw[valid, 2:3]

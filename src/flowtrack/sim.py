@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Box3D, wrap_angle
 from .preprocess import UNLABELED, Calibration, Frustum, PointCloud
-from .tracker import Detection
+from .tracker import Detection, UsageError
 
 T = TypeVar("T")
 
@@ -347,9 +347,9 @@ def select_frames(frames: Sequence[T], stride: int, offset: int) -> list[T]:
     """Every ``stride``-th frame from ``offset`` on: the one decimation rule,
     in memory and on disk.  An empty result emits a ``RuntimeWarning``."""
     if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+        raise UsageError(f"stride must be at least 1, got {stride}")
     if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
+        raise UsageError(f"offset must be non-negative, got {offset}")
     kept = list(frames[offset::stride])
     if not kept:
         warnings.warn("decimation kept no frames", RuntimeWarning, stacklevel=3)

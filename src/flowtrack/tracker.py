@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import max_similarity_assignment
 from .flow import FlowField
-from .geometry import Box3D, iou_matrix, points_in_box, wrap_angle
+from .geometry import Box3D, iou_matrix, points_in_box, points_in_boxes, wrap_angle
 from .preprocess import PointCloud
 
 # Face margin used when attributing sampled points to a tracklet box, meters.
@@ -28,6 +28,12 @@ ATTRIBUTION_MARGIN = 1e-6
 class FrameInputError(ValueError):
     """Raised when a frame's inputs violate the step contract; the frame is
     rejected and the tracker state is left unchanged."""
+
+
+class UsageError(ValueError):
+    """Raised for run arguments outside their range, or missing the input
+    another argument needs: a decimation stride below 1, a flow source
+    without its ground truth or flow files."""
 
 
 @dataclass
@@ -168,7 +174,10 @@ class PipelineConfig:
 
 
 def compute_offset(
-    tracklet: Tracklet, prev_cloud: PointCloud, flow: FlowField
+    tracklet: Tracklet,
+    prev_cloud: PointCloud,
+    flow: FlowField,
+    inside: np.ndarray | None = None,
 ) -> tuple[Offset, int]:
     """Motion offset of a tracklet from the flow of the points in its box.
 
@@ -176,6 +185,9 @@ def compute_offset(
     previous-frame sampled points inside the tracklet's current box.  The
     yaw increment assumes constant angular velocity: the change between the
     tracklet's last two adopted yaws, or zero without history.
+
+    ``inside`` holds the indices of those points, as :func:`points_in_boxes`
+    gives them with ``ATTRIBUTION_MARGIN``; they are computed when not given.
 
     Returns
     -------
@@ -193,7 +205,8 @@ def compute_offset(
         dtheta = 0.0
     else:
         dtheta = wrap_angle(tracklet.box.theta - tracklet.yaw_prev)
-    inside = points_in_box(tracklet.box, prev_cloud.positions, margin=ATTRIBUTION_MARGIN)
+    if inside is None:
+        inside = points_in_box(tracklet.box, prev_cloud.positions, margin=ATTRIBUTION_MARGIN)
     if len(inside) == 0:
         return Offset(0.0, 0.0, 0.0, dtheta), 0
     mean = flow.vectors[inside].mean(axis=0)
@@ -355,13 +368,17 @@ class Tracker:
                     "flow predictor needs prev_cloud and flow once tracklets exist"
                 )
 
-        predicted: list[Box3D] = []
-        for tracklet in self.tracklets:
-            if self.predictor == "cv":
-                predicted.append(predict_constant_velocity(tracklet))
-            else:
-                # compute_offset rejects a misaligned flow before any state changes.
-                offset, n_points = compute_offset(tracklet, prev_cloud, flow)
+        if self.predictor == "cv" or not self.tracklets:
+            predicted = [predict_constant_velocity(t) for t in self.tracklets]
+        else:
+            # One attribution pass for every tracklet; compute_offset rejects
+            # a misaligned flow before any state changes.
+            members = points_in_boxes(
+                [t.box for t in self.tracklets], prev_cloud.positions, margin=ATTRIBUTION_MARGIN
+            )
+            predicted = []
+            for tracklet, inside in zip(self.tracklets, members):
+                offset, n_points = compute_offset(tracklet, prev_cloud, flow, inside)
                 if n_points == 0:
                     predicted.append(predict_constant_velocity(tracklet))
                 else:

@@ -7,21 +7,27 @@ compare the two routes; nothing in this module may import algorithmic code
 from the package beyond plain data containers, except
 ``recall_sweep_reference``: it re-runs the package's per-sequence evaluation
 (refereed by ``reference_counts``) anew at every threshold, the
-route the memoized sweep replaces.  ``iou3d_reference`` and
-``result_rows_reference`` are the one-at-a-time routes the batched IoU
-kernel and result conversion replace: the same arithmetic, one pair or one
-row per call; the latter uses the package's ``Calibration`` transforms and
-``wrap_angle`` on one row at a time.
+route the memoized sweep replaces.  ``iou3d_reference``,
+``points_in_boxes_reference`` and ``result_rows_reference`` are the
+one-at-a-time routes the batched IoU kernel, point attribution and result
+conversion replace: the same arithmetic, one pair, box or row per call; the
+last uses the package's ``Calibration`` transforms and ``wrap_angle`` on
+one row at a time.
+``preprocessed_flows_reference`` is the sequential loop the pipelined
+preprocess -> flow chain replaces; it calls the package's
+``preprocess_frame`` and flow estimators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from flowtrack.cli import preprocess_frame
+from flowtrack.flow import FlowField
 from flowtrack.geometry import Box3D, wrap_angle
 from flowtrack.kitti_io import LabelRow
 from flowtrack.metrics import (
@@ -33,7 +39,7 @@ from flowtrack.metrics import (
     evaluate_sequences,
     smota_value,
 )
-from flowtrack.preprocess import GROUND, UNLABELED, Calibration, GroundFit, PointCloud
+from flowtrack.preprocess import GROUND, UNLABELED, Calibration, Frustum, GroundFit, PointCloud
 from flowtrack.tracker import EmittedTrack
 
 
@@ -64,6 +70,50 @@ def points_in_box_reference(
 ) -> np.ndarray:
     """Indices of contained points, via the rotate-into-frame route."""
     return np.nonzero(_inside_mask(box, np.asarray(points, dtype=float), margin))[0]
+
+
+def points_in_boxes_reference(
+    boxes: Sequence[Box3D], points: np.ndarray, margin: float = 0.0
+) -> list[np.ndarray]:
+    """Indices of the points inside each box, one box at a time over every
+    point: signed distances to the edges of ``corners_reference``'s
+    footprint and to the mid-plane, the per-box loop the batched kernel
+    replaces."""
+    points = np.asarray(points, dtype=float)
+    members = []
+    for box in boxes:
+        mask = np.abs(points[:, 2] - box.z) <= box.h / 2.0 + margin
+        corners = corners_reference(box)
+        for i in range(4):
+            ex, ey = corners[(i + 1) % 4] - corners[i]
+            edge_len = math.hypot(ex, ey)
+            rel_x = points[:, 0] - corners[i, 0]
+            rel_y = points[:, 1] - corners[i, 1]
+            mask &= ex * rel_y - ey * rel_x >= -margin * edge_len
+        members.append(np.nonzero(mask)[0])
+    return members
+
+
+def preprocessed_flows_reference(
+    clouds_by_frame: Mapping[int, PointCloud],
+    frames: Iterable[int],
+    flow_estimator,
+    frustum: Frustum | None,
+    num_points: int,
+    seed: int,
+) -> Iterator[tuple[int, PointCloud | None, FlowField | None]]:
+    """The preprocess -> flow chain as one sequential loop on the caller's
+    thread: each frame read, preprocessed, then its flow estimated."""
+    prev_sampled = None
+    for frame in frames:
+        sampled = None
+        if (cloud := clouds_by_frame.get(frame)) is not None:
+            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+        flow = None
+        if prev_sampled is not None and sampled is not None and flow_estimator is not None:
+            flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
+        yield frame, prev_sampled, flow
+        prev_sampled = sampled
 
 
 def _footprint_bounds(box: Box3D) -> tuple[np.ndarray, np.ndarray]:

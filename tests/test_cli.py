@@ -19,7 +19,7 @@ from flowtrack.flow import FlowDataError
 import flowtrack.tracker as tracker
 from flowtrack.preprocess import PointCloud
 from flowtrack.sim import NoiseSpec, demo_scenario, generate, write_scenario
-from flowtrack.tracker import TrackerConfig
+from flowtrack.tracker import TrackerConfig, UsageError
 from oracles import iou3d_reference
 
 SIM_ARGS = ["--frames", "12", "--objects", "3", "--num-points", "2000"]
@@ -200,8 +200,8 @@ class TestFlowSources:
         assert run(track_args(sim_dir, tmp_path / "cv", **{"--predictor": "cv"})) == 0
         assert reads == []
 
-    def test_flow_reads_each_cloud_once_in_order(self, sim_dir, tracked_dir, tmp_path,
-                                                 monkeypatch):
+    def test_flow_reads_each_cloud_once_within_lookahead(self, sim_dir, tracked_dir, tmp_path,
+                                                         monkeypatch):
         eager = {
             int(path.stem): cli.read_velodyne(path)
             for path in sorted((sim_dir / "velodyne").glob("*.bin"))
@@ -209,8 +209,17 @@ class TestFlowSources:
         reads = []
         read = cli.read_velodyne
         monkeypatch.setattr(cli, "read_velodyne", lambda path: reads.append(path.name) or read(path))
+        # Reads made by the time each frame is tracked: the worker threads
+        # may run ahead of the tracker by the lookahead, and no further.
+        seen = []
+        step = tracker.Tracker.step
+        monkeypatch.setattr(
+            tracker.Tracker, "step",
+            lambda self, *a, **k: seen.append(len(reads)) or step(self, *a, **k),
+        )
         assert run(track_args(sim_dir, tmp_path / "lazy")) == 0
-        assert reads == [f"{frame:06d}.bin" for frame in sorted(eager)]
+        assert sorted(reads) == [f"{frame:06d}.bin" for frame in sorted(eager)]
+        assert all(count <= i + 1 + cli.PREPROCESS_LOOKAHEAD for i, count in enumerate(seen))
         # The lazy mapping tracks exactly as a dict of every cloud read up front.
         calib = cli.read_calib(sim_dir / "calib.txt")
         detections = {
@@ -285,13 +294,27 @@ class TestFlowSources:
         assert sorted(late) == list(range(50, 62))
         assert all(late[frame + 50] == tracks for frame, tracks in from_zero.items())
 
-    def test_oracle_requires_ground_truth(self, sim_dir, tmp_path):
+    def test_oracle_requires_ground_truth(self, sim_dir, tmp_path, capsys):
         with pytest.raises(ValueError, match="--gt"):
-            run(track_args(sim_dir, tmp_path / "x", **{"--gt": None}))
+            cli.run_tracking_files(
+                sim_dir / "detections.txt", sim_dir / "velodyne", sim_dir / "calib.txt",
+                tmp_path / "x", flow_source="oracle",
+            )
+        assert run(track_args(sim_dir, tmp_path / "x", **{"--gt": None})) == 2
+        assert capsys.readouterr().err == (
+            "flowtrack track: error: --flow-source oracle needs --gt for the true motions\n"
+        )
 
-    def test_file_source_requires_flow_dir(self, sim_dir, tmp_path):
+    def test_file_source_requires_flow_dir(self, sim_dir, tmp_path, capsys):
         with pytest.raises(ValueError, match="--flow-dir"):
-            run(track_args(sim_dir, tmp_path / "x", **{"--flow-source": "file"}))
+            cli.run_tracking_files(
+                sim_dir / "detections.txt", sim_dir / "velodyne", sim_dir / "calib.txt",
+                tmp_path / "x", flow_source="file",
+            )
+        assert run(track_args(sim_dir, tmp_path / "x", **{"--flow-source": "file"})) == 2
+        assert capsys.readouterr().err == (
+            "flowtrack track: error: --flow-source file needs --flow-dir\n"
+        )
 
 
 class TestConfigFile:
@@ -562,6 +585,18 @@ class TestDecimateCommand:
         with pytest.raises(SystemExit):
             run(["decimate", "--in", sim_dir, "--keep", "even", "--stride", "3",
                  "--out", tmp_path / "x"])
+
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_stride_below_one_one_line_exit_2(self, sim_dir, tmp_path, capsys, stride):
+        assert run(["decimate", "--in", sim_dir, "--stride", stride, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == (
+            f"flowtrack decimate: error: stride must be at least 1, got {stride}\n"
+        )
+
+    def test_negative_offset_is_a_usage_error(self, sim_dir, tmp_path):
+        with pytest.raises(UsageError, match="offset must be non-negative, got -1"):
+            cli.run_decimation(sim_dir, tmp_path / "x", 2, -1)
+        assert UsageError in cli.DOMAIN_ERRORS
 
     def test_empty_input_warns(self, tmp_path):
         empty = tmp_path / "empty_scene"

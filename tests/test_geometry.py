@@ -22,6 +22,7 @@ from flowtrack.geometry import (
     iou_matrix,
     iou_pairs,
     points_in_box,
+    points_in_boxes,
     wrap_angle,
 )
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     iou3d_reference,
     mc_iou3d,
     points_in_box_reference,
+    points_in_boxes_reference,
     wrap_reference,
 )
 
@@ -528,3 +530,81 @@ class TestPointsInBox:
         box = Box3D(x=0, y=0, z=0, l=1, w=1, h=1, theta=0)
         with pytest.raises(ValueError):
             points_in_box(box, np.zeros((3, 2)))
+
+
+def scattered_boxes_and_points(rng, scale: float, size: float, count: int):
+    """``count`` boxes of about ``size`` within ``scale`` of the origin, and
+    points scattered over the same area plus points on and just off each
+    box's footprint edges and faces."""
+    boxes = [
+        Box3D(
+            x=rng.uniform(-scale, scale), y=rng.uniform(-scale, scale), z=rng.uniform(-2, 2),
+            l=size * rng.uniform(0.1, 3.0), w=size * rng.uniform(0.1, 3.0),
+            h=rng.uniform(0.1, 3.0), theta=rng.uniform(-4.0, 4.0),
+        )
+        for _ in range(count)
+    ]
+    points = rng.uniform(-scale, scale, size=(int(rng.integers(0, 2000)), 3))
+    points[:, 2] = rng.uniform(-3.0, 3.0, size=len(points))
+    near = []
+    for box in boxes:
+        corners = corners_bev(box)
+        for i in range(4):
+            for t in (0.0, 0.5, 1.0):
+                x, y = corners[i] + t * (corners[(i + 1) % 4] - corners[i])
+                near.append([x, y, box.z + rng.choice([-1.0, 0.0, 1.0]) * box.h / 2.0])
+                jitter = rng.normal(size=2) * size * 1e-7
+                near.append([x + jitter[0], y + jitter[1], box.z])
+    return boxes, np.vstack([points, np.reshape(near, (-1, 3))])
+
+
+class TestPointsInBoxes:
+    """The batched kernel tests only the points in each box's x-window; its
+    indices must be those of the per-box loop over every point."""
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-6, 0.1])
+    def test_equals_per_box_loop(self, rng, margin):
+        for _ in range(60):
+            scale = 10.0 ** rng.uniform(-3, 6)
+            # Car-sized boxes, boxes at the scale of the scene, and boxes
+            # so small that their corners round together.
+            size = rng.choice([1.0, scale, 10.0 ** rng.uniform(-14, -6)])
+            boxes, points = scattered_boxes_and_points(
+                rng, scale, size, int(rng.integers(0, 25))
+            )
+            got = points_in_boxes(boxes, points, margin)
+            want = points_in_boxes_reference(boxes, points, margin)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+    def test_box_with_collapsed_corners(self):
+        # Far from the origin a tiny box's corners round to one point, every
+        # edge has length zero, and the loop's edge tests hold for every
+        # point: the kernel must not confine such a box to its x-window.
+        box = Box3D(x=1e5, y=1e5, z=0.0, l=1e-14, w=1e-14, h=1.0, theta=0.3)
+        assert np.unique(corners_bev(box), axis=0).shape == (1, 2)
+        points = np.array(
+            [[0.0, 0.0, 0.0], [1e5, 1e5, 0.0], [1e5 + 1.0, 3.0, 0.2], [0.0, 0.0, 5.0]]
+        )
+        assert points_in_boxes([box], points)[0].tolist() == [0, 1, 2]
+        assert points_in_boxes_reference([box], points)[0].tolist() == [0, 1, 2]
+
+    def test_chunks_give_the_same_indices(self, rng, monkeypatch):
+        boxes, points = scattered_boxes_and_points(rng, 20.0, 4.0, 30)
+        whole = points_in_boxes(boxes, points, 1e-6)
+        monkeypatch.setattr(geometry, "MEMBERSHIP_CELLS", 7)
+        chunked = points_in_boxes(boxes, points, 1e-6)
+        assert [c.tolist() for c in chunked] == [w.tolist() for w in whole]
+        assert any(len(w) for w in whole)
+
+    def test_one_box_case(self, rng):
+        boxes, points = scattered_boxes_and_points(rng, 20.0, 4.0, 5)
+        for box, inside in zip(boxes, points_in_boxes(boxes, points)):
+            assert points_in_box(box, points).tolist() == inside.tolist()
+
+    def test_empty_inputs(self):
+        box = Box3D(x=0, y=0, z=0, l=1, w=1, h=1, theta=0)
+        assert points_in_boxes([], np.zeros((4, 3))) == []
+        [inside] = points_in_boxes([box], np.zeros((0, 3)))
+        assert inside.size == 0 and inside.dtype == np.intp

@@ -391,19 +391,19 @@ BATCH = settings(max_examples=25, deadline=None,
 
 
 class TestBatchedConversion:
-    """Each frame is converted in one batch.  Under the nominal calibration,
-    as the simulator writes it, every product is exact and the batch gives
-    the bits of one row at a time.  Under a general rotation a batched
-    matrix product may differ from a one-row product in the last bit, which
-    the six written decimals do not show."""
+    """Each frame is converted in one batch.  The calibration transforms
+    spell their products out elementwise, so under any calibration a batch
+    gives the bits of one row at a time."""
 
     @BATCH
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_rows_equal_per_row_reference(self, tmp_path, seed, from_file):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["nominal", "nominal file", "rotated"]))
+    def test_rows_equal_per_row_reference(self, tmp_path, seed, calibration):
         rng = np.random.default_rng(seed)
-        calib = Calibration.nominal()
-        if from_file:
-            calib = file_calibration(tmp_path, calib)
+        calib = {
+            "nominal": Calibration.nominal(),
+            "nominal file": file_calibration(tmp_path, Calibration.nominal()),
+            "rotated": custom_calibration(),
+        }[calibration]
         tracks = scattered_tracks(rng, int(rng.integers(0, 30)))
         assert result_rows(5, tracks, calib) == result_rows_reference(5, tracks, calib)
         assert [result_row(5, t, calib) for t in tracks] == result_rows_reference(5, tracks, calib)
@@ -452,13 +452,20 @@ class TestBatchedConversion:
         ]
         batched = camera_to_lidar_boxes(rows, calib)
         one_by_one = [camera_to_lidar_boxes([row], calib)[0] for row in rows]
-        if calibration == "rotated file":
-            for box, single in zip(batched, one_by_one):
-                assert box.center == pytest.approx(single.center, rel=0, abs=1e-12)
-                assert box.theta == single.theta
-        else:
-            assert batched == one_by_one
+        assert batched == one_by_one
         assert camera_to_lidar_boxes([], calib) == []
+
+    def test_transforms_give_one_row_the_bits_of_a_batch(self, rng):
+        calib = custom_calibration()
+        points = rng.uniform(-50.0, 50.0, size=(200, 3))
+        for transform in (calib.lidar_to_camera, calib.camera_to_lidar):
+            batched = transform(points)
+            one_by_one = np.concatenate([transform(point) for point in points])
+            assert batched.tobytes() == one_by_one.tobytes()
+        uv, depth = calib.project_to_image(points)
+        one_by_one = [calib.project_to_image(point) for point in points]
+        assert uv.tobytes() == np.concatenate([u for u, _ in one_by_one]).tobytes()
+        assert depth.tobytes() == np.concatenate([d for _, d in one_by_one]).tobytes()
 
 
 # --- fuzzing: a malformed file raises the reader's own error, nothing else ---

@@ -1,0 +1,210 @@
+"""The pipelined preprocess -> flow chain and the per-frame point attribution.
+
+``cli.preprocessed_flows`` reads and preprocesses upcoming clouds on worker
+threads while the caller's thread estimates flow and tracks; it must yield
+what the sequential loop ``oracles.preprocessed_flows_reference`` yields,
+raise a bad cloud's error where that loop raises it, and leave no thread
+behind however it ends.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import flowtrack.cli as cli
+import flowtrack.tracker as tracker
+from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
+from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
+from flowtrack.sim import NoiseSpec, demo_scenario, generate
+from flowtrack.tracker import TrackerConfig
+from oracles import points_in_boxes_reference, preprocessed_flows_reference
+
+NUM_POINTS = 800
+
+
+@pytest.fixture(scope="module")
+def scene():
+    scenario = demo_scenario(14, 4, seed=5, noise=NoiseSpec(0.2, 0.05, 0.5, 0.1, (0.5, 1.0)))
+    return scenario, generate(scenario)
+
+
+def shifted_clouds(frames, start: int, missing: int) -> dict:
+    """Clouds re-indexed from ``start``, without the one of frame ``missing``."""
+    return {f.index + start: f.cloud for f in frames if f.index + start != missing}
+
+
+def spawned_threads(before: set) -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+def assert_same_chain(got, want) -> None:
+    got, want = list(got), list(want)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (_, prev, flow), (_, prev_ref, flow_ref) in zip(got, want):
+        assert (prev is None) == (prev_ref is None)
+        if prev is not None:
+            assert prev.positions.tobytes() == prev_ref.positions.tobytes()
+            assert prev.labels.tobytes() == prev_ref.labels.tobytes()
+        assert (flow is None) == (flow_ref is None)
+        if flow is not None:
+            assert flow.vectors.tobytes() == flow_ref.vectors.tobytes()
+
+
+class TestPipelinedChain:
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_yields_the_sequential_loop(self, scene, tmp_path, switch_interval):
+        scenario, frames = scene
+        # A late start (clouds from frame 50), two frames before the first
+        # cloud, and a cloud missing mid-sequence.
+        clouds = shifted_clouds(frames, 50, missing=57)
+        on_disk = tmp_path / "velodyne"
+        for frame, cloud in clouds.items():
+            write_velodyne(on_disk / f"{frame:06d}.bin", cloud)
+        frustum = scenario.sensor.frustum()
+        estimator = NearestNeighborFlowEstimator()
+        span = range(48, 50 + len(frames))
+        previous = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            for source in (clouds, cli.CloudFiles(on_disk)):
+                assert_same_chain(
+                    cli.preprocessed_flows(source, span, estimator, frustum, NUM_POINTS, 3),
+                    preprocessed_flows_reference(source, span, estimator, frustum, NUM_POINTS, 3),
+                )
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_malformed_cloud_raises_after_the_same_steps(self, tmp_path, monkeypatch):
+        scene_dir = tmp_path / "scene"
+        assert cli.main(["sim", "--frames", "12", "--objects", "3", "--num-points",
+                         str(NUM_POINTS), "--out", str(scene_dir)]) == 0
+        bad = scene_dir / "velodyne" / "000006.bin"
+        bad.write_bytes(bad.read_bytes()[:-3])
+        steps = []
+        step = tracker.Tracker.step
+        monkeypatch.setattr(
+            tracker.Tracker, "step", lambda self, *a, **k: steps.append(1) or step(self, *a, **k)
+        )
+
+        def track():
+            steps.clear()
+            with pytest.raises(VelodyneFormatError) as raised:
+                cli.run_tracking_files(
+                    scene_dir / "detections.txt", scene_dir / "velodyne",
+                    scene_dir / "calib.txt", tmp_path / "out", flow_source="nn",
+                    num_points=NUM_POINTS,
+                )
+            return str(raised.value), len(steps)
+
+        pipelined = track()
+        monkeypatch.setattr(cli, "preprocessed_flows", preprocessed_flows_reference)
+        assert pipelined == track()
+        assert pipelined[0].startswith(f"{bad}: size ")
+        assert pipelined[1] == 6
+
+    def test_no_thread_left_running(self, scene):
+        scenario, frames = scene
+        clouds = {f.index: f.cloud for f in frames}
+        frustum = scenario.sensor.frustum()
+        detections = {f.index: f.detections for f in frames}
+        before = set(threading.enumerate())
+
+        cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(), TrackerConfig(),
+                         frustum=frustum, num_points=NUM_POINTS)
+        assert spawned_threads(before) == []
+
+        # A frame the tracker rejects: the flow predictor without a cloud.
+        broken = dict(clouds)
+        del broken[5]
+        with pytest.raises(tracker.FrameInputError) as raised:
+            cli.run_tracking(detections, broken, NearestNeighborFlowEstimator(),
+                             TrackerConfig(), frustum=frustum, num_points=NUM_POINTS)
+        # Stopped by run_tracking itself, not by the collection of a chain
+        # that the kept traceback still holds.
+        assert raised.traceback and spawned_threads(before) == []
+
+        chain = cli.preprocessed_flows(
+            clouds, range(len(frames)), NearestNeighborFlowEstimator(), frustum, NUM_POINTS, 0
+        )
+        next(chain)
+        next(chain)
+        assert spawned_threads(before)
+        chain.close()
+        assert spawned_threads(before) == []
+
+    def test_no_clouds_start_no_thread(self, scene, monkeypatch):
+        scenario, frames = scene
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        detections = {f.index: f.detections for f in frames}
+        clouds = {f.index: f.cloud for f in frames}
+        cli.run_tracking(detections, clouds, None, TrackerConfig(), predictor="cv")
+        # The flow predictor without clouds fails at its second frame, not
+        # on a missing thread pool.
+        with pytest.raises(tracker.FrameInputError):
+            cli.run_tracking(detections, None, NearestNeighborFlowEstimator(), TrackerConfig())
+        chain = cli.preprocessed_flows({}, range(3), None, None, NUM_POINTS, 0)
+        assert list(chain) == [(0, None, None), (1, None, None), (2, None, None)]
+
+    def test_written_flow_files_match_the_sequential_loop(self, scene, tmp_path):
+        scenario, frames = scene
+        calib = scenario.sensor.calibration()
+        cli.write_scenario_outputs(frames, tmp_path, calib, write_flow=True,
+                                   num_points=NUM_POINTS, seed=4)
+        estimator = OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in frames})
+        frustum = cli.Frustum(
+            calibration=calib,
+            image_width=int(calib.projection[0, 2] * 2),
+            image_height=int(calib.projection[1, 2] * 2),
+        )
+        reference = preprocessed_flows_reference(
+            cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames], estimator,
+            frustum, NUM_POINTS, 4,
+        )
+        written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
+        expected = [(frame, prev, flow) for frame, prev, flow in reference if flow is not None]
+        assert [path.name for path in written] == [
+            f"{frame - 1:06d}.sfl" for frame, _, _ in expected
+        ]
+        for path, (_, prev, flow) in zip(written, expected):
+            sources, field = read_flow_file(path)
+            assert sources.tobytes() == prev.positions.astype("<f4").astype(float).tobytes()
+            assert field.vectors.tobytes() == flow.vectors.astype("<f4").astype(float).tobytes()
+
+
+class TestAttribution:
+    def test_tracks_like_the_per_box_loop(self, scene, monkeypatch):
+        scenario, frames = scene
+        clouds = {f.index: f.cloud for f in frames}
+        detections = {f.index: f.detections for f in frames}
+
+        def tracked():
+            return cli.run_tracking(
+                detections, clouds, NearestNeighborFlowEstimator(), TrackerConfig(),
+                frustum=scenario.sensor.frustum(), num_points=NUM_POINTS,
+            )
+
+        kernel = tracked()
+        # The per-tracklet route: no shared pass, and compute_offset finds
+        # each tracklet's points with the per-box loop.
+        offsets = []
+        compute_offset = tracker.compute_offset
+        monkeypatch.setattr(
+            tracker, "points_in_boxes", lambda boxes, *_, **__: [None] * len(boxes)
+        )
+        monkeypatch.setattr(
+            tracker, "points_in_box",
+            lambda box, points, margin: points_in_boxes_reference([box], points, margin)[0],
+        )
+        monkeypatch.setattr(
+            tracker, "compute_offset",
+            lambda *args: offsets.append(compute_offset(*args)) or offsets[-1],
+        )
+        assert tracked() == kernel
+        # compute_offset ran once per live tracklet, and found points.
+        assert len(offsets) > len(frames) and sum(count for _, count in offsets) > 0
