@@ -38,6 +38,7 @@ from .tracker import (
     FrameInputError,
     Offset,
     PipelineConfig,
+    SettingsError,
     Tracker,
     TrackerConfig,
     Tracklet,
@@ -88,6 +89,7 @@ __all__ = [
     "FrameInputError",
     "Offset",
     "PipelineConfig",
+    "SettingsError",
     "Tracker",
     "TrackerConfig",
     "Tracklet",

@@ -39,7 +39,6 @@ from .kitti_io import (
     LabelRow,
     VelodyneFormatError,
     camera_to_lidar_boxes,
-    label_to_box,
     read_calib,
     read_labels,
     read_velodyne,
@@ -59,9 +58,11 @@ from .tracker import (
     EmittedTrack,
     FrameInputError,
     PipelineConfig,
+    SettingsError,
     Tracker,
     TrackerConfig,
     UsageError,
+    setting_fields,
 )
 
 DEFAULT_NUM_POINTS = 6000
@@ -75,7 +76,7 @@ PREPROCESS_LOOKAHEAD = 4
 
 # Malformed inputs: ``main`` reports them in one line and exits with status 2.
 DOMAIN_ERRORS = (CalibrationError, EvaluationInputError, FlowDataError, FrameInputError,
-                 LabelFormatError, UsageError, VelodyneFormatError)
+                 LabelFormatError, SettingsError, UsageError, VelodyneFormatError)
 
 
 def write_manifest(
@@ -129,10 +130,16 @@ def _sized(row: LabelRow, path: Path) -> LabelRow:
     return row
 
 
+def _kept_rows(rows: Sequence[LabelRow], category: str | None, path: Path) -> list[LabelRow]:
+    """The rows of ``category`` (every row for ``None``), sizes checked by
+    :func:`_sized`."""
+    return [_sized(row, path) for row in rows if category is None or row.category == category]
+
+
 def _rows_to_detections(
     rows: Sequence[LabelRow], calib: Calibration, category: str | None, path: Path
 ) -> list[Detection]:
-    kept = [_sized(row, path) for row in rows if category is None or row.category == category]
+    kept = _kept_rows(rows, category, path)
     return [
         Detection(
             box=box,
@@ -149,7 +156,7 @@ def _gt_boxes_by_frame(
 ) -> dict[int, dict[int, Box3D]]:
     boxes: dict[int, dict[int, Box3D]] = {}
     for frame, rows in gt_rows.items():
-        kept = [_sized(row, path) for row in rows if category is None or row.category == category]
+        kept = _kept_rows(rows, category, path)
         boxes[frame] = {
             row.track_id: box for row, box in zip(kept, camera_to_lidar_boxes(kept, calib))
         }
@@ -297,7 +304,7 @@ def run_tracking_files(
     seed: int = 0,
 ) -> Path:
     """File-based tracking pipeline; returns the result file path."""
-    pipeline = config if config is not None else PipelineConfig()
+    pipeline = replace(config if config is not None else PipelineConfig(), flow_source=flow_source)
     calib = read_calib(calib_path) if calib_path else Calibration.nominal()
     frustum = None
     if calib_path and clouds_dir:
@@ -326,12 +333,10 @@ def run_tracking_files(
             )
         elif flow_source == "nn":
             flow_estimator = NearestNeighborFlowEstimator(nn_max_distance)
-        elif flow_source == "file":
+        else:
             if flow_dir is None:
                 raise UsageError("--flow-source file needs --flow-dir")
             flow_estimator = FileFlowEstimator(flow_dir)
-        else:
-            raise ValueError(f"unknown flow source {flow_source!r}")
 
     results = run_tracking(
         detections_by_frame,
@@ -355,20 +360,19 @@ def load_tracked_frames(
 ) -> dict[int, list[TrackedBox]]:
     """Read a label file into per-frame evaluation boxes.
 
-    Boxes use the calibration-free nominal conversion; ground truth and
-    results go through the same transform, so IoU comparisons are
-    unaffected.
+    Boxes use the nominal calibration, the file's kept rows in one
+    conversion; ground truth and results go through the same transform, so
+    IoU comparisons are unaffected.  A frame whose rows are all of other
+    categories maps to an empty list.
     """
-    frames: dict[int, list[TrackedBox]] = {}
-    for frame, rows in read_labels(path).items():
-        boxes = []
-        for row in rows:
-            if category is not None and row.category != category:
-                continue
-            box = label_to_box(_sized(row, path))
-            boxes.append(TrackedBox(track_id=row.track_id, box=box, score=row.score))
-        frames[frame] = boxes
-    return frames
+    kept = {frame: _kept_rows(rows, category, path) for frame, rows in read_labels(path).items()}
+    boxes = iter(camera_to_lidar_boxes(
+        [row for rows in kept.values() for row in rows], Calibration.nominal()
+    ))
+    return {
+        frame: [TrackedBox(row.track_id, next(boxes), row.score) for row in rows]
+        for frame, rows in kept.items()
+    }
 
 
 def _check_frame_alignment(gt: Mapping, pred: Mapping) -> None:
@@ -383,7 +387,7 @@ def _check_frame_alignment(gt: Mapping, pred: Mapping) -> None:
 
     gt_frames, pred_frames = frame_set(gt), frame_set(pred)
     if gt_frames and pred_frames and not (gt_frames & pred_frames):
-        raise ValueError(
+        raise EvaluationInputError(
             "results and ground truth cover disjoint frame ranges; "
             "check that both use the same frame numbering"
         )
@@ -396,13 +400,14 @@ def run_evaluation(
     iou_thresholds: Sequence[float] = (0.25,),
     category: str = "Car",
     recall_steps: int = 40,
-    smota_mode: str = "ratio",
 ) -> list[MetricsReport]:
     """Evaluate a result file (or directory of per-sequence files) against
     ground truth and write the reports."""
     gt_path, results_path = Path(gt_path), Path(results_path)
     if gt_path.is_dir() != results_path.is_dir():
-        raise ValueError("ground truth and results must both be files or both be directories")
+        raise EvaluationInputError(
+            "ground truth and results must both be files or both be directories"
+        )
     if gt_path.is_dir():
         gt = {
             p.stem: load_tracked_frames(p, category)
@@ -423,7 +428,6 @@ def run_evaluation(
             iou_thres=iou_thres,
             category=category,
             num_recall_steps=recall_steps,
-            smota_mode=smota_mode,
         )
         report = recall_sweep(gt, pred, cfg)
         reports.append(report)
@@ -560,7 +564,6 @@ def _add_eval_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     p.add_argument("--category", default="Car")
     p.add_argument("--recall-steps", type=int, default=40)
-    p.add_argument("--smota-mode", choices=("ratio", "adjusted"), default="ratio")
     p.add_argument("--out", type=Path, required=True)
 
 
@@ -588,19 +591,11 @@ def _run_command(
 ) -> None:
     """Run the parsed subcommand; ``arg_record`` gains the resolved config."""
     if args.command == "track":
-        pipeline = (
-            PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-        )
-        if args.flow_source is not None:
-            pipeline.flow_source = args.flow_source
-        if args.category is not None:
-            pipeline.category = args.category
+        pipeline = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        flags = {"flow_source": args.flow_source, "category": args.category}
+        pipeline = replace(pipeline, **{k: v for k, v in flags.items() if v is not None})
         arg_record["resolved_config"] = {
-            "iou_min": pipeline.tracker.iou_min,
-            "max_mis": pipeline.tracker.max_mis,
-            "min_det": pipeline.tracker.min_det,
-            "flow_source": pipeline.flow_source,
-            "category": pipeline.category,
+            **setting_fields(pipeline.tracker), **setting_fields(pipeline)
         }
         result_path = run_tracking_files(
             detections_path=args.detections,
@@ -629,7 +624,6 @@ def _run_command(
             iou_thresholds=thresholds,
             category=args.category,
             recall_steps=args.recall_steps,
-            smota_mode=args.smota_mode,
         )
         for report in reports:
             print(report.to_text(), end="")

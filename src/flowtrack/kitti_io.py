@@ -103,25 +103,6 @@ def read_labels(path: Path) -> dict[int, list[LabelRow]]:
     return frames
 
 
-def label_to_box(row: LabelRow) -> Box3D:
-    """Box of a label row in the nominal sensor frame.
-
-    Uses the fixed camera-to-sensor axis permutation (sensor x = camera z,
-    sensor y = -camera x, sensor z = -camera y), so no calibration is
-    needed.  Both sides of an evaluation go through the same permutation,
-    which leaves IoU untouched.
-    """
-    return Box3D(
-        x=row.z,
-        y=-row.x,
-        z=-row.y + row.h / 2.0,
-        l=row.l,
-        w=row.w,
-        h=row.h,
-        theta=wrap_angle(-row.rotation_y - math.pi / 2.0),
-    )
-
-
 def camera_to_lidar_boxes(rows: Sequence[LabelRow], calib: Calibration) -> list[Box3D]:
     """Boxes of label rows in the sensor frame, via the calibration, all
     rows in one conversion.

@@ -35,24 +35,17 @@ class TrackedBox:
 
 @dataclass
 class EvalConfig:
-    """Evaluation parameters.
-
-    ``smota_mode`` selects between the two scaled-accuracy normalizations in
-    circulation: ``"ratio"`` divides the accuracy at a recall level by that
-    recall, ``"adjusted"`` removes the share of misses expected at that
-    recall before normalizing.  Both clamp to [0, 1].
-    """
+    """Evaluation parameters."""
 
     iou_thres: float = 0.25
     category: str = "Car"
     num_recall_steps: int = 40
-    smota_mode: str = "ratio"
 
     def __post_init__(self) -> None:
-        if self.smota_mode not in ("ratio", "adjusted"):
-            raise ValueError(f"unknown smota_mode {self.smota_mode!r}")
         if self.num_recall_steps < 1:
-            raise ValueError("num_recall_steps must be positive")
+            raise EvaluationInputError(
+                f"the number of recall steps must be positive, got {self.num_recall_steps}"
+            )
 
 
 @dataclass
@@ -377,23 +370,15 @@ def evaluate_sequences(
     return total
 
 
-def smota_value(
-    counts: SequenceCounts, recall_target: float, mode: str = "ratio"
-) -> float:
-    """Scaled accuracy at one recall level, clamped to [0, 1].
+def smota_value(counts: SequenceCounts, recall_target: float) -> float:
+    """Scaled accuracy ``MOTA / r`` at recall level ``r``, clamped to [0, 1].
 
-    ``"ratio"`` computes ``MOTA / r``; ``"adjusted"`` first credits the
-    ``(1 - r)`` share of ground truth that is expected to be missed at
-    recall ``r``.
+    This is the AB3DMOT sMOTA, ``1 - (FN + FP + IDS - (1 - r) n) / (r n)``
+    with ``n`` ground-truth boxes: crediting the share of ground truth
+    expected to be missed at recall ``r`` and dividing by ``r`` simplifies
+    to ``MOTA / r``.
     """
-    n = counts.num_gt
-    if mode == "adjusted":
-        value = 1.0 - (counts.fn + counts.fp + counts.ids - (1.0 - recall_target) * n) / (
-            recall_target * n
-        )
-    else:
-        value = counts.mota / recall_target
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, counts.mota / recall_target))
 
 
 def recall_sweep(
@@ -486,7 +471,7 @@ def recall_sweep(
             threshold=threshold,
             mota=counts.mota,
             motp=counts.motp,
-            smota=smota_value(counts, target, cfg.smota_mode),
+            smota=smota_value(counts, target),
             fp=counts.fp,
             fn=counts.fn,
             ids=counts.ids,

@@ -20,7 +20,10 @@ import numpy as np
 
 from .geometry import Box3D, wrap_angle
 from .preprocess import UNLABELED, Calibration, Frustum, PointCloud
-from .tracker import Detection, UsageError
+from .tracker import (
+    Detection, SettingLine, SettingsError, UsageError, build_settings, format_settings,
+    parse_setting, read_settings, setting_fields,
+)
 
 T = TypeVar("T")
 
@@ -168,6 +171,10 @@ class Scenario:
     points_per_object: int = 200
 
 
+# The fields of Scenario that a scenario file holds as [sections].
+SCENARIO_SECTIONS = ("ground", "sensor", "noise")
+
+
 @dataclass
 class GtBox:
     """Ground-truth box of one object in one frame."""
@@ -251,15 +258,25 @@ def generate(scenario: Scenario) -> list[FrameData]:
     between any two frames reproduces each of its points' displacement
     exactly.  Ground points are static.  All
     randomness flows from the scenario seed; repeated calls are identical.
+
+    Raises
+    ------
+    SettingsError
+        For a scenario without frames, with duplicate object ids, or with
+        an object whose waypoints do not cover every frame.
     """
     if scenario.frames < 1:
-        raise ValueError("scenario needs at least one frame")
-    for spec in scenario.objects:
-        spec.pose_at(0)
-        spec.pose_at(scenario.frames - 1)
+        raise SettingsError(f"scenario needs at least one frame, got {scenario.frames}")
     ids = [spec.obj_id for spec in scenario.objects]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate object ids: {ids}")
+        raise SettingsError(f"duplicate object ids: {ids}")
+    for spec in scenario.objects:
+        span = [wp.frame for wp in spec.waypoints] or [math.inf]
+        if min(span) > 0 or max(span) < scenario.frames - 1:
+            raise SettingsError(
+                f"object {spec.obj_id}: frames 0 to {scenario.frames - 1} fall outside "
+                f"its waypoint span [{min(span)}, {max(span)}]"
+            )
 
     rng = np.random.default_rng(scenario.seed)
     ground = scenario.ground
@@ -411,169 +428,84 @@ def demo_scenario(
     )
 
 
-def _parse_floats(value: str, count: int, context: str) -> list[float]:
-    parts = value.split()
-    if len(parts) != count:
-        raise ValueError(f"{context}: expected {count} numbers, got {value!r}")
-    return [float(p) for p in parts]
+# The [object] keys, with a value of the type each is parsed as.  They are
+# named here rather than taken from ObjectSpec: dims sets three fields and
+# waypoint repeats.
+OBJECT_KEYS = {"id": 0, "category": "", "dims": (0.0,) * 3, "waypoint": (0, 0.0, 0.0, 0.0, 0.0)}
+
+
+def _object_settings(spec: ObjectSpec) -> list[tuple[str, object]]:
+    return [
+        ("id", spec.obj_id),
+        ("category", spec.category),
+        ("dims", (spec.l, spec.w, spec.h)),
+        *(("waypoint", (wp.frame, wp.x, wp.y, wp.z, wp.yaw)) for wp in spec.waypoints),
+    ]
+
+
+def _read_object(where: str, lines: Sequence[SettingLine], obj_id: int) -> ObjectSpec:
+    """One ``[object]`` section; ``obj_id`` is its id unless it sets one."""
+    spec = ObjectSpec(obj_id=obj_id, category="Car", l=4.0, w=1.8, h=1.6, waypoints=[])
+    for line in lines:
+        key, value = line[1], parse_setting(OBJECT_KEYS, line)
+        if key == "id":
+            spec.obj_id = value
+        elif key == "category":
+            spec.category = value
+        elif key == "dims":
+            spec.l, spec.w, spec.h = value
+        else:
+            spec.waypoints.append(Waypoint(*value))
+    if not spec.waypoints:
+        raise SettingsError(f"{where}: object {spec.obj_id} has no waypoints")
+    return spec
 
 
 def read_scenario(path: Path) -> Scenario:
-    """Parse a scenario description file.
+    """Read a scenario file, as :func:`write_scenario` writes it.
 
-    The format is line-based ``key = value`` with ``[section]`` headers;
-    ``[object]`` may repeat.  See :func:`write_scenario` for an example.
+    The grammar is that of :func:`flowtrack.tracker.read_settings`.  Keys
+    before any section are the int/float/str fields of :class:`Scenario`
+    (``frames``, ``seed``, ``points_per_object``); the ``[ground]``,
+    ``[sensor]`` and ``[noise]`` sections hold the fields of
+    :class:`GroundSpec`, :class:`SensorSpec` and :class:`NoiseSpec`, each
+    value parsed as the type of the field's default (a range is two
+    numbers).  Every ``[object]`` section adds one object: ``id`` (by
+    default its position from 1), ``category`` (``Car``), ``dims = l w h``
+    (``4 1.8 1.6``) and one or more ``waypoint = frame x y z yaw`` lines.
+    Keys left out keep their defaults; ``frames`` defaults to 1.
+
+    Raises
+    ------
+    SettingsError
+        Naming ``file:line`` and the key of the first malformed line, an
+        unknown section or key, or an object without waypoints.
     """
-    scenario = Scenario(frames=1, objects=[])
-    section = ""
-    current_object: ObjectSpec | None = None
+    template = Scenario(frames=1, objects=[])
+    parts = {"": template, **{name: getattr(template, name) for name in SCENARIO_SECTIONS}}
+    lines: dict[str, list[SettingLine]] = {name: [] for name in parts}
     objects: list[ObjectSpec] = []
-
-    def finish_object() -> None:
-        nonlocal current_object
-        if current_object is not None:
-            if not current_object.waypoints:
-                raise ValueError(f"object {current_object.obj_id} has no waypoints")
-            objects.append(current_object)
-            current_object = None
-
-    for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{line_number}"
-        if line.startswith("[") and line.endswith("]"):
-            finish_object()
-            section = line[1:-1].strip().lower()
-            if section == "object":
-                current_object = ObjectSpec(
-                    obj_id=len(objects) + 1, category="Car", l=4.0, w=1.8, h=1.6, waypoints=[]
-                )
-            continue
-        if "=" not in line:
-            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-
-        if section == "":
-            if key == "frames":
-                scenario.frames = int(value)
-            elif key == "seed":
-                scenario.seed = int(value)
-            elif key == "points_per_object":
-                scenario.points_per_object = int(value)
-            else:
-                raise ValueError(f"{where}: unknown key {key!r}")
-        elif section == "ground":
-            if key == "z":
-                scenario.ground.z = float(value)
-            elif key == "x_range":
-                scenario.ground.x_range = tuple(_parse_floats(value, 2, where))
-            elif key == "y_range":
-                scenario.ground.y_range = tuple(_parse_floats(value, 2, where))
-            elif key == "num_points":
-                scenario.ground.num_points = int(value)
-            elif key == "noise_sigma":
-                scenario.ground.noise_sigma = float(value)
-            else:
-                raise ValueError(f"{where}: unknown ground key {key!r}")
-        elif section == "sensor":
-            if key == "focal":
-                scenario.sensor.focal = float(value)
-            elif key == "image_width":
-                scenario.sensor.image_width = int(value)
-            elif key == "image_height":
-                scenario.sensor.image_height = int(value)
-            elif key == "margin_deg":
-                scenario.sensor.margin_deg = float(value)
-            else:
-                raise ValueError(f"{where}: unknown sensor key {key!r}")
-        elif section == "noise":
-            if key == "pos_sigma":
-                scenario.noise.pos_sigma = float(value)
-            elif key == "yaw_sigma":
-                scenario.noise.yaw_sigma = float(value)
-            elif key == "fp_rate":
-                scenario.noise.fp_rate = float(value)
-            elif key == "fn_rate":
-                scenario.noise.fn_rate = float(value)
-            elif key == "score_range":
-                scenario.noise.score_range = tuple(_parse_floats(value, 2, where))
-            elif key == "fp_score_range":
-                scenario.noise.fp_score_range = tuple(_parse_floats(value, 2, where))
-            else:
-                raise ValueError(f"{where}: unknown noise key {key!r}")
-        elif section == "object":
-            assert current_object is not None
-            if key == "id":
-                current_object.obj_id = int(value)
-            elif key == "category":
-                current_object.category = value
-            elif key == "dims":
-                current_object.l, current_object.w, current_object.h = _parse_floats(
-                    value, 3, where
-                )
-            elif key == "waypoint":
-                numbers = _parse_floats(value, 5, where)
-                current_object.waypoints.append(
-                    Waypoint(
-                        frame=int(numbers[0]),
-                        x=numbers[1],
-                        y=numbers[2],
-                        z=numbers[3],
-                        yaw=numbers[4],
-                    )
-                )
-            else:
-                raise ValueError(f"{where}: unknown object key {key!r}")
+    for where, header, section_lines in read_settings(path, (*SCENARIO_SECTIONS, "object")):
+        if header == "object":
+            objects.append(_read_object(where, section_lines, len(objects) + 1))
         else:
-            raise ValueError(f"{where}: unknown section [{section}]")
-
-    finish_object()
-    scenario.objects = objects
-    return scenario
+            lines[header] += section_lines
+    built = {name: build_settings(lines[name], part)[0] for name, part in parts.items()}
+    return replace(built.pop(""), objects=objects, **built)
 
 
 def write_scenario(path: Path, scenario: Scenario) -> None:
-    """Write a scenario file readable by :func:`read_scenario`."""
-    lines = [
-        f"frames = {scenario.frames}",
-        f"seed = {scenario.seed}",
-        f"points_per_object = {scenario.points_per_object}",
-        "",
-        "[ground]",
-        f"z = {scenario.ground.z}",
-        f"x_range = {scenario.ground.x_range[0]} {scenario.ground.x_range[1]}",
-        f"y_range = {scenario.ground.y_range[0]} {scenario.ground.y_range[1]}",
-        f"num_points = {scenario.ground.num_points}",
-        f"noise_sigma = {scenario.ground.noise_sigma}",
-        "",
-        "[sensor]",
-        f"focal = {scenario.sensor.focal}",
-        f"image_width = {scenario.sensor.image_width}",
-        f"image_height = {scenario.sensor.image_height}",
-        f"margin_deg = {scenario.sensor.margin_deg}",
-        "",
-        "[noise]",
-        f"pos_sigma = {scenario.noise.pos_sigma}",
-        f"yaw_sigma = {scenario.noise.yaw_sigma}",
-        f"fp_rate = {scenario.noise.fp_rate}",
-        f"fn_rate = {scenario.noise.fn_rate}",
-        f"score_range = {scenario.noise.score_range[0]} {scenario.noise.score_range[1]}",
-        f"fp_score_range = {scenario.noise.fp_score_range[0]} {scenario.noise.fp_score_range[1]}",
+    """Write a scenario file readable by :func:`read_scenario`: the scalar
+    fields of the scenario and of its ground, sensor and noise settings in
+    field order, then one ``[object]`` section per object, sections
+    separated by a blank line and each value written as its ``str`` (a
+    tuple as its elements separated by spaces)."""
+    blocks = [format_settings(setting_fields(scenario).items())]
+    blocks += [
+        format_settings(setting_fields(getattr(scenario, name)).items(), name)
+        for name in SCENARIO_SECTIONS
     ]
-    for spec in scenario.objects:
-        lines.extend(
-            [
-                "",
-                "[object]",
-                f"id = {spec.obj_id}",
-                f"category = {spec.category}",
-                f"dims = {spec.l} {spec.w} {spec.h}",
-            ]
-        )
-        for wp in spec.waypoints:
-            lines.append(f"waypoint = {wp.frame} {wp.x} {wp.y} {wp.z} {wp.yaw}")
+    blocks += [format_settings(_object_settings(spec), "object") for spec in scenario.objects]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n\n".join(blocks) + "\n")

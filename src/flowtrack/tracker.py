@@ -9,9 +9,9 @@ follow consecutive-match and missed-frame counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .preprocess import PointCloud
 # Face margin used when attributing sampled points to a tracklet box, meters.
 # It keeps points lying exactly on a box face from being lost to rounding.
 ATTRIBUTION_MARGIN = 1e-6
+
+T = TypeVar("T")
 
 
 class FrameInputError(ValueError):
@@ -139,38 +141,132 @@ class PipelineConfig:
     flow_source: str = "oracle"
     category: str = "Car"
 
+    def __post_init__(self) -> None:
+        if self.flow_source not in ("oracle", "nn", "file"):
+            raise ValueError(f"unknown flow_source {self.flow_source!r}")
+
     @classmethod
     def from_file(cls, path: Path) -> "PipelineConfig":
-        """Parse a key-value configuration file.
+        """Read a configuration file (see :func:`read_settings`).
 
-        One ``key = value`` pair per line (the ``=`` may be omitted); ``#``
-        starts a comment.  Recognized keys: ``iou_min``, ``max_mis``,
-        ``min_det``, ``flow_source``, ``category``.
+        It holds no section; its keys are the fields of
+        :class:`TrackerConfig` (``iou_min``, ``max_mis``, ``min_det``) and
+        of this class (``flow_source``, ``category``), and each value is
+        checked by building the class it belongs to.
+
+        Raises
+        ------
+        SettingsError
+            Naming ``file:line`` and the key of the first line that is
+            malformed, unknown or out of range.
         """
-        config = cls()
-        for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("=", 1) if "=" in line else line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
-            key, value = parts[0].strip(), parts[1].strip()
-            if key == "iou_min":
-                config.tracker.iou_min = float(value)
-            elif key == "max_mis":
-                config.tracker.max_mis = int(value)
-            elif key == "min_det":
-                config.tracker.min_det = int(value)
-            elif key == "flow_source":
-                if value not in ("oracle", "nn", "file"):
-                    raise ValueError(f"{path}:{line_number}: unknown flow_source {value!r}")
-                config.flow_source = value
-            elif key == "category":
-                config.category = value
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown key {key!r}")
-        return config
+        [(_, _, lines)] = read_settings(path, sections=())
+        tracker, config = build_settings(lines, TrackerConfig(), cls())
+        return replace(config, tracker=tracker)
+
+
+class SettingsError(ValueError):
+    """Raised for a settings file line that is not a ``[section]`` header or
+    a ``key = value`` pair, names an unknown section or key, or holds a
+    value its field rejects (the message names ``file:line`` and the key),
+    and for scenario settings a scenario cannot be generated from."""
+
+
+# (where, key, value) of one setting line; ``where`` is "file:line".
+SettingLine = tuple[str, str, str]
+
+
+def read_settings(
+    path: Path, sections: Sequence[str]
+) -> list[tuple[str, str, list[SettingLine]]]:
+    """The sections of a settings file, as ``(where, header, lines)``.
+
+    One grammar serves configuration and scenario files: ``#`` starts a
+    comment, ``[name]`` starts a section (names are lower-cased, must be
+    one of ``sections`` and may repeat), and every other non-blank line is
+    ``key = value``, where the ``=`` may be omitted.  The first section is
+    the one before any header, with header ``""``.
+    """
+    found: list[tuple[str, str, list[SettingLine]]] = [(str(path), "", [])]
+    for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        where = f"{path}:{line_number}"
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            header = line[1:-1].strip().lower()
+            if header not in sections:
+                raise SettingsError(f"{where}: unknown section [{header}]")
+            found.append((where, header, []))
+            continue
+        parts = line.split("=", 1) if "=" in line else line.split(None, 1)
+        if len(parts) != 2:
+            raise SettingsError(f"{where}: expected 'key = value', got {raw!r}")
+        found[-1][2].append((where, parts[0].strip(), parts[1].strip()))
+    return found
+
+
+def setting_fields(settings: object) -> dict[str, object]:
+    """The fields of a dataclass instance that a settings file holds, by
+    name in field order: those whose value is an int, float, str or tuple."""
+    values = {f.name: getattr(settings, f.name) for f in fields(settings)}
+    return {k: v for k, v in values.items() if isinstance(v, (int, float, str, tuple))}
+
+
+def parse_setting(types: dict[str, object], line: SettingLine) -> object:
+    """The value of a setting line, parsed as the type of ``types[key]``: an
+    int, float or str, or for a tuple as many whitespace-separated values,
+    each of its element's type."""
+    where, key, text = line
+    if key not in types:
+        raise SettingsError(f"{where}: unknown key {key!r}")
+    like = types[key]
+    try:
+        if not isinstance(like, tuple):
+            return type(like)(text)
+        parts = text.split()
+        if len(parts) == len(like):
+            return tuple(type(element)(part) for element, part in zip(like, parts))
+    except ValueError:
+        pass
+    kind = (f"{len(like)} numbers" if isinstance(like, tuple)
+            else "an integer" if isinstance(like, int) else "a number")
+    raise SettingsError(f"{where}: {key}: expected {kind}, got {text!r}")
+
+
+def build_settings(lines: Iterable[SettingLine], *templates: T) -> list[T]:
+    """Each dataclass instance of ``templates`` rebuilt with the values of
+    the lines that name one of its :func:`setting_fields`, parsed as the
+    type of the template's value.
+
+    After each line the instance is built again from every value read for
+    it so far, so its ``__post_init__`` checks each value on its own line.
+    """
+    owned = [setting_fields(template) for template in templates]
+    types = {key: like for keys in owned for key, like in keys.items()}
+    values: list[dict[str, object]] = [{} for _ in templates]
+    built = list(templates)
+    for line in lines:
+        value = parse_setting(types, line)
+        where, key, _ = line
+        index = next(i for i, keys in enumerate(owned) if key in keys)
+        values[index][key] = value
+        try:
+            built[index] = replace(templates[index], **values[index])
+        except ValueError as exc:
+            raise SettingsError(f"{where}: {key}: {exc}") from exc
+    return built
+
+
+def format_settings(items: Iterable[tuple[str, object]], header: str = "") -> str:
+    """Settings file text of ``(key, value)`` pairs, one ``key = value`` line
+    each under a ``[header]`` line when one is given; a tuple's elements are
+    separated by spaces.  :func:`read_settings` reads it back."""
+    lines = [f"[{header}]"] if header else []
+    for key, value in items:
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines)
 
 
 def compute_offset(

@@ -648,7 +648,7 @@ def recall_sweep_reference(
             threshold, counts = candidates[-1]
         rows.append(RecallRow(
             recall_target=target, threshold=threshold, mota=counts.mota, motp=counts.motp,
-            smota=smota_value(counts, target, cfg.smota_mode),
+            smota=smota_value(counts, target),
             fp=counts.fp, fn=counts.fn, ids=counts.ids,
         ))
         if best is None or counts.mota > best[1].mota:

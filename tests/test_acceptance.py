@@ -20,7 +20,7 @@ from flowtrack.cli import run_tracking
 from flowtrack.flow import FlowField, OracleFlowEstimator, load_flow, save_flow
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
 from flowtrack.kitti_io import (
-    label_to_box,
+    camera_to_lidar_boxes,
     read_calib,
     read_labels,
     read_velodyne,
@@ -470,7 +470,7 @@ def test_criterion_9_format_fidelity(tmp_path):
         by_id = {t.track_id: t for t in tracks[frame]}
         for row in rows:
             original = by_id[row.track_id]
-            recovered = label_to_box(row)
+            [recovered] = camera_to_lidar_boxes([row], Calibration.nominal())
             text_worst = max(
                 text_worst,
                 float(np.max(np.abs(recovered.center - original.box.center))),

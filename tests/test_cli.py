@@ -16,8 +16,9 @@ import flowtrack
 import flowtrack.cli as cli
 from flowtrack.cli import main, run_tracking
 from flowtrack.flow import FlowDataError
+from flowtrack.kitti_io import LabelRow, camera_to_lidar_boxes, read_labels, write_labels
 import flowtrack.tracker as tracker
-from flowtrack.preprocess import PointCloud
+from flowtrack.preprocess import Calibration, PointCloud
 from flowtrack.sim import NoiseSpec, demo_scenario, generate, write_scenario
 from flowtrack.tracker import TrackerConfig, UsageError
 from oracles import iou3d_reference
@@ -27,6 +28,14 @@ SIM_ARGS = ["--frames", "12", "--objects", "3", "--num-points", "2000"]
 
 def run(args: list) -> int:
     return main([str(a) for a in args])
+
+
+def one_line_error(capsys, command: str) -> str:
+    """The captured standard error, checked to be one error line of ``command``."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtrack {command}: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +348,50 @@ class TestConfigFile:
         assert manifest["arguments"]["resolved_config"]["flow_source"] == "oracle"
 
 
+class TestSettingsFiles:
+    def track_with_config(self, sim_dir, tmp_path, text: str) -> tuple[int, Path]:
+        cfg = tmp_path / "tracker.cfg"
+        cfg.write_text(text)
+        args = track_args(sim_dir, tmp_path / "out", **{"--config": cfg, "--flow-source": None})
+        return run(args), cfg
+
+    def test_out_of_range_config_value_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        code, cfg = self.track_with_config(
+            sim_dir, tmp_path, "# gate\niou_min = 0.5\nmin_det = 0\nmax_mis = -4\n"
+        )
+        assert code == 2
+        err = one_line_error(capsys, "track")
+        assert f"{cfg}:3: min_det: " in err and "min_det must be >= 1, got 0" in err
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    def test_unknown_config_key_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        code, cfg = self.track_with_config(sim_dir, tmp_path, "max_mis 4\nbogus_key = 3\n")
+        assert code == 2
+        assert f"{cfg}:2: unknown key 'bogus_key'" in one_line_error(capsys, "track")
+
+    def test_config_section_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        code, cfg = self.track_with_config(sim_dir, tmp_path, "[tracker]\niou_min = 0.2\n")
+        assert code == 2
+        assert f"{cfg}:1: unknown section [tracker]" in one_line_error(capsys, "track")
+
+    def test_unparsable_scenario_value_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text("seed = 4\nframes = x\n")
+        assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        err = one_line_error(capsys, "sim")
+        assert f"{path}:2: frames: expected an integer, got 'x'" in err
+
+    def test_uncovered_scenario_frames_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "late.scn"
+        path.write_text("frames = 4\n[object]\nwaypoint = 2 5 0 0.8 0\nwaypoint = 3 8 0 0.8 0\n")
+        assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        assert "waypoint span [2, 3]" in one_line_error(capsys, "sim")
+
+    def test_zero_frames_one_line_exit_2(self, tmp_path, capsys):
+        assert run(["sim", "--frames", "0", "--out", tmp_path / "out"]) == 2
+        assert "at least one frame, got 0" in one_line_error(capsys, "sim")
+
+
 class TestEvalCommand:
     def test_multiple_thresholds_write_report_pairs(self, sim_dir, tracked_dir, tmp_path):
         out = tmp_path / "eval"
@@ -362,7 +415,7 @@ class TestEvalCommand:
         assert report["AMOTA"] == 0.0
         assert all(row["MOTA"] == 0.0 for row in report["rows"])
 
-    def test_disjoint_frames_rejected(self, sim_dir, tracked_dir, tmp_path):
+    def test_disjoint_frames_rejected(self, sim_dir, tracked_dir, tmp_path, capsys):
         shifted = tmp_path / "shifted.txt"
         lines = (tracked_dir / "results.txt").read_text().splitlines()
         moved = []
@@ -371,17 +424,46 @@ class TestEvalCommand:
             tokens[0] = str(int(tokens[0]) + 100)
             moved.append(" ".join(tokens))
         shifted.write_text("\n".join(moved) + "\n")
-        with pytest.raises(ValueError, match="disjoint"):
-            run(["eval", "--gt", sim_dir / "gt.txt", "--results", shifted,
-                 "--out", tmp_path / "eval"])
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", shifted,
+                    "--out", tmp_path / "eval"]) == 2
+        assert "disjoint frame ranges" in one_line_error(capsys, "eval")
 
-    def test_smota_mode_flag_accepted(self, sim_dir, tracked_dir, tmp_path):
-        out = tmp_path / "adj"
+    def test_file_against_directory_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path,
+                                                    capsys):
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", tracked_dir,
+                    "--out", tmp_path / "eval"]) == 2
+        assert "both be files or both be directories" in one_line_error(capsys, "eval")
+
+    def test_zero_recall_steps_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path, capsys):
         assert run(["eval", "--gt", sim_dir / "gt.txt", "--results",
-                    tracked_dir / "results.txt", "--smota-mode", "adjusted",
-                    "--out", out]) == 0
-        report = json.loads((out / "report_iou0.25.json").read_text())
-        assert report["sAMOTA"] == 100.0
+                    tracked_dir / "results.txt", "--recall-steps", "0",
+                    "--out", tmp_path / "eval"]) == 2
+        assert "recall steps must be positive, got 0" in one_line_error(capsys, "eval")
+
+    def test_loaded_boxes_keep_frames_of_other_categories(self, tmp_path):
+        def row(frame, track_id, category, x):
+            return LabelRow(frame, track_id, category, 0.0, 0, 0.0, (0.0, 0.0, 0.0, 0.0),
+                            1.5, 1.6, 3.9, x, 1.5, 12.0, -1.5, 0.5 + 0.1 * track_id)
+
+        path = tmp_path / "labels.txt"
+        rows = {0: [row(0, 1, "Car", 2.0), row(0, 2, "Pedestrian", -3.0)],
+                1: [row(1, 2, "Pedestrian", -2.5)],
+                2: [row(2, 1, "Car", 2.5), row(2, 3, "Car", 7.0)]}
+        write_labels(path, rows)
+        loaded = cli.load_tracked_frames(path, "Car")
+        assert sorted(loaded) == [0, 1, 2] and loaded[1] == []
+        cars = [r for frame_rows in read_labels(path).values() for r in frame_rows
+                if r.category == "Car"]
+        assert [b.box for frame in (0, 2) for b in loaded[frame]] == camera_to_lidar_boxes(
+            cars, Calibration.nominal()
+        )
+        assert [(b.track_id, b.score) for b in loaded[2]] == [(1, 0.6), (3, 0.8)]
+        assert [len(v) for v in cli.load_tracked_frames(path).values()] == [2, 1, 2]
+
+    def test_smota_mode_flag_removed(self, sim_dir, tracked_dir, tmp_path):
+        with pytest.raises(SystemExit):
+            run(["eval", "--gt", sim_dir / "gt.txt", "--results",
+                 tracked_dir / "results.txt", "--smota-mode", "ratio", "--out", tmp_path / "e"])
 
 
 def write_with_bad_size(source: Path, target: Path, column: int, value: str) -> tuple[int, int]:

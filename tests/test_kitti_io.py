@@ -15,7 +15,6 @@ from flowtrack.kitti_io import (
     LabelRow,
     VelodyneFormatError,
     camera_to_lidar_boxes,
-    label_to_box,
     read_calib,
     read_labels,
     read_velodyne,
@@ -156,7 +155,7 @@ def camera_location(box: Box3D, calib: Calibration) -> tuple[list[float], float]
 class TestFrameConversion:
     def test_nominal_axis_permutation_and_height_shift(self):
         row = nominal_row(rotation_y=-math.pi / 2.0)
-        box = label_to_box(row)
+        [box] = camera_to_lidar_boxes([row], Calibration.nominal())
         # Sensor x = camera z, sensor y = -camera x; the vertical center
         # rises by h/2 from the bottom-face location.
         assert (box.x, box.y) == (10.0, -2.0)
@@ -164,12 +163,20 @@ class TestFrameConversion:
         assert box.theta == pytest.approx(0.0, abs=1e-12)
         assert (box.l, box.w, box.h) == (3.9, 1.6, 1.5)
 
-    def test_label_to_box_matches_nominal_calibration(self):
-        row = nominal_row()
-        direct = label_to_box(row)
-        [via_calib] = camera_to_lidar_boxes([row], Calibration.nominal())
-        assert direct.center == pytest.approx(via_calib.center, abs=1e-9)
-        assert direct.theta == pytest.approx(via_calib.theta, abs=1e-12)
+    def test_nominal_calibration_is_exactly_the_axis_permutation(self, rng):
+        # Sensor x = camera z, sensor y = -camera x, sensor z = -camera y,
+        # with no rounding: evaluation relies on it for every label file.
+        rows = [
+            nominal_row(x=x, y=y, z=z, h=h, rotation_y=ry)
+            for x, y, z, h, ry in zip(*rng.uniform(-80.0, 80.0, (3, 500)),
+                                      rng.uniform(0.1, 5.0, 500), rng.uniform(-4.0, 4.0, 500))
+        ]
+        boxes = camera_to_lidar_boxes(rows, Calibration.nominal())
+        assert boxes == [
+            Box3D(x=r.z, y=-r.x, z=-r.y + r.h / 2.0, l=r.l, w=r.w, h=r.h,
+                  theta=wrap_angle(-r.rotation_y - math.pi / 2.0))
+            for r in rows
+        ]
 
     def test_round_trip_nominal(self):
         row = nominal_row()
@@ -343,7 +350,7 @@ class TestResults:
         path = tmp_path / "results.txt"
         write_results(path, {0: [original]})
         row = read_labels(path)[0][0]
-        box = label_to_box(row)
+        [box] = camera_to_lidar_boxes([row], Calibration.nominal())
         assert box.center == pytest.approx(original.box.center, abs=1e-4)
         assert box.theta == pytest.approx(original.box.theta, abs=1e-4)
         assert (row.l, row.w, row.h) == pytest.approx(

@@ -315,21 +315,6 @@ class TestSmotaValue:
         counts = self.counts(fp=0, fn=1)
         assert smota_value(counts, 0.5) == 1.0
 
-    def test_adjusted_equals_ratio(self, rng):
-        # 1 - (fn + fp + ids - (1 - r) n) / (r n) simplifies to MOTA / r,
-        # so the two normalizations only differ in rounding.
-        for _ in range(200):
-            n = int(rng.integers(1, 60))
-            fn = int(rng.integers(0, n + 1))
-            fp = int(rng.integers(0, 20))
-            ids = int(rng.integers(0, 5))
-            counts = SequenceCounts(fp=fp, fn=fn, ids=ids, num_gt=n,
-                                    num_matches=n - fn)
-            r = float(rng.integers(1, 41)) / 40.0
-            assert smota_value(counts, r, "adjusted") == pytest.approx(
-                smota_value(counts, r, "ratio"), abs=1e-9
-            )
-
 
 def amota_fixture() -> tuple[dict, dict]:
     """Single frame, ten isolated objects, two score bands.
@@ -419,14 +404,6 @@ class TestRecallSweep:
         flat = recall_sweep(gt, pred, cfg)
         named = recall_sweep({"seq": gt}, {"seq": pred}, cfg)
         assert flat.to_dict() == named.to_dict()
-
-    def test_smota_mode_switch_same_numbers(self):
-        gt, pred = amota_fixture()
-        ratio = recall_sweep(gt, pred, EvalConfig(num_recall_steps=2, smota_mode="ratio"))
-        adjusted = recall_sweep(
-            gt, pred, EvalConfig(num_recall_steps=2, smota_mode="adjusted")
-        )
-        assert adjusted.samota == pytest.approx(ratio.samota, abs=1e-9)
 
 
 def crowded_scored_scenario(rng: np.random.Generator) -> tuple[dict, dict]:
@@ -606,11 +583,10 @@ class TestRecallSweepMatchesReference:
         scored_sequences(),
         st.sampled_from([0.1, 0.25, 0.5, 0.7]),
         st.integers(1, 12),
-        st.sampled_from(["ratio", "adjusted"]),
     )
-    def test_random_scored_sequences(self, data, iou_thres, steps, mode):
+    def test_random_scored_sequences(self, data, iou_thres, steps):
         gt, pred = data
-        cfg = EvalConfig(iou_thres=iou_thres, num_recall_steps=steps, smota_mode=mode)
+        cfg = EvalConfig(iou_thres=iou_thres, num_recall_steps=steps)
         report = recall_sweep(gt, pred, cfg)
         reference = recall_sweep_reference(gt, pred, cfg)
         assert report.to_dict() == reference.to_dict()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from flowtrack.flow import motions_from_boxes
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
 from flowtrack.preprocess import UNLABELED, PointCloud, filter_fov
+from flowtrack.tracker import SettingsError
 from flowtrack.sim import (
     FrameData,
     GroundSpec,
@@ -228,16 +230,16 @@ class TestGenerate:
 
     def test_duplicate_object_ids_rejected(self):
         scenario = quiet_scenario([straight_object(1), straight_object(1, y=6.0)])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(SettingsError, match="duplicate"):
             generate(scenario)
 
     def test_waypoints_must_cover_scenario_span(self):
         scenario = quiet_scenario([straight_object(frames=5)], frames=10)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(SettingsError, match="outside"):
             generate(scenario)
 
     def test_empty_scenario_rejected(self):
-        with pytest.raises(ValueError, match="at least one frame"):
+        with pytest.raises(SettingsError, match="at least one frame"):
             generate(Scenario(frames=0, objects=[]))
 
 
@@ -379,6 +381,51 @@ class TestScenarioFiles:
         path.write_text("frames = 5\n[object]\nid = 3\n")
         with pytest.raises(ValueError, match="waypoints"):
             read_scenario(path)
+
+    def test_written_text_is_pinned(self, tmp_path):
+        scenario = Scenario(
+            frames=3,
+            objects=[ObjectSpec(4, "Pedestrian", 0.8, 0.6, 1.75, [
+                Waypoint(0, 10.0, -2.5, -0.855, 0.25), Waypoint(2, 11.5, -2.0, -0.855, 0.5),
+            ])],
+            ground=GroundSpec(z=-1.73, x_range=(0.0, 40.5), num_points=500),
+            noise=NoiseSpec(pos_sigma=0.1, fp_rate=0.25, score_range=(0.5, 1.0)),
+            seed=9,
+        )
+        path = tmp_path / "scenario.txt"
+        write_scenario(path, scenario)
+        assert path.read_bytes() == (
+            b"frames = 3\nseed = 9\npoints_per_object = 200\n"
+            b"\n[ground]\nz = -1.73\nx_range = 0.0 40.5\ny_range = -25.0 25.0\n"
+            b"num_points = 500\nnoise_sigma = 0.0\n"
+            b"\n[sensor]\nfocal = 600.0\nimage_width = 1200\nimage_height = 400\n"
+            b"margin_deg = 10.0\n"
+            b"\n[noise]\npos_sigma = 0.1\nyaw_sigma = 0.0\nfp_rate = 0.25\nfn_rate = 0.0\n"
+            b"score_range = 0.5 1.0\nfp_score_range = 0.1 0.5\n"
+            b"\n[object]\nid = 4\ncategory = Pedestrian\ndims = 0.8 0.6 1.75\n"
+            b"waypoint = 0 10.0 -2.5 -0.855 0.25\nwaypoint = 2 11.5 -2.0 -0.855 0.5\n"
+        )
+        assert read_scenario(path) == scenario
+
+    @pytest.mark.parametrize("text, message", [
+        ("frames = x\n", "bad.txt:1: frames: expected an integer, got 'x'"),
+        ("[ground]\nx_range = 0 40 2\n", "bad.txt:2: x_range: expected 2 numbers, got '0 40 2'"),
+        ("[noise]\nfp_rate = often\n", "bad.txt:2: fp_rate: expected a number, got 'often'"),
+        ("[object]\nwaypoint = 0 1 2 3\n", "bad.txt:2: waypoint: expected 5 numbers"),
+        ("[object]\nwaypoint = 2.5 1 2 3 4\n", "bad.txt:2: waypoint: expected 5 numbers"),
+        ("[object]\nspeed = 3\n", "bad.txt:2: unknown key 'speed'"),
+    ])
+    def test_malformed_value_names_line_and_key(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(SettingsError, match=re.escape(message)):
+            read_scenario(path)
+
+    def test_equals_sign_optional(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("frames 3\n[sensor]\nfocal 550\n")
+        scenario = read_scenario(path)
+        assert (scenario.frames, scenario.sensor.focal) == (3, 550.0)
 
     def test_comments_and_blanks_tolerated(self, tmp_path):
         path = tmp_path / "ok.txt"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from flowtrack.tracker import (
     FrameInputError,
     Offset,
     PipelineConfig,
+    SettingsError,
     Tracker,
     TrackerConfig,
     Tracklet,
@@ -85,6 +88,36 @@ class TestConfig:
         path.write_text("flow_source = magic\n")
         with pytest.raises(ValueError, match="magic"):
             PipelineConfig.from_file(path)
+        with pytest.raises(ValueError, match="magic"):
+            PipelineConfig(flow_source="magic")
+
+    def test_pipeline_config_file_values_are_range_checked(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("min_det = 2\niou_min = 7\n")
+        with pytest.raises(SettingsError, match=re.escape(f"{path}:2: iou_min: ")):
+            PipelineConfig.from_file(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("max_mis = two", "max_mis: expected an integer, got 'two'"),
+        ("iou_min =", "iou_min: expected a number, got ''"),
+        ("iou_min", "expected 'key = value'"),
+    ])
+    def test_pipeline_config_malformed_value_names_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# header\n\n{line}\n")
+        with pytest.raises(SettingsError, match=re.escape(f"{path}:3: {message}")):
+            PipelineConfig.from_file(path)
+
+    def test_readme_configuration_block_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert PipelineConfig.from_file(path) == PipelineConfig(
+            TrackerConfig(iou_min=0.01, max_mis=2, min_det=3), flow_source="file",
+            category="Car",
+        )
 
 
 class TestComputeOffset:
