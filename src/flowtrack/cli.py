@@ -215,6 +215,8 @@ def preprocessed_flows(
     Closing the generator, or an error, stops the threads before it
     returns.  With no clouds at all no thread is started.
     """
+    if num_points < 1:
+        raise UsageError(f"--num-points must be at least 1, got {num_points}")
     if not clouds_by_frame:
         for frame in frames:
             yield frame, None, None
@@ -332,6 +334,8 @@ def run_tracking_files(
                 _gt_boxes_by_frame(read_labels(gt_path), calib, pipeline.category, gt_path)
             )
         elif flow_source == "nn":
+            if not nn_max_distance > 0:
+                raise UsageError(f"--nn-max-dist must be positive, got {nn_max_distance}")
             flow_estimator = NearestNeighborFlowEstimator(nn_max_distance)
         else:
             if flow_dir is None:
@@ -667,7 +671,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     arg_record = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         _run_command(parser, args, arg_record)
-    except DOMAIN_ERRORS as exc:
+    except (*DOMAIN_ERRORS, OSError) as exc:
+        # OSError: an input file that is missing or cannot be read.
         message = " ".join(str(exc).splitlines())
         print(f"flowtrack {args.command}: error: {message}", file=sys.stderr)
         return 2

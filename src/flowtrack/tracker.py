@@ -316,12 +316,9 @@ def predict(tracklet: Tracklet, offset: Offset) -> Box3D:
     the yaw advances by ``dtheta``, renormalized to (-pi, pi].
     """
     box = tracklet.box
-    return replace(
-        box,
-        x=box.x + offset.dx,
-        y=box.y + offset.dy,
-        z=box.z + offset.dz,
-        theta=wrap_angle(box.theta + offset.dtheta),
+    return Box3D(
+        box.x + offset.dx, box.y + offset.dy, box.z + offset.dz, box.l, box.w, box.h,
+        wrap_angle(box.theta + offset.dtheta),
     )
 
 
@@ -335,12 +332,9 @@ def predict_constant_velocity(tracklet: Tracklet) -> Box3D:
         return tracklet.box
     box = tracklet.box
     prev = tracklet.prev_box
-    return replace(
-        box,
-        x=box.x + (box.x - prev.x),
-        y=box.y + (box.y - prev.y),
-        z=box.z + (box.z - prev.z),
-        theta=wrap_angle(box.theta + wrap_angle(box.theta - prev.theta)),
+    return Box3D(
+        box.x + (box.x - prev.x), box.y + (box.y - prev.y), box.z + (box.z - prev.z),
+        box.l, box.w, box.h, wrap_angle(box.theta + wrap_angle(box.theta - prev.theta)),
     )
 
 

@@ -383,9 +383,10 @@ def hungarian_reference(similarity: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-similarity assignment by the scalar numpy Hungarian method.
 
     This is the package's earlier solver, kept unchanged: the same algorithm,
-    scan order and strict comparisons as ``max_similarity_assignment``, but
-    computed on numpy arrays and numpy scalars.  It is the referee for the
-    exact pairs, tie-breaks included, that the list-based solver must return.
+    scan order and strict comparisons as the dense scan
+    ``assignment._dense_assignment``, but computed on numpy arrays and numpy
+    scalars.  It is the referee for the exact pairs, tie-breaks included,
+    that the list-based dense scan must return.
     """
     similarity = np.asarray(similarity, dtype=float)
     n_rows, n_cols = similarity.shape

@@ -582,6 +582,34 @@ class TestCleanFailures:
         assert run(["track", "--detections", paths["detections"], "--predictor", "cv",
                     "--out", tmp_path / "t"]) == 0
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--num-points", "0", "--num-points must be at least 1, got 0"),
+        ("--nn-max-dist", "0", "--nn-max-dist must be positive, got 0.0"),
+    ])
+    def test_nonpositive_nn_flow_flag_one_line_exit_2(
+        self, sim_dir, tmp_path, capsys, flag, value, message
+    ):
+        args = track_args(sim_dir, tmp_path / "out", **{"--flow-source": "nn", flag: value})
+        assert run(args) == 2
+        assert message in one_line_error(capsys, "track")
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    def test_zero_flow_points_in_sim_one_line_exit_2(self, tmp_path, capsys):
+        args = ["sim", "--frames", "3", "--write-flow", "--num-points", "0", "--out", tmp_path]
+        assert run(args) == 2
+        assert "--num-points must be at least 1, got 0" in one_line_error(capsys, "sim")
+
+    @pytest.mark.parametrize("flag", ["--detections", "--config", "--scenario"])
+    def test_missing_input_file_one_line_exit_2(self, sim_dir, tmp_path, capsys, flag):
+        missing = tmp_path / "nope.txt"
+        if flag == "--scenario":
+            command, args = "sim", ["sim", "--scenario", missing, "--out", tmp_path / "out"]
+        else:
+            command, args = "track", track_args(sim_dir, tmp_path / "out", **{flag: missing})
+        assert run(args) == 2
+        err = one_line_error(capsys, command)
+        assert "No such file or directory" in err and str(missing) in err
+
     @pytest.mark.parametrize("command", ["eval", "decimate"])
     def test_ignored_seed_flag_removed(self, sim_dir, tmp_path, command):
         if command == "eval":

@@ -28,6 +28,7 @@ from flowtrack.tracker import (
     predict,
     predict_constant_velocity,
 )
+from oracles import hungarian_reference
 
 
 def box_at(x: float, y: float = 0.0, theta: float = 0.0, l: float = 4.0) -> Box3D:
@@ -263,6 +264,23 @@ class TestAssociate:
         assert cols == set(range(5))
         for i, j in result.matches:
             assert similarity[i, j] >= 0.3
+
+    def test_exact_zero_ties_change_matches_only_at_iou_min_zero(self):
+        # The dense scan of the whole matrix gave row 1 the zero pair; the
+        # component split pairs the rows without a positive cell with the
+        # free columns in index order.  Zero pairs pass only iou_min 0.
+        similarity = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        assert [tuple(map(int, p)) for p in hungarian_reference(similarity)] == [(1, 1), (2, 0)]
+        assert associate(similarity, iou_min=0.0).matches == [(0, 1), (2, 0)]
+        assert associate(similarity, iou_min=0.01).matches == [(2, 0)]
+
+    def test_equal_similarities_resolve_within_their_component(self):
+        # Row 1 overlaps both detections equally.  Its component is solved
+        # apart from row 0, so it takes the lower column; the dense scan of
+        # the whole matrix had given column 0 to row 0 first.
+        similarity = np.array([[0.0, 0.0], [0.5, 0.5]])
+        assert [tuple(map(int, p)) for p in hungarian_reference(similarity)] == [(0, 0), (1, 1)]
+        assert associate(similarity, iou_min=0.25).matches == [(1, 0)]
 
 
 def run_frames(tracker: Tracker, frames: list[list[Detection]]):
