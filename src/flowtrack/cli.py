@@ -29,6 +29,7 @@ from .flow import (
     FlowDataError,
     FlowEstimator,
     FlowField,
+    NN_MAX_MATCH_DISTANCE,
     NearestNeighborFlowEstimator,
     OracleFlowEstimator,
     save_flow,
@@ -253,7 +254,6 @@ def run_tracking(
     clouds_by_frame: Mapping[int, PointCloud] | None,
     flow_estimator: FlowEstimator | None,
     tracker_config: TrackerConfig,
-    predictor: str = "flow",
     frustum: Frustum | None = None,
     num_points: int = DEFAULT_NUM_POINTS,
     seed: int = 0,
@@ -262,12 +262,14 @@ def run_tracking(
 
     Frames are processed in ascending index order over every index from the
     first to the last key of the detections and clouds together, so the
-    warm-up starts at the first frame that has input.  Only the flow
-    predictor looks clouds up, once per frame, in frame order (so a
-    :class:`CloudFiles` reads none for the constant-velocity predictor).
+    warm-up starts at the first frame that has input.  Clouds are looked up
+    only when a ``flow_estimator`` is given, once per frame, in frame order
+    (so without one a :class:`CloudFiles` reads none and no thread starts).
     Clouds are preprocessed ahead on background threads by
     :func:`preprocessed_flows` while this thread estimates flow and steps
-    the tracker; the threads are stopped before this returns or raises.
+    the tracker; the threads are stopped before this returns or raises.  A
+    frame without flow (no estimator, or a missing cloud at either end of
+    the pair) tracks by constant velocity, as :class:`Tracker` describes.
     """
     frames: set[int] = set(detections_by_frame)
     if clouds_by_frame:
@@ -275,8 +277,8 @@ def run_tracking(
     if not frames:
         return {}
 
-    clouds = (clouds_by_frame or {}) if predictor == "flow" else {}
-    tracker = Tracker(config=tracker_config, predictor=predictor)
+    clouds = (clouds_by_frame or {}) if flow_estimator is not None else {}
+    tracker = Tracker(config=tracker_config)
     with closing(preprocessed_flows(
         clouds, range(min(frames), max(frames) + 1), flow_estimator, frustum, num_points, seed
     )) as chain:
@@ -299,13 +301,26 @@ def run_tracking_files(
     predictor: str = "flow",
     config: PipelineConfig | None = None,
     num_points: int = DEFAULT_NUM_POINTS,
-    nn_max_distance: float = 2.0,
+    nn_max_distance: float = NN_MAX_MATCH_DISTANCE,
     fov_margin_deg: float = 10.0,
     image_width: int = 1200,
     image_height: int = 400,
     seed: int = 0,
 ) -> Path:
-    """File-based tracking pipeline; returns the result file path."""
+    """File-based tracking pipeline; returns the result file path.
+
+    ``predictor="flow"`` estimates flow from ``flow_source`` and needs a
+    ``clouds_dir`` that holds clouds; ``"cv"`` estimates none, reads no cloud.
+    """
+    if predictor not in ("flow", "cv"):
+        raise UsageError(f"unknown predictor {predictor!r}")
+    if predictor == "flow" and clouds_dir is None:
+        raise UsageError("--predictor flow needs --clouds")
+    if clouds_dir is not None and not Path(clouds_dir).is_dir():
+        raise UsageError(f"--clouds {clouds_dir}: no such directory")
+    clouds_by_frame = CloudFiles(clouds_dir) if clouds_dir is not None else None
+    if predictor == "flow" and not clouds_by_frame:
+        raise UsageError(f"--clouds {clouds_dir}: no .bin cloud to estimate flow from")
     pipeline = replace(config if config is not None else PipelineConfig(), flow_source=flow_source)
     calib = read_calib(calib_path) if calib_path else Calibration.nominal()
     frustum = None
@@ -322,8 +337,6 @@ def run_tracking_files(
         frame: _rows_to_detections(rows, calib, pipeline.category, detections_path)
         for frame, rows in detection_rows.items()
     }
-
-    clouds_by_frame = CloudFiles(clouds_dir) if clouds_dir is not None else None
 
     flow_estimator: FlowEstimator | None = None
     if predictor == "flow":
@@ -347,7 +360,6 @@ def run_tracking_files(
         clouds_by_frame,
         flow_estimator,
         pipeline.tracker,
-        predictor=predictor,
         frustum=frustum,
         num_points=num_points,
         seed=seed,
@@ -550,7 +562,7 @@ def _add_track_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--config", type=Path, help="key-value configuration file")
     p.add_argument("--category", default=None, help="category to track")
     p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
-    p.add_argument("--nn-max-dist", type=float, default=2.0)
+    p.add_argument("--nn-max-dist", type=float, default=NN_MAX_MATCH_DISTANCE)
     p.add_argument("--fov-margin", type=float, default=10.0)
     p.add_argument("--image-width", type=int, default=1200)
     p.add_argument("--image-height", type=int, default=400)

@@ -16,13 +16,15 @@ from typing import Mapping, Protocol
 
 import numpy as np
 
-from .geometry import Box3D, points_in_boxes, wrap_angle
+from .geometry import ATTRIBUTION_MARGIN, Box3D, points_in_boxes, wrap_angle
 from .preprocess import PointCloud
 
 FLOW_MAGIC = b"SFL1"
 # Maximum allowed deviation between stored source coordinates and the cloud
 # the field is meant to align with, meters.
 SOURCE_ALIGNMENT_TOL = 1e-4
+# Default match distance of the nearest-neighbor baseline, meters.
+NN_MAX_MATCH_DISTANCE = 2.0
 
 
 class FlowDataError(ValueError):
@@ -116,7 +118,7 @@ def estimate_oracle(prev: PointCloud, motions: Mapping[int, RigidMotion]) -> Flo
 
 
 def estimate_nn(
-    prev: PointCloud, curr: PointCloud, max_match_distance: float = 2.0
+    prev: PointCloud, curr: PointCloud, max_match_distance: float = NN_MAX_MATCH_DISTANCE
 ) -> FlowField:
     """Nearest-neighbor flow baseline.
 
@@ -259,16 +261,13 @@ class OracleFlowEstimator:
     """Exact flow derived from ground-truth boxes.
 
     Points of the previous cloud are attributed to instances by box
-    membership (with a small face margin so surface points are not lost to
-    rounding), motions come from the pose change of each box, and instances
+    membership (with ``ATTRIBUTION_MARGIN``, so surface points are not lost
+    to rounding), motions come from the pose change of each box, and instances
     that disappear in the next frame are treated as static.
     """
 
-    def __init__(
-        self, boxes_by_frame: Mapping[int, Mapping[int, Box3D]], margin: float = 1e-6
-    ) -> None:
+    def __init__(self, boxes_by_frame: Mapping[int, Mapping[int, Box3D]]) -> None:
         self.boxes_by_frame = boxes_by_frame
-        self.margin = margin
 
     def estimate(self, prev: PointCloud, curr: PointCloud, frame_index: int) -> FlowField:
         prev_boxes = self.boxes_by_frame.get(frame_index, {})
@@ -276,7 +275,7 @@ class OracleFlowEstimator:
         motions = motions_from_boxes(prev_boxes, curr_boxes)
         labels = np.full(len(prev), -1, dtype=int)
         ids = sorted(motions)
-        members = points_in_boxes([prev_boxes[i] for i in ids], prev.positions, self.margin)
+        members = points_in_boxes([prev_boxes[i] for i in ids], prev.positions, ATTRIBUTION_MARGIN)
         for instance_id, inside in zip(ids, members):
             unclaimed = inside[labels[inside] < 0]
             labels[unclaimed] = instance_id
@@ -287,7 +286,7 @@ class OracleFlowEstimator:
 class NearestNeighborFlowEstimator:
     """Estimator wrapper around :func:`estimate_nn`."""
 
-    def __init__(self, max_match_distance: float = 2.0) -> None:
+    def __init__(self, max_match_distance: float = NN_MAX_MATCH_DISTANCE) -> None:
         self.max_match_distance = max_match_distance
 
     def estimate(self, prev: PointCloud, curr: PointCloud, frame_index: int) -> FlowField:

@@ -32,6 +32,11 @@ MEMBERSHIP_CELLS = 1 << 20
 # rounding of the containment tests.
 WINDOW_SLACK = 1e-6
 
+# Face margin used when attributing sampled points to a box (a tracklet's,
+# or a ground-truth box for oracle flow), meters.  It keeps points lying
+# exactly on a box face from being lost to rounding.
+ATTRIBUTION_MARGIN = 1e-6
+
 
 def wrap_angle(angle: float) -> float:
     """Normalize an angle in radians to the half-open interval (-pi, pi].

@@ -1,10 +1,11 @@
 """Tracking-by-detection over oriented 3D boxes.
 
 Each live tracklet is advanced by the mean scene-flow vector of the sampled
-points inside its box, plus a constant-angular-velocity yaw increment.  The
-predicted boxes are matched to the current detections by maximum total IoU,
-matched tracklets adopt their detection box verbatim, and births and deaths
-follow consecutive-match and missed-frame counters.
+points inside its box, plus a constant-angular-velocity yaw increment, or
+without flow by its last displacement.  The predicted boxes are matched to
+the current detections by maximum total IoU, matched tracklets adopt their
+detection box verbatim, and births and deaths follow consecutive-match and
+missed-frame counters.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ import numpy as np
 
 from .assignment import max_similarity_assignment
 from .flow import FlowField
-from .geometry import Box3D, iou_matrix, points_in_box, points_in_boxes, wrap_angle
+from .geometry import ATTRIBUTION_MARGIN, Box3D, iou_matrix, points_in_boxes, wrap_angle
 from .preprocess import PointCloud
-
-# Face margin used when attributing sampled points to a tracklet box, meters.
-# It keeps points lying exactly on a box face from being lost to rounding.
-ATTRIBUTION_MARGIN = 1e-6
 
 T = TypeVar("T")
 
@@ -92,11 +89,6 @@ class Tracklet:
     hits: int = 1
     confirmed: bool = False
     prev_box: Box3D | None = None
-
-    @property
-    def yaw_prev(self) -> float | None:
-        """Yaw of the previous frame's box, if any."""
-        return self.prev_box.theta if self.prev_box is not None else None
 
 
 @dataclass
@@ -270,10 +262,7 @@ def format_settings(items: Iterable[tuple[str, object]], header: str = "") -> st
 
 
 def compute_offset(
-    tracklet: Tracklet,
-    prev_cloud: PointCloud,
-    flow: FlowField,
-    inside: np.ndarray | None = None,
+    tracklet: Tracklet, prev_cloud: PointCloud, flow: FlowField, inside: np.ndarray
 ) -> tuple[Offset, int]:
     """Motion offset of a tracklet from the flow of the points in its box.
 
@@ -283,7 +272,7 @@ def compute_offset(
     tracklet's last two adopted yaws, or zero without history.
 
     ``inside`` holds the indices of those points, as :func:`points_in_boxes`
-    gives them with ``ATTRIBUTION_MARGIN``; they are computed when not given.
+    gives them with ``ATTRIBUTION_MARGIN``.
 
     Returns
     -------
@@ -297,12 +286,8 @@ def compute_offset(
         raise FrameInputError(
             f"flow has {len(flow)} vectors for {len(prev_cloud)} points"
         )
-    if tracklet.yaw_prev is None:
-        dtheta = 0.0
-    else:
-        dtheta = wrap_angle(tracklet.box.theta - tracklet.yaw_prev)
-    if inside is None:
-        inside = points_in_box(tracklet.box, prev_cloud.positions, margin=ATTRIBUTION_MARGIN)
+    prev = tracklet.prev_box
+    dtheta = 0.0 if prev is None else wrap_angle(tracklet.box.theta - prev.theta)
     if len(inside) == 0:
         return Offset(0.0, 0.0, 0.0, dtheta), 0
     mean = flow.vectors[inside].mean(axis=0)
@@ -400,13 +385,15 @@ class Tracker:
     ----------
     config : TrackerConfig
         Association and lifecycle parameters.
-    predictor : str
-        ``"flow"`` advances tracklets by scene flow (with constant-velocity
-        fallback for flow-starved tracklets); ``"cv"`` uses constant
-        velocity only and needs no flow input.
 
     Notes
     -----
+    Prediction rule: a tracklet with at least one sampled point of the
+    previous frame inside its box advances by the mean flow of those points
+    (:func:`compute_offset`, :func:`predict`); every other tracklet, and
+    every tracklet of a frame without flow, advances by its last
+    displacement (:func:`predict_constant_velocity`).
+
     Emission rule: a track is reported for a frame when it is alive and
     confirmed, including frames it coasts through while missed.  During the
     first ``min_det`` frames of a run every live tracklet is reported, so a
@@ -414,11 +401,8 @@ class Tracker:
     tracklets appearing later still need ``min_det`` consecutive matches.
     """
 
-    def __init__(self, config: TrackerConfig | None = None, predictor: str = "flow") -> None:
-        if predictor not in ("flow", "cv"):
-            raise ValueError(f"unknown predictor {predictor!r}")
+    def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config if config is not None else TrackerConfig()
-        self.predictor = predictor
         self.tracklets: list[Tracklet] = []
         self.next_id = 0
         self.frames_seen = 0
@@ -436,10 +420,10 @@ class Tracker:
         detections : sequence of Detection
             Current-frame detections.
         prev_cloud : PointCloud, optional
-            Sampled cloud of the previous frame; required with the flow
-            predictor once tracklets exist.
+            Sampled cloud of the previous frame; required with ``flow``.
         flow : FlowField, optional
-            Flow aligned with ``prev_cloud``.
+            Flow aligned with ``prev_cloud``.  Without it every tracklet
+            advances by constant velocity.
 
         Returns
         -------
@@ -449,16 +433,14 @@ class Tracker:
         Raises
         ------
         FrameInputError
-            When flow and cloud are missing or misaligned while tracklets
-            are live.  The state is unchanged in that case.
+            When ``flow`` is given without ``prev_cloud``, or misaligned
+            with it while tracklets are live.  The state is unchanged in
+            that case.
         """
-        if self.predictor == "flow" and self.tracklets:
-            if flow is None or prev_cloud is None:
-                raise FrameInputError(
-                    "flow predictor needs prev_cloud and flow once tracklets exist"
-                )
+        if flow is not None and prev_cloud is None:
+            raise FrameInputError("flow needs the previous frame's cloud")
 
-        if self.predictor == "cv" or not self.tracklets:
+        if flow is None or not self.tracklets:
             predicted = [predict_constant_velocity(t) for t in self.tracklets]
         else:
             # One attribution pass for every tracklet; compute_offset rejects
@@ -469,10 +451,9 @@ class Tracker:
             predicted = []
             for tracklet, inside in zip(self.tracklets, members):
                 offset, n_points = compute_offset(tracklet, prev_cloud, flow, inside)
-                if n_points == 0:
-                    predicted.append(predict_constant_velocity(tracklet))
-                else:
-                    predicted.append(predict(tracklet, offset))
+                predicted.append(
+                    predict(tracklet, offset) if n_points else predict_constant_velocity(tracklet)
+                )
         self.frames_seen += 1
 
         similarity = build_similarity(

@@ -104,7 +104,6 @@ def test_criterion_2_perfect_pipeline_closure():
         clouds,
         estimator,
         TrackerConfig(),
-        predictor="flow",
         num_points=2000,
         seed=0,
     )
@@ -250,7 +249,7 @@ def test_criterion_6_lifecycle_contract():
 
     # Clutter lasting fewer than min_det frames never surfaces.
     for clutter_span in (1, 2):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         extra_ids: set[int] = set()
         steady_ids: set[int] = set()
         for frame in range(12):
@@ -262,7 +261,7 @@ def test_criterion_6_lifecycle_contract():
         no_clutter_tracks = not extra_ids and len(steady_ids) == 1
 
     # A gap of max_mis frames keeps the identity alive.
-    tracker = Tracker(predictor="cv")
+    tracker = Tracker()
     frames_short_gap = (
         [[det_at(float(f))] for f in range(4)]
         + [[], []]
@@ -272,7 +271,7 @@ def test_criterion_6_lifecycle_contract():
     id_preserved = emitted[7][0].track_id == emitted[0][0].track_id
 
     # A gap of max_mis + 1 frames terminates the track.
-    tracker = Tracker(predictor="cv")
+    tracker = Tracker()
     frames_long_gap = (
         [[det_at(float(f))] for f in range(4)]
         + [[], [], []]
@@ -320,16 +319,11 @@ def test_criterion_7_frame_rate_robustness():
         {f.index: f.cloud for f in half},
         OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in half}),
         TrackerConfig(),
-        predictor="flow",
         num_points=200,
         seed=0,
     )
-    cv_half_results = run_tracking(
-        detections_of(half), None, None, TrackerConfig(), predictor="cv"
-    )
-    cv_full_results = run_tracking(
-        detections_of(full), None, None, TrackerConfig(), predictor="cv"
-    )
+    cv_half_results = run_tracking(detections_of(half), None, None, TrackerConfig())
+    cv_full_results = run_tracking(detections_of(full), None, None, TrackerConfig())
 
     def counts_of(results, gt):
         pred = {

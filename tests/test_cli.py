@@ -180,6 +180,23 @@ class TestFlowSources:
         assert run(track_args(sim_dir, out, **{"--flow-source": "nn"})) == 0
         assert (out / "results.txt").stat().st_size > 0
 
+    def test_missing_cloud_tracks_by_constant_velocity(self, sim_dir, tmp_path):
+        clouds = tmp_path / "velodyne"
+        shutil.copytree(sim_dir / "velodyne", clouds)
+        (clouds / "000006.bin").unlink()
+        nn = {"--flow-source": "nn"}
+        assert run(track_args(sim_dir, tmp_path / "full", **nn)) == 0
+        assert run(track_args(sim_dir, tmp_path / "gap", **nn, **{"--clouds": clouds})) == 0
+
+        def rows(run_dir):
+            lines = (run_dir / "results.txt").read_text().splitlines()
+            return {f: [line for line in lines if int(line.split()[0]) == f] for f in range(12)}
+
+        full, gap = rows(tmp_path / "full"), rows(tmp_path / "gap")
+        assert all(full[frame] == gap[frame] for frame in range(6))
+        # Frames 6 and 7 have no flow, and their tracks carry on.
+        assert all(len(gap[frame]) == 3 for frame in range(12))
+
     def test_constant_velocity_needs_no_clouds(self, sim_dir, tmp_path):
         out = tmp_path / "cv"
         assert run([
@@ -256,7 +273,7 @@ class TestFlowSources:
         calib = scenario.sensor.calibration()
 
         def tracked(name):
-            results = run_tracking(detections, None, None, TrackerConfig(), predictor="cv")
+            results = run_tracking(detections, None, None, TrackerConfig())
             cli.write_results(tmp_path / name, results, calib)
             return (tmp_path / name).read_bytes()
 
@@ -283,19 +300,16 @@ class TestFlowSources:
         calls = []
         monkeypatch.setattr(cli, "preprocess_frame", lambda *args: calls.append(args))
         cloud = PointCloud(positions=np.zeros((4, 3)))
-        results = run_tracking(
-            {0: []}, {0: cloud, 4: cloud}, None, TrackerConfig(), predictor="cv"
-        )
+        results = run_tracking({0: []}, {0: cloud, 4: cloud}, None, TrackerConfig())
         assert sorted(results) == [0, 1, 2, 3, 4]
         assert calls == []
 
     def test_late_start_keeps_the_warm_up(self):
         frames = generate(demo_scenario(frames=12, num_objects=3))
         detections = {f.index: f.detections for f in frames}
-        from_zero = run_tracking(detections, None, None, TrackerConfig(), predictor="cv")
+        from_zero = run_tracking(detections, None, None, TrackerConfig())
         late = run_tracking(
-            {frame + 50: dets for frame, dets in detections.items()}, None, None,
-            TrackerConfig(), predictor="cv",
+            {frame + 50: dets for frame, dets in detections.items()}, None, None, TrackerConfig()
         )
         assert [len(from_zero[frame]) for frame in sorted(from_zero)] == [3] * 12
         # Stepping from frame 0 used up the warm-up on 50 empty frames: [0, 0, 3, ...].
@@ -324,6 +338,13 @@ class TestFlowSources:
         assert capsys.readouterr().err == (
             "flowtrack track: error: --flow-source file needs --flow-dir\n"
         )
+
+    def test_unknown_predictor_is_a_usage_error(self, sim_dir, tmp_path):
+        with pytest.raises(UsageError, match="unknown predictor 'kalman'"):
+            cli.run_tracking_files(
+                sim_dir / "detections.txt", sim_dir / "velodyne", sim_dir / "calib.txt",
+                tmp_path / "x", predictor="kalman",
+            )
 
 
 class TestConfigFile:
@@ -592,6 +613,25 @@ class TestCleanFailures:
         args = track_args(sim_dir, tmp_path / "out", **{"--flow-source": "nn", flag: value})
         assert run(args) == 2
         assert message in one_line_error(capsys, "track")
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    def test_flow_predictor_without_clouds_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        assert run(track_args(sim_dir, tmp_path / "out", **{"--clouds": None})) == 2
+        assert "--predictor flow needs --clouds" in one_line_error(capsys, "track")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(track_args(sim_dir, tmp_path / "out", **{"--clouds": empty})) == 2
+        assert f"--clouds {empty}: no .bin cloud" in one_line_error(capsys, "track")
+        assert run(track_args(sim_dir, tmp_path / "cv", **{"--clouds": empty,
+                                                           "--predictor": "cv"})) == 0
+
+    @pytest.mark.parametrize("predictor", ["flow", "cv"])
+    def test_missing_clouds_directory_one_line_exit_2(self, sim_dir, tmp_path, capsys, predictor):
+        missing = tmp_path / "nope_dir"
+        args = track_args(sim_dir, tmp_path / "out", **{"--clouds": missing,
+                                                        "--predictor": predictor})
+        assert run(args) == 2
+        assert f"--clouds {missing}: no such directory" in one_line_error(capsys, "track")
         assert not (tmp_path / "out" / "results.txt").exists()
 
     def test_zero_flow_points_in_sim_one_line_exit_2(self, tmp_path, capsys):

@@ -18,7 +18,9 @@ import pytest
 
 import flowtrack.cli as cli
 import flowtrack.tracker as tracker
-from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
+from flowtrack.flow import (
+    FlowField, NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file,
+)
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
 from flowtrack.sim import NoiseSpec, demo_scenario, generate
 from flowtrack.tracker import TrackerConfig
@@ -119,11 +121,14 @@ class TestPipelinedChain:
                          frustum=frustum, num_points=NUM_POINTS)
         assert spawned_threads(before) == []
 
-        # A frame the tracker rejects: the flow predictor without a cloud.
-        broken = dict(clouds)
-        del broken[5]
+        # A frame the tracker rejects: flow misaligned with its cloud.
+        class MisalignedAtFrame5(NearestNeighborFlowEstimator):
+            def estimate(self, prev, curr, frame_index):
+                flow = super().estimate(prev, curr, frame_index)
+                return FlowField(flow.vectors[1:]) if frame_index == 4 else flow
+
         with pytest.raises(tracker.FrameInputError) as raised:
-            cli.run_tracking(detections, broken, NearestNeighborFlowEstimator(),
+            cli.run_tracking(detections, clouds, MisalignedAtFrame5(),
                              TrackerConfig(), frustum=frustum, num_points=NUM_POINTS)
         # Stopped by run_tracking itself, not by the collection of a chain
         # that the kept traceback still holds.
@@ -143,11 +148,11 @@ class TestPipelinedChain:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
         detections = {f.index: f.detections for f in frames}
         clouds = {f.index: f.cloud for f in frames}
-        cli.run_tracking(detections, clouds, None, TrackerConfig(), predictor="cv")
-        # The flow predictor without clouds fails at its second frame, not
-        # on a missing thread pool.
-        with pytest.raises(tracker.FrameInputError):
-            cli.run_tracking(detections, None, NearestNeighborFlowEstimator(), TrackerConfig())
+        by_cv = cli.run_tracking(detections, clouds, None, TrackerConfig())
+        # An estimator without clouds has no flow to give: constant velocity.
+        assert cli.run_tracking(
+            detections, None, NearestNeighborFlowEstimator(), TrackerConfig()
+        ) == by_cv
         chain = cli.preprocessed_flows({}, range(3), None, None, NUM_POINTS, 0)
         assert list(chain) == [(0, None, None), (1, None, None), (2, None, None)]
 
@@ -190,21 +195,15 @@ class TestAttribution:
             )
 
         kernel = tracked()
-        # The per-tracklet route: no shared pass, and compute_offset finds
-        # each tracklet's points with the per-box loop.
-        offsets = []
-        compute_offset = tracker.compute_offset
+        # The per-box loop of the oracles attributes the points instead of
+        # the x-sorted pass.
+        found = []
         monkeypatch.setattr(
-            tracker, "points_in_boxes", lambda boxes, *_, **__: [None] * len(boxes)
-        )
-        monkeypatch.setattr(
-            tracker, "points_in_box",
-            lambda box, points, margin: points_in_boxes_reference([box], points, margin)[0],
-        )
-        monkeypatch.setattr(
-            tracker, "compute_offset",
-            lambda *args: offsets.append(compute_offset(*args)) or offsets[-1],
+            tracker, "points_in_boxes",
+            lambda *args, **kwargs: found.append(points_in_boxes_reference(*args, **kwargs))
+            or found[-1],
         )
         assert tracked() == kernel
-        # compute_offset ran once per live tracklet, and found points.
-        assert len(offsets) > len(frames) and sum(count for _, count in offsets) > 0
+        # The loop ran once per frame after the first, and found points.
+        assert len(found) == len(frames) - 1
+        assert sum(len(inside) for members in found for inside in members) > 0

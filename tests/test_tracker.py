@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from flowtrack.flow import FlowField, OracleFlowEstimator
-from flowtrack.geometry import Box3D, iou3d, wrap_angle
+from flowtrack.geometry import ATTRIBUTION_MARGIN, Box3D, iou3d, points_in_box, wrap_angle
 from flowtrack.preprocess import PointCloud
 from flowtrack.tracker import (
     Detection,
@@ -46,6 +47,12 @@ def tracklet_at(x: float, y: float = 0.0, theta: float = 0.0, track_id: int = 0)
 def cloud_with_flow(points, vectors):
     cloud = PointCloud(positions=np.asarray(points, dtype=float))
     return cloud, FlowField(vectors=np.asarray(vectors, dtype=float))
+
+
+def offset_of(tracklet, cloud, flow):
+    """:func:`compute_offset` over the cloud's points inside the tracklet's box."""
+    inside = points_in_box(tracklet.box, cloud.positions, margin=ATTRIBUTION_MARGIN)
+    return compute_offset(tracklet, cloud, flow, inside)
 
 
 class TestConfig:
@@ -126,7 +133,7 @@ class TestComputeOffset:
         tracklet = tracklet_at(0.0)
         points = [[dx, 0.0, 1.0] for dx in (-1.5, -0.5, 0.0, 0.5, 1.5)]
         cloud, flow = cloud_with_flow(points, [[1.0, 0.0, 0.0]] * 5)
-        offset, count = compute_offset(tracklet, cloud, flow)
+        offset, count = offset_of(tracklet, cloud, flow)
         assert count == 5
         assert (offset.dx, offset.dy, offset.dz, offset.dtheta) == (1.0, 0.0, 0.0, 0.0)
 
@@ -135,7 +142,7 @@ class TestComputeOffset:
         cloud, flow = cloud_with_flow(
             [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0, 0], [3.0, 0, 0]]
         )
-        offset, count = compute_offset(tracklet, cloud, flow)
+        offset, count = offset_of(tracklet, cloud, flow)
         assert count == 2
         assert offset.dx == 2.0
 
@@ -144,7 +151,7 @@ class TestComputeOffset:
         cloud, flow = cloud_with_flow(
             [[0.0, 0.0, 1.0], [50.0, 0.0, 1.0]], [[1.0, 0, 0], [9.0, 0, 0]]
         )
-        offset, count = compute_offset(tracklet, cloud, flow)
+        offset, count = offset_of(tracklet, cloud, flow)
         assert count == 1
         assert offset.dx == 1.0
 
@@ -152,19 +159,19 @@ class TestComputeOffset:
         tracklet = tracklet_at(0.0, theta=0.3)
         tracklet.prev_box = box_at(-1.0, theta=0.1)
         cloud, flow = cloud_with_flow([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = compute_offset(tracklet, cloud, flow)
+        offset, _ = offset_of(tracklet, cloud, flow)
         assert offset.dtheta == pytest.approx(0.2, abs=1e-12)
 
     def test_no_history_zero_dtheta(self):
         tracklet = tracklet_at(0.0, theta=0.7)
         cloud, flow = cloud_with_flow([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = compute_offset(tracklet, cloud, flow)
+        offset, _ = offset_of(tracklet, cloud, flow)
         assert offset.dtheta == 0.0
 
     def test_flow_starved_signals_zero_count(self):
         tracklet = tracklet_at(0.0)
         cloud, flow = cloud_with_flow([[50.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-        offset, count = compute_offset(tracklet, cloud, flow)
+        offset, count = offset_of(tracklet, cloud, flow)
         assert count == 0
         assert (offset.dx, offset.dy, offset.dz) == (0.0, 0.0, 0.0)
 
@@ -173,7 +180,7 @@ class TestComputeOffset:
         cloud = PointCloud(positions=np.zeros((3, 3)))
         flow = FlowField(vectors=np.zeros((2, 3)))
         with pytest.raises(FrameInputError):
-            compute_offset(tracklet, cloud, flow)
+            offset_of(tracklet, cloud, flow)
 
 
 class TestPredict:
@@ -293,14 +300,14 @@ def run_frames(tracker: Tracker, frames: list[list[Detection]]):
 
 class TestTrackerLifecycle:
     def test_warmup_emission_then_confirmation(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         frames = [[det_at(0.0)], [det_at(0.5)], [det_at(1.0)], [det_at(1.5)]]
         emitted = run_frames(tracker, frames)
         assert all(len(e) == 1 for e in emitted)
         assert len({e[0].track_id for e in emitted}) == 1
 
     def test_short_lived_detection_after_warmup_never_emitted(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         steady = [det_at(0.0)]
         frames = [steady] * 4 + [steady + [det_at(40.0)], steady + [det_at(40.0)]] + [steady] * 3
         emitted = run_frames(tracker, frames)
@@ -310,7 +317,7 @@ class TestTrackerLifecycle:
 
     def test_two_consecutive_frames_only_not_confirmed(self):
         # min_det = 3: two consecutive matches are one short of confirmation.
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         frames = [[det_at(0.0)]] * 6 + [
             [det_at(0.0), det_at(40.0)],
             [det_at(0.0), det_at(40.0)],
@@ -322,7 +329,7 @@ class TestTrackerLifecycle:
         assert len(ids) == 1
 
     def test_three_consecutive_matches_confirm(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         steady = [det_at(0.0)]
         extra = det_at(40.0)
         frames = [steady] * 5 + [steady + [extra]] * 3 + [steady] * 2
@@ -331,7 +338,7 @@ class TestTrackerLifecycle:
         assert len(ids_late) == 2
 
     def test_gap_within_max_mis_preserves_id(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         moving = [[det_at(0.0)], [det_at(1.0)], [det_at(2.0)], [det_at(3.0)]]
         gap = [[], []]
         back = [[det_at(6.0)], [det_at(7.0)]]
@@ -341,7 +348,7 @@ class TestTrackerLifecycle:
         assert emitted[7][0].track_id == first_id
 
     def test_coasting_emits_predicted_boxes(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         emitted = run_frames(
             tracker, [[det_at(0.0)], [det_at(1.0)], [det_at(2.0)], [], []]
         )
@@ -349,7 +356,7 @@ class TestTrackerLifecycle:
         assert emitted[4][0].box.x == pytest.approx(4.0)
 
     def test_gap_beyond_max_mis_terminates(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         moving = [[det_at(0.0)], [det_at(1.0)], [det_at(2.0)], [det_at(3.0)]]
         gap = [[], [], []]
         back = [[det_at(7.0)], [det_at(8.0)]]
@@ -360,7 +367,7 @@ class TestTrackerLifecycle:
         assert first_id not in later_ids
 
     def test_provisional_dies_on_first_miss(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         frames = [
             [det_at(0.0)],
             [det_at(0.0)],
@@ -383,7 +390,7 @@ class TestTrackerLifecycle:
         assert len({t.track_id for t in emitted[9]}) == 2
 
     def test_id_propagation_bit_exact(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         detection = det_at(0.37, y=-1.23)
         tracker.step([det_at(0.0)])
         emitted = tracker.step([detection])
@@ -391,7 +398,7 @@ class TestTrackerLifecycle:
         assert emitted[0].confidence == detection.confidence
 
     def test_ids_unique_per_frame_and_never_recycled(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         rng = np.random.default_rng(3)
         seen_ids: set[int] = set()
         alive_prev: set[int] = set()
@@ -415,14 +422,14 @@ class TestTrackerLifecycle:
             [],
             [det_at(1.8), det_at(11.5)],
         ]
-        a = run_frames(Tracker(predictor="cv"), frames)
-        b = run_frames(Tracker(predictor="cv"), frames)
+        a = run_frames(Tracker(), frames)
+        b = run_frames(Tracker(), frames)
         assert [
             [(t.track_id, t.box, t.confidence) for t in frame] for frame in a
         ] == [[(t.track_id, t.box, t.confidence) for t in frame] for frame in b]
 
     def test_flow_predictor_requires_aligned_inputs(self):
-        tracker = Tracker(predictor="flow")
+        tracker = Tracker()
         tracker.step([det_at(0.0)])
         cloud = PointCloud(positions=np.zeros((3, 3)))
         flow = FlowField(vectors=np.zeros((2, 3)))
@@ -431,11 +438,32 @@ class TestTrackerLifecycle:
         # The failed frame must not have advanced the clock.
         assert tracker.frames_seen == 1
 
-    def test_flow_predictor_requires_flow_when_tracking(self):
-        tracker = Tracker(predictor="flow")
+    def test_flow_without_prev_cloud_rejected(self):
+        tracker = Tracker()
+        flow = FlowField(vectors=np.zeros((2, 3)))
+        with pytest.raises(FrameInputError, match="previous frame's cloud"):
+            tracker.step([det_at(0.0)], flow=flow)
+        assert (tracker.frames_seen, tracker.tracklets) == (0, [])
         tracker.step([det_at(0.0)])
-        with pytest.raises(FrameInputError):
-            tracker.step([det_at(1.0)])
+        with pytest.raises(FrameInputError, match="previous frame's cloud"):
+            tracker.step([det_at(1.0)], flow=flow)
+        assert tracker.frames_seen == 1
+        assert [t.box.x for t in tracker.tracklets] == [0.0]
+
+    def test_frame_without_flow_advances_by_last_displacement(self):
+        # Frames 0-2 move the car by 1 m each, and frame 2 comes with flow.
+        # Frame 3 has no detection: with flow it coasts by the flow, without
+        # flow by the last displacement.
+        tracker = Tracker()
+        tracker.step([det_at(0.0)])
+        tracker.step([det_at(1.0)])
+        cloud, flow = cloud_with_flow([[1.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
+        tracker.step([det_at(2.0)], prev_cloud=cloud, flow=flow)
+        with_flow = copy.deepcopy(tracker)
+        cloud, flow = cloud_with_flow([[2.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
+        assert with_flow.step([], prev_cloud=cloud, flow=flow)[0].box.x == pytest.approx(2.5)
+        assert tracker.step([], prev_cloud=cloud)[0].box.x == pytest.approx(3.0)
+        assert tracker.step([])[0].box.x == pytest.approx(4.0)
 
     def test_constant_velocity_trace_with_oracle_flow(self):
         # A constant-velocity object followed for 10 frames under exact
@@ -443,7 +471,7 @@ class TestTrackerLifecycle:
         speed = 2.0
         boxes = {f: {1: box_at(speed * f)} for f in range(10)}
         estimator = OracleFlowEstimator(boxes)
-        tracker = Tracker(predictor="flow")
+        tracker = Tracker()
         ids = set()
         prev_cloud = None
         for frame in range(10):
@@ -470,7 +498,7 @@ class TestTrackerLifecycle:
         # The sampled cloud never covers the object, so every frame is
         # flow-starved and prediction must come from the displacement
         # history instead.
-        tracker = Tracker(predictor="flow")
+        tracker = Tracker()
         far_cloud = PointCloud(positions=np.array([[200.0, 0.0, 1.0]]))
         starved = FlowField(vectors=np.zeros((1, 3)))
         tracker.step([det_at(0.0)])
@@ -480,7 +508,7 @@ class TestTrackerLifecycle:
         assert emitted[0].box.x == pytest.approx(3.0)
 
     def test_cross_category_never_associates(self):
-        tracker = Tracker(predictor="cv")
+        tracker = Tracker()
         tracker.step([det_at(0.0, category="Car")])
         car_id = tracker.tracklets[0].track_id
         tracker.step([det_at(0.0, category="Pedestrian")])
