@@ -131,37 +131,23 @@ def _sized(row: LabelRow, path: Path) -> LabelRow:
     return row
 
 
-def _kept_rows(rows: Sequence[LabelRow], category: str | None, path: Path) -> list[LabelRow]:
-    """The rows of ``category`` (every row for ``None``), sizes checked by
-    :func:`_sized`."""
-    return [_sized(row, path) for row in rows if category is None or row.category == category]
+def read_boxes(
+    path: Path, calib: Calibration, category: str | None
+) -> dict[int, list[tuple[LabelRow, Box3D]]]:
+    """Each frame's ``(row, box)`` pairs of a label file, in file order.
 
-
-def _rows_to_detections(
-    rows: Sequence[LabelRow], calib: Calibration, category: str | None, path: Path
-) -> list[Detection]:
-    kept = _kept_rows(rows, category, path)
-    return [
-        Detection(
-            box=box,
-            confidence=row.score if row.score is not None else 1.0,
-            category=row.category,
-        )
-        for row, box in zip(kept, camera_to_lidar_boxes(kept, calib))
-    ]
-
-
-def _gt_boxes_by_frame(
-    gt_rows: Mapping[int, Sequence[LabelRow]], calib: Calibration, category: str | None,
-    path: Path,
-) -> dict[int, dict[int, Box3D]]:
-    boxes: dict[int, dict[int, Box3D]] = {}
-    for frame, rows in gt_rows.items():
-        kept = _kept_rows(rows, category, path)
-        boxes[frame] = {
-            row.track_id: box for row, box in zip(kept, camera_to_lidar_boxes(kept, calib))
-        }
-    return boxes
+    Only rows of ``category`` are kept (every row for ``None``), their sizes
+    checked by :func:`_sized`; the kept rows of the whole file are converted
+    to the sensor frame by ``calib`` in one :func:`camera_to_lidar_boxes`
+    call.  A frame whose rows are all of other categories maps to an empty
+    list.
+    """
+    kept = {
+        frame: [_sized(row, path) for row in rows if category is None or row.category == category]
+        for frame, rows in read_labels(path).items()
+    }
+    boxes = iter(camera_to_lidar_boxes([row for rows in kept.values() for row in rows], calib))
+    return {frame: [(row, next(boxes)) for row in rows] for frame, rows in kept.items()}
 
 
 class CloudFiles(Mapping[int, PointCloud]):
@@ -332,10 +318,12 @@ def run_tracking_files(
             margin_deg=fov_margin_deg,
         )
 
-    detection_rows = read_labels(detections_path)
     detections_by_frame = {
-        frame: _rows_to_detections(rows, calib, pipeline.category, detections_path)
-        for frame, rows in detection_rows.items()
+        frame: [
+            Detection(box, row.score if row.score is not None else 1.0, row.category)
+            for row, box in pairs
+        ]
+        for frame, pairs in read_boxes(detections_path, calib, pipeline.category).items()
     }
 
     flow_estimator: FlowEstimator | None = None
@@ -343,9 +331,10 @@ def run_tracking_files(
         if flow_source == "oracle":
             if gt_path is None:
                 raise UsageError("--flow-source oracle needs --gt for the true motions")
-            flow_estimator = OracleFlowEstimator(
-                _gt_boxes_by_frame(read_labels(gt_path), calib, pipeline.category, gt_path)
-            )
+            flow_estimator = OracleFlowEstimator({
+                frame: {row.track_id: box for row, box in pairs}
+                for frame, pairs in read_boxes(gt_path, calib, pipeline.category).items()
+            })
         elif flow_source == "nn":
             if not nn_max_distance > 0:
                 raise UsageError(f"--nn-max-dist must be positive, got {nn_max_distance}")
@@ -371,23 +360,15 @@ def run_tracking_files(
     return result_path
 
 
-def load_tracked_frames(
-    path: Path, category: str | None = None, require_score: bool = False
-) -> dict[int, list[TrackedBox]]:
-    """Read a label file into per-frame evaluation boxes.
+def load_tracked_frames(path: Path, category: str | None = None) -> dict[int, list[TrackedBox]]:
+    """Read a label file into per-frame evaluation boxes by :func:`read_boxes`.
 
-    Boxes use the nominal calibration, the file's kept rows in one
-    conversion; ground truth and results go through the same transform, so
-    IoU comparisons are unaffected.  A frame whose rows are all of other
-    categories maps to an empty list.
+    Boxes use the nominal calibration; ground truth and results go through
+    the same transform, so IoU comparisons are unaffected.
     """
-    kept = {frame: _kept_rows(rows, category, path) for frame, rows in read_labels(path).items()}
-    boxes = iter(camera_to_lidar_boxes(
-        [row for rows in kept.values() for row in rows], Calibration.nominal()
-    ))
     return {
-        frame: [TrackedBox(row.track_id, next(boxes), row.score) for row in rows]
-        for frame, rows in kept.items()
+        frame: [TrackedBox(row.track_id, box, row.score) for row, box in pairs]
+        for frame, pairs in read_boxes(path, Calibration.nominal(), category).items()
     }
 
 
@@ -478,21 +459,18 @@ def write_scenario_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_calib(out_dir / "calib.txt", calib)
 
-    gt_rows: dict[int, list[LabelRow]] = {}
-    det_rows: dict[int, list[LabelRow]] = {}
     for frame_data in frames:
         write_velodyne(out_dir / "velodyne" / f"{frame_data.index:06d}.bin", frame_data.cloud)
-        gt_tracks = [EmittedTrack(g.obj_id, g.box, 1.0, g.category) for g in frame_data.gt]
-        gt_rows[frame_data.index] = [
-            replace(row, score=None) for row in result_rows(frame_data.index, gt_tracks, calib)
-        ]
-        det_rows[frame_data.index] = result_rows(
-            frame_data.index,
-            [EmittedTrack(-1, d.box, d.confidence, d.category) for d in frame_data.detections],
-            calib,
-        )
-    write_labels(out_dir / "gt.txt", gt_rows)
-    write_labels(out_dir / "detections.txt", det_rows)
+    gt_rows = result_rows({
+        f.index: [EmittedTrack(g.obj_id, g.box, 1.0, g.category) for g in f.gt] for f in frames
+    }, calib)
+    write_labels(out_dir / "gt.txt", {
+        frame: [replace(row, score=None) for row in rows] for frame, rows in gt_rows.items()
+    })
+    write_labels(out_dir / "detections.txt", result_rows({
+        f.index: [EmittedTrack(-1, d.box, d.confidence, d.category) for d in f.detections]
+        for f in frames
+    }, calib))
 
     if write_flow:
         boxes_by_frame = {

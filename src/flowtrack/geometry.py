@@ -82,7 +82,7 @@ class Box3D:
 
     def __post_init__(self) -> None:
         values = (self.x, self.y, self.z, self.l, self.w, self.h, self.theta)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"box fields must be finite, got {values}")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ValueError(

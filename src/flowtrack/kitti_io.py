@@ -233,29 +233,17 @@ def write_calib(path: Path, calib: Calibration) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# One format per row layout: tracking rows without and with a score column.
+_ROW_FORMAT = "%d %d %s %.6f %d" + " %.6f" * 12 + "\n"
+_SCORED_ROW_FORMAT = _ROW_FORMAT[:-1] + " %.6f\n"
+
+
 def _format_row(row: LabelRow) -> str:
-    fields = [
-        str(row.frame),
-        str(row.track_id),
-        row.category,
-        f"{row.truncated:.6f}",
-        str(row.occluded),
-        f"{row.alpha:.6f}",
-        f"{row.bbox[0]:.6f}",
-        f"{row.bbox[1]:.6f}",
-        f"{row.bbox[2]:.6f}",
-        f"{row.bbox[3]:.6f}",
-        f"{row.h:.6f}",
-        f"{row.w:.6f}",
-        f"{row.l:.6f}",
-        f"{row.x:.6f}",
-        f"{row.y:.6f}",
-        f"{row.z:.6f}",
-        f"{row.rotation_y:.6f}",
-    ]
-    if row.score is not None:
-        fields.append(f"{row.score:.6f}")
-    return " ".join(fields)
+    values = (row.frame, row.track_id, row.category, row.truncated, row.occluded, row.alpha,
+              *row.bbox, row.h, row.w, row.l, row.x, row.y, row.z, row.rotation_y)
+    if row.score is None:
+        return _ROW_FORMAT % values
+    return _SCORED_ROW_FORMAT % (*values, row.score)
 
 
 def write_labels(path: Path, frames: Mapping[int, Sequence[LabelRow]]) -> None:
@@ -264,7 +252,7 @@ def write_labels(path: Path, frames: Mapping[int, Sequence[LabelRow]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = [row for frame in sorted(frames) for row in frames[frame]]
     rows.sort(key=lambda r: (r.frame, r.track_id))
-    path.write_text("".join(_format_row(row) + "\n" for row in rows))
+    path.write_text("".join(map(_format_row, rows)))
 
 
 def _project_bboxes(boxes: Sequence[Box3D], calib: Calibration) -> list[tuple[float, ...]]:
@@ -285,20 +273,27 @@ def _project_bboxes(boxes: Sequence[Box3D], calib: Calibration) -> list[tuple[fl
 
 
 def result_rows(
-    frame: int, tracks: Sequence[EmittedTrack], calib: Calibration | None = None
-) -> list[LabelRow]:
-    """Label rows of one frame's emitted tracks, converted to the camera
-    frame together."""
+    tracks_by_frame: Mapping[int, Sequence[EmittedTrack]], calib: Calibration | None = None
+) -> dict[int, list[LabelRow]]:
+    """Label rows of emitted tracks by frame, every frame's tracks converted
+    to the camera frame in one batch.
+
+    The conversions are elementwise, so a row gets the same bits in any
+    batch.  Each row's score is its track's confidence.
+    """
     calibration = calib if calib is not None else Calibration.nominal()
-    boxes = [track.box for track in tracks]
+    keyed = [(frame, track) for frame, tracks in tracks_by_frame.items() for track in tracks]
+    boxes = [track.box for _, track in keyed]
     fields = np.array([(b.x, b.y, b.z, b.h) for b in boxes], dtype=float).reshape(-1, 4)
     half_height = np.zeros((len(boxes), 3))
     half_height[:, 1] = fields[:, 3] / 2.0
     bottoms = (calibration.lidar_to_camera(fields[:, :3]) + half_height).tolist()
-    rows = []
-    for track, (x, y, z), bbox in zip(tracks, bottoms, _project_bboxes(boxes, calibration)):
+    rows: dict[int, list[LabelRow]] = {frame: [] for frame in tracks_by_frame}
+    for (frame, track), (x, y, z), bbox in zip(
+        keyed, bottoms, _project_bboxes(boxes, calibration)
+    ):
         rotation_y = wrap_angle(-track.box.theta - math.pi / 2.0)
-        rows.append(LabelRow(
+        rows[frame].append(LabelRow(
             frame=frame,
             track_id=track.track_id,
             category=track.category,
@@ -322,7 +317,7 @@ def result_row(
     frame: int, track: EmittedTrack, calib: Calibration | None = None
 ) -> LabelRow:
     """Label row of one emitted track, converted to the camera frame."""
-    return result_rows(frame, [track], calib)[0]
+    return result_rows({frame: [track]}, calib)[frame][0]
 
 
 def write_results(
@@ -330,13 +325,9 @@ def write_results(
     tracks_by_frame: Mapping[int, Sequence[EmittedTrack]],
     calib: Calibration | None = None,
 ) -> None:
-    """Write emitted tracks as a tracking result file.
+    """Write emitted tracks as a tracking result file, the whole file's
+    tracks converted by one :func:`result_rows` call.
 
     Rows carry the score column and are sorted by (frame, track id).
     """
-    calibration = calib if calib is not None else Calibration.nominal()
-    frames = {
-        frame: result_rows(frame, tracks, calibration)
-        for frame, tracks in tracks_by_frame.items()
-    }
-    write_labels(path, frames)
+    write_labels(path, result_rows(tracks_by_frame, calib))

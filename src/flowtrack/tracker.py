@@ -395,10 +395,12 @@ class Tracker:
     displacement (:func:`predict_constant_velocity`).
 
     Emission rule: a track is reported for a frame when it is alive and
-    confirmed, including frames it coasts through while missed.  During the
-    first ``min_det`` frames of a run every live tracklet is reported, so a
-    sequence that starts with valid objects is covered from frame one; new
-    tracklets appearing later still need ``min_det`` consecutive matches.
+    confirmed, including frames it coasts through while missed.  A tracklet
+    born in the first ``min_det`` frames of a run is reported from birth and
+    for as long as it lives, so a sequence that starts with valid objects is
+    covered from frame one and no such track drops out before it is
+    confirmed; tracklets born later still need ``min_det`` consecutive
+    matches.
     """
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
@@ -434,17 +436,17 @@ class Tracker:
         ------
         FrameInputError
             When ``flow`` is given without ``prev_cloud``, or misaligned
-            with it while tracklets are live.  The state is unchanged in
-            that case.
+            with it.  The state is unchanged in that case.
         """
         if flow is not None and prev_cloud is None:
             raise FrameInputError("flow needs the previous frame's cloud")
+        if flow is not None and len(flow) != len(prev_cloud):
+            raise FrameInputError(f"flow has {len(flow)} vectors for {len(prev_cloud)} points")
 
         if flow is None or not self.tracklets:
             predicted = [predict_constant_velocity(t) for t in self.tracklets]
         else:
-            # One attribution pass for every tracklet; compute_offset rejects
-            # a misaligned flow before any state changes.
+            # One attribution pass for every tracklet.
             members = points_in_boxes(
                 [t.box for t in self.tracklets], prev_cloud.positions, margin=ATTRIBUTION_MARGIN
             )
@@ -503,9 +505,10 @@ class Tracker:
             self.next_id += 1
         self.tracklets = alive
 
-        warmup = self.frames_seen <= self.config.min_det
+        # An unconfirmed tracklet has matched in every frame since its birth,
+        # so it was born in the run's frame ``frames_seen - hits + 1``.
         return [
             EmittedTrack(t.track_id, t.box, t.confidence, t.category)
             for t in self.tracklets
-            if t.confirmed or warmup
+            if t.confirmed or self.frames_seen - t.hits < self.config.min_det
         ]

@@ -14,6 +14,7 @@ import pytest
 
 import flowtrack
 import flowtrack.cli as cli
+import flowtrack.kitti_io as kitti_io
 from flowtrack.cli import main, run_tracking
 from flowtrack.flow import FlowDataError
 from flowtrack.kitti_io import LabelRow, camera_to_lidar_boxes, read_labels, write_labels
@@ -117,6 +118,28 @@ class TestPipeline:
         captured = capsys.readouterr().out
         assert "sAMOTA" in captured
         assert "100.00" in captured
+
+    def test_one_read_and_one_conversion_per_label_file(self, sim_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or original(*a))
+
+        counted(cli, "read_labels")
+        counted(cli, "camera_to_lidar_boxes")
+        counted(cli, "result_rows")
+        counted(kitti_io, "result_rows")
+        assert run(track_args(sim_dir, tmp_path / "trk")) == 0
+        # Detections and oracle ground truth in; results out.
+        assert calls == ["read_labels", "camera_to_lidar_boxes"] * 2 + ["result_rows"]
+        calls.clear()
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results",
+                    tmp_path / "trk" / "results.txt", "--out", tmp_path / "eval"]) == 0
+        assert calls == ["read_labels", "camera_to_lidar_boxes"] * 2
+        calls.clear()
+        assert run(["sim", *SIM_ARGS, "--out", tmp_path / "sim"]) == 0
+        assert calls == ["result_rows"] * 2
 
 
 class TestDeterminism:
@@ -249,12 +272,13 @@ class TestFlowSources:
         # The lazy mapping tracks exactly as a dict of every cloud read up front.
         calib = cli.read_calib(sim_dir / "calib.txt")
         detections = {
-            frame: cli._rows_to_detections(rows, calib, "Car", sim_dir / "detections.txt")
-            for frame, rows in cli.read_labels(sim_dir / "detections.txt").items()
+            frame: [cli.Detection(box, row.score, row.category) for row, box in pairs]
+            for frame, pairs in cli.read_boxes(sim_dir / "detections.txt", calib, "Car").items()
         }
-        estimator = cli.OracleFlowEstimator(
-            cli._gt_boxes_by_frame(cli.read_labels(sim_dir / "gt.txt"), calib, "Car", sim_dir / "gt.txt")
-        )
+        estimator = cli.OracleFlowEstimator({
+            frame: {row.track_id: box for row, box in pairs}
+            for frame, pairs in cli.read_boxes(sim_dir / "gt.txt", calib, "Car").items()
+        })
         frustum = cli.Frustum(calibration=calib, image_width=1200, image_height=400)
         results = run_tracking(detections, eager, estimator, TrackerConfig(),
                                frustum=frustum, num_points=2000)

@@ -345,6 +345,20 @@ class TestResults:
         write_labels(path, {0: [nominal_row(score=None)]})
         assert len(path.read_text().split()) == 17
 
+    @pytest.mark.parametrize("score, column", [
+        (None, b""), (-0.0, b" -0.000000"), (1e15, b" 1000000000000000.000000"),
+        (1e-300, b" 0.000000"), (0.5000005, b" 0.500000"),
+    ])
+    def test_written_bytes_on_edge_values(self, tmp_path, score, column):
+        row = LabelRow(12, 7, "Car", -0.0, 1, 1e15, (-0.0, 1e-300, 1e15, -1e-300),
+                       1e15, 1e-300, 2.5, -0.0, -1e-7, 123456.7890125, -3.14159265, score)
+        write_labels(tmp_path / "labels.txt", {12: [row]})
+        assert (tmp_path / "labels.txt").read_bytes() == (
+            b"12 7 Car -0.000000 1 1000000000000000.000000 -0.000000 0.000000 "
+            b"1000000000000000.000000 -0.000000 1000000000000000.000000 0.000000 2.500000 "
+            b"-0.000000 -0.000000 123456.789012 -3.141593" + column + b"\n"
+        )
+
     def test_round_trip_box_within_text_precision(self, tmp_path):
         original = track(3, 15.0)
         path = tmp_path / "results.txt"
@@ -412,15 +426,23 @@ class TestBatchedConversion:
             "rotated": custom_calibration(),
         }[calibration]
         tracks = scattered_tracks(rng, int(rng.integers(0, 30)))
-        assert result_rows(5, tracks, calib) == result_rows_reference(5, tracks, calib)
+        # Frames in any order, an empty one, all converted in one batch.
+        by_frame = {5: tracks[::2], 2: tracks[1::2], 9: []}
+        rows = result_rows(by_frame, calib)
+        assert list(rows) == [5, 2, 9]
+        assert rows == {
+            frame: result_rows_reference(frame, frame_tracks, calib)
+            for frame, frame_tracks in by_frame.items()
+        }
         assert [result_row(5, t, calib) for t in tracks] == result_rows_reference(5, tracks, calib)
 
     def test_behind_the_camera_gets_the_sentinel_bbox(self):
-        rows = result_rows(0, [track(1, 15.0), track(2, -15.0), track(3, 1.0)])
+        rows = result_rows({0: [track(1, 15.0), track(2, -15.0), track(3, 1.0)]})[0]
         assert rows[0].bbox[0] < rows[0].bbox[2]
         # The third box straddles the camera plane: some corners lie behind.
         assert rows[1].bbox == rows[2].bbox == (-1.0, -1.0, -1.0, -1.0)
-        assert result_rows(0, []) == []
+        assert result_rows({0: []}) == {0: []}
+        assert result_rows({}) == {}
 
     @pytest.mark.parametrize("calibration", ["default", "nominal file", "rotated file"])
     def test_write_results_byte_identical(self, tmp_path, rng, calibration):

@@ -306,6 +306,21 @@ class TestTrackerLifecycle:
         assert all(len(e) == 1 for e in emitted)
         assert len({e[0].track_id for e in emitted}) == 1
 
+    def test_tracklet_born_in_last_warmup_frame_reported_until_confirmed(self):
+        tracker = Tracker()
+        steady, late = det_at(0.0), det_at(40.0)
+        frames = [[steady], [steady], [steady, late], [steady, late], [steady, late], [steady]]
+        emitted = run_frames(tracker, frames)
+        late_id = max(t.track_id for t in emitted[2])
+        # Born in frame 2, the warm-up's last, confirmed in frame 4: reported
+        # in every frame it lives, not hidden in frame 3 in between.
+        assert [late_id in {t.track_id for t in e} for e in emitted] == [
+            False, False, True, True, True, True
+        ]
+        # Born in frame 3, after the warm-up: reported once confirmed.
+        emitted = run_frames(Tracker(), [[steady]] * 3 + [[steady, late]] * 3)
+        assert [len(e) for e in emitted] == [1, 1, 1, 1, 1, 2]
+
     def test_short_lived_detection_after_warmup_never_emitted(self):
         tracker = Tracker()
         steady = [det_at(0.0)]
@@ -437,6 +452,16 @@ class TestTrackerLifecycle:
             tracker.step([det_at(1.0)], prev_cloud=cloud, flow=flow)
         # The failed frame must not have advanced the clock.
         assert tracker.frames_seen == 1
+
+    def test_misaligned_flow_rejected_without_live_tracklets(self):
+        tracker = Tracker()
+        cloud = PointCloud(positions=np.zeros((3, 3)))
+        flow = FlowField(vectors=np.zeros((2, 3)))
+        with pytest.raises(FrameInputError, match="flow has 2 vectors for 3 points"):
+            tracker.step([], prev_cloud=cloud, flow=flow)
+        with pytest.raises(FrameInputError, match="flow has 2 vectors for 3 points"):
+            tracker.step([det_at(0.0)], prev_cloud=cloud, flow=flow)
+        assert (tracker.frames_seen, tracker.tracklets, tracker.next_id) == (0, [], 0)
 
     def test_flow_without_prev_cloud_rejected(self):
         tracker = Tracker()
