@@ -37,7 +37,6 @@ from .tracker import (
     EmittedTrack,
     FrameInputError,
     Offset,
-    PipelineConfig,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -88,7 +87,6 @@ __all__ = [
     "EmittedTrack",
     "FrameInputError",
     "Offset",
-    "PipelineConfig",
     "SettingsError",
     "Tracker",
     "TrackerConfig",

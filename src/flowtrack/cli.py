@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 import time
@@ -58,7 +59,6 @@ from .tracker import (
     Detection,
     EmittedTrack,
     FrameInputError,
-    PipelineConfig,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -173,9 +173,13 @@ def _preprocessed(
     num_points: int,
     seed: int,
 ) -> PointCloud | None:
-    """:func:`preprocess_frame` of the frame's cloud; ``None`` without one."""
+    """:func:`preprocess_frame` of the frame's cloud; ``None`` without one,
+    or when no point is left of it."""
     cloud = clouds_by_frame.get(frame)
-    return None if cloud is None else preprocess_frame(cloud, frustum, num_points, seed, frame)
+    if cloud is None:
+        return None
+    sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+    return sampled if len(sampled) else None
 
 
 def preprocessed_flows(
@@ -191,7 +195,7 @@ def preprocessed_flows(
     Yields ``(k, prev, flow)`` for each frame ``k``: ``prev`` is the cloud of
     frame ``k - 1`` preprocessed with draws keyed by ``(seed, k - 1)``, and
     ``flow`` the estimate from ``k - 1`` to ``k``; either is ``None`` when an
-    input is missing.
+    input is missing, or when a cloud is empty after preprocessing.
 
     Each frame's cloud is read and preprocessed on one of
     ``PREPROCESS_WORKERS`` threads, at most ``PREPROCESS_LOOKAHEAD`` frames
@@ -254,8 +258,9 @@ def run_tracking(
     Clouds are preprocessed ahead on background threads by
     :func:`preprocessed_flows` while this thread estimates flow and steps
     the tracker; the threads are stopped before this returns or raises.  A
-    frame without flow (no estimator, or a missing cloud at either end of
-    the pair) tracks by constant velocity, as :class:`Tracker` describes.
+    frame without flow (no estimator, or a missing or empty cloud at either
+    end of the pair) tracks by constant velocity, as :class:`Tracker`
+    describes.
     """
     frames: set[int] = set(detections_by_frame)
     if clouds_by_frame:
@@ -285,21 +290,28 @@ def run_tracking_files(
     flow_dir: Path | None = None,
     gt_path: Path | None = None,
     predictor: str = "flow",
-    config: PipelineConfig | None = None,
+    config: TrackerConfig | None = None,
+    category: str = "Car",
     num_points: int = DEFAULT_NUM_POINTS,
     nn_max_distance: float = NN_MAX_MATCH_DISTANCE,
     fov_margin_deg: float = 10.0,
-    image_width: int = 1200,
-    image_height: int = 400,
     seed: int = 0,
 ) -> Path:
     """File-based tracking pipeline; returns the result file path.
 
-    ``predictor="flow"`` estimates flow from ``flow_source`` and needs a
-    ``clouds_dir`` that holds clouds; ``"cv"`` estimates none, reads no cloud.
+    ``predictor="flow"`` estimates flow from ``flow_source`` (``"oracle"``,
+    ``"nn"`` or ``"file"``) and needs a ``clouds_dir`` that holds clouds;
+    ``"cv"`` estimates none, reads no cloud.  Only detections (and oracle
+    ground truth) of ``category`` are read.  With a ``calib_path`` each
+    cloud is first cropped to that camera's :class:`Frustum`, widened by
+    ``fov_margin_deg``.
     """
     if predictor not in ("flow", "cv"):
         raise UsageError(f"unknown predictor {predictor!r}")
+    if flow_source not in ("oracle", "nn", "file"):
+        raise UsageError(f"unknown flow source {flow_source!r}")
+    if not 0.0 <= fov_margin_deg < math.inf:
+        raise UsageError(f"--fov-margin must be finite and at least 0, got {fov_margin_deg}")
     if predictor == "flow" and clouds_dir is None:
         raise UsageError("--predictor flow needs --clouds")
     if clouds_dir is not None and not Path(clouds_dir).is_dir():
@@ -307,23 +319,15 @@ def run_tracking_files(
     clouds_by_frame = CloudFiles(clouds_dir) if clouds_dir is not None else None
     if predictor == "flow" and not clouds_by_frame:
         raise UsageError(f"--clouds {clouds_dir}: no .bin cloud to estimate flow from")
-    pipeline = replace(config if config is not None else PipelineConfig(), flow_source=flow_source)
     calib = read_calib(calib_path) if calib_path else Calibration.nominal()
-    frustum = None
-    if calib_path and clouds_dir:
-        frustum = Frustum(
-            calibration=calib,
-            image_width=image_width,
-            image_height=image_height,
-            margin_deg=fov_margin_deg,
-        )
+    frustum = Frustum(calib, fov_margin_deg) if calib_path and clouds_dir else None
 
     detections_by_frame = {
         frame: [
             Detection(box, row.score if row.score is not None else 1.0, row.category)
             for row, box in pairs
         ]
-        for frame, pairs in read_boxes(detections_path, calib, pipeline.category).items()
+        for frame, pairs in read_boxes(detections_path, calib, category).items()
     }
 
     flow_estimator: FlowEstimator | None = None
@@ -333,7 +337,7 @@ def run_tracking_files(
                 raise UsageError("--flow-source oracle needs --gt for the true motions")
             flow_estimator = OracleFlowEstimator({
                 frame: {row.track_id: box for row, box in pairs}
-                for frame, pairs in read_boxes(gt_path, calib, pipeline.category).items()
+                for frame, pairs in read_boxes(gt_path, calib, category).items()
             })
         elif flow_source == "nn":
             if not nn_max_distance > 0:
@@ -348,7 +352,7 @@ def run_tracking_files(
         detections_by_frame,
         clouds_by_frame,
         flow_estimator,
-        pipeline.tracker,
+        config if config is not None else TrackerConfig(),
         frustum=frustum,
         num_points=num_points,
         seed=seed,
@@ -399,7 +403,9 @@ def run_evaluation(
     recall_steps: int = 40,
 ) -> list[MetricsReport]:
     """Evaluate a result file (or directory of per-sequence files) against
-    ground truth and write the reports."""
+    ground truth and write the reports.  Every threshold is checked by its
+    :class:`EvalConfig` before any file is read."""
+    configs = [EvalConfig(iou_thres, category, recall_steps) for iou_thres in iou_thresholds]
     gt_path, results_path = Path(gt_path), Path(results_path)
     if gt_path.is_dir() != results_path.is_dir():
         raise EvaluationInputError(
@@ -420,18 +426,13 @@ def run_evaluation(
 
     _check_frame_alignment(gt, pred)
     reports = []
-    for iou_thres in iou_thresholds:
-        cfg = EvalConfig(
-            iou_thres=iou_thres,
-            category=category,
-            num_recall_steps=recall_steps,
-        )
+    for cfg in configs:
         report = recall_sweep(gt, pred, cfg)
         reports.append(report)
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            stem = f"report_iou{iou_thres:g}"
+            stem = f"report_iou{cfg.iou_thres:g}"
             (out_dir / f"{stem}.txt").write_text(report.to_text())
             (out_dir / f"{stem}.json").write_text(
                 json.dumps(report.to_dict(), indent=2) + "\n"
@@ -452,8 +453,9 @@ def write_scenario_outputs(
     Layout: ``calib.txt``, ``velodyne/<frame>.bin``, ``gt.txt``,
     ``detections.txt`` and optionally ``flow/<frame>.sfl``.  Flow files are
     computed by :func:`preprocessed_flows` on the clouds as re-read from
-    disk, so a ``track`` run with the same ``seed`` sees bit-identical
-    sources.
+    disk and cropped to ``Frustum(calib)``, so a ``track`` run with the
+    default ``--fov-margin`` and the same ``num_points`` and ``seed`` sees
+    bit-identical sources.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -477,13 +479,8 @@ def write_scenario_outputs(
             f.index: {g.obj_id: g.box for g in f.gt} for f in frames
         }
         estimator = OracleFlowEstimator(boxes_by_frame)
-        frustum = Frustum(
-            calibration=calib,
-            image_width=int(calib.projection[0, 2] * 2),
-            image_height=int(calib.projection[1, 2] * 2),
-        )
         with closing(preprocessed_flows(
-            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], estimator, frustum,
+            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], estimator, Frustum(calib),
             num_points, seed,
         )) as chain:
             for frame, prev_sampled, field in chain:
@@ -532,18 +529,16 @@ def _add_track_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--calib", type=Path, help="calibration file")
     p.add_argument("--gt", type=Path, help="ground-truth file (needed for oracle flow)")
     p.add_argument(
-        "--flow-source", choices=("oracle", "nn", "file"), default=None,
+        "--flow-source", choices=("oracle", "nn", "file"), default="oracle",
         help="where flow fields come from",
     )
     p.add_argument("--flow-dir", type=Path, help="directory of .sfl files for --flow-source file")
     p.add_argument("--predictor", choices=("flow", "cv"), default="flow")
     p.add_argument("--config", type=Path, help="key-value configuration file")
-    p.add_argument("--category", default=None, help="category to track")
+    p.add_argument("--category", default="Car", help="category to track")
     p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--nn-max-dist", type=float, default=NN_MAX_MATCH_DISTANCE)
     p.add_argument("--fov-margin", type=float, default=10.0)
-    p.add_argument("--image-width", type=int, default=1200)
-    p.add_argument("--image-height", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -585,27 +580,22 @@ def _run_command(
 ) -> None:
     """Run the parsed subcommand; ``arg_record`` gains the resolved config."""
     if args.command == "track":
-        pipeline = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-        flags = {"flow_source": args.flow_source, "category": args.category}
-        pipeline = replace(pipeline, **{k: v for k, v in flags.items() if v is not None})
-        arg_record["resolved_config"] = {
-            **setting_fields(pipeline.tracker), **setting_fields(pipeline)
-        }
+        config = TrackerConfig.from_file(args.config) if args.config else TrackerConfig()
+        arg_record["resolved_config"] = setting_fields(config)
         result_path = run_tracking_files(
             detections_path=args.detections,
             clouds_dir=args.clouds,
             calib_path=args.calib,
             out_dir=args.out,
-            flow_source=pipeline.flow_source,
+            flow_source=args.flow_source,
             flow_dir=args.flow_dir,
             gt_path=args.gt,
             predictor=args.predictor,
-            config=pipeline,
+            config=config,
+            category=args.category,
             num_points=args.num_points,
             nn_max_distance=args.nn_max_dist,
             fov_margin_deg=args.fov_margin,
-            image_width=args.image_width,
-            image_height=args.image_height,
             seed=args.seed,
         )
         print(f"results written to {result_path}")

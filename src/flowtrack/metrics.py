@@ -35,13 +35,16 @@ class TrackedBox:
 
 @dataclass
 class EvalConfig:
-    """Evaluation parameters."""
+    """Evaluation parameters.  ``iou_thres``, the 3D IoU a match needs, is
+    in (0, 1]: at 0 or below, boxes that do not overlap would match."""
 
     iou_thres: float = 0.25
     category: str = "Car"
     num_recall_steps: int = 40
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.iou_thres <= 1.0:
+            raise EvaluationInputError(f"the IoU threshold must be in (0, 1], got {self.iou_thres}")
         if self.num_recall_steps < 1:
             raise EvaluationInputError(
                 f"the number of recall steps must be positive, got {self.num_recall_steps}"

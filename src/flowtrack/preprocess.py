@@ -198,9 +198,8 @@ class Frustum:
     Attributes
     ----------
     calibration : Calibration
-        Projection used to decide image-bounds membership.
-    image_width, image_height : int
-        Image bounds in pixels.
+        Projection that decides image membership; the image spans twice
+        its principal point in each direction (see :func:`filter_fov`).
     margin_deg : float
         Half-angle widening applied to each image edge, degrees.  Points
         projecting up to this angle outside the image are still kept, so
@@ -208,8 +207,6 @@ class Frustum:
     """
 
     calibration: Calibration
-    image_width: int
-    image_height: int
     margin_deg: float = 10.0
 
 
@@ -229,8 +226,12 @@ class GroundFit:
 def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
     """Keep the points whose projection falls inside the widened image.
 
-    Membership is evaluated per point, so the operation is idempotent, and
-    the kept set grows monotonically with ``margin_deg``.  Points at or
+    The image spans ``[0, 2 * cx]`` by ``[0, 2 * cy]`` pixels, the principal
+    point at its center, and each edge is widened by ``margin_deg``: a
+    point is kept when its azimuth and elevation from the optical axis are
+    at most ``atan2(cx, fx)`` and ``atan2(cy, fy)`` plus the margin in
+    magnitude.  Membership is evaluated per point, so the operation is
+    idempotent, and the kept set grows monotonically with ``margin_deg``.  Points at or
     behind the camera plane are always removed, regardless of margin.
 
     Raises
@@ -255,12 +256,9 @@ def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
     margin = math.radians(frustum.margin_deg)
     az = np.arctan2(uv[:, 0] - cx, fx)
     el = np.arctan2(uv[:, 1] - cy, fy)
-    az_lo = math.atan2(0.0 - cx, fx) - margin
-    az_hi = math.atan2(frustum.image_width - cx, fx) + margin
-    el_lo = math.atan2(0.0 - cy, fy) - margin
-    el_hi = math.atan2(frustum.image_height - cy, fy) + margin
     with np.errstate(invalid="ignore"):
-        keep &= (az >= az_lo) & (az <= az_hi) & (el >= el_lo) & (el <= el_hi)
+        keep &= np.abs(az) <= math.atan2(cx, fx) + margin
+        keep &= np.abs(el) <= math.atan2(cy, fy) + margin
     return cloud.take(np.nonzero(keep)[0])
 
 
@@ -402,20 +400,19 @@ def sample_points(cloud: PointCloud, n: int, seed: int | tuple = 0) -> PointClou
         Sampled cloud with positions, features and labels aligned; the
         selected indices are ascending, so the output is a subsequence of
         the input.  If every point is labeled ground the full cloud is
-        returned and a ``RuntimeWarning`` is emitted.
+        returned and a ``RuntimeWarning`` is emitted; an empty cloud gives
+        an empty sample.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     pool = np.nonzero(cloud.labels != GROUND)[0]
-    if len(pool) == 0:
+    if len(pool) == 0 and len(cloud):
         warnings.warn(
             "every point is labeled ground; sampling from the full cloud",
             RuntimeWarning,
             stacklevel=2,
         )
         pool = np.arange(len(cloud))
-    if len(pool) == 0:
-        raise ValueError("cannot sample from an empty cloud")
     if n >= len(pool):
         return cloud.take(pool)
     rng = np.random.default_rng(seed)

@@ -130,12 +130,7 @@ class SensorSpec:
         return Calibration.nominal(self.focal, self.image_width, self.image_height)
 
     def frustum(self) -> Frustum:
-        return Frustum(
-            calibration=self.calibration(),
-            image_width=self.image_width,
-            image_height=self.image_height,
-            margin_deg=self.margin_deg,
-        )
+        return Frustum(self.calibration(), self.margin_deg)
 
 
 @dataclass
@@ -391,7 +386,9 @@ def demo_scenario(
     frames: int = 30, num_objects: int = 5, seed: int = 7, noise: NoiseSpec | None = None
 ) -> Scenario:
     """Ready-made scenario: parallel lanes of cars driving forward inside
-    the frustum."""
+    the frustum.  A negative ``num_objects`` raises :class:`UsageError`."""
+    if num_objects < 0:
+        raise UsageError(f"the object count must be at least 0, got {num_objects}")
     ground_z = -1.73
     box_h = 1.6
     objects = []
@@ -490,7 +487,7 @@ def read_scenario(path: Path) -> Scenario:
             objects.append(_read_object(where, section_lines, len(objects) + 1))
         else:
             lines[header] += section_lines
-    built = {name: build_settings(lines[name], part)[0] for name, part in parts.items()}
+    built = {name: build_settings(lines[name], part) for name, part in parts.items()}
     return replace(built.pop(""), objects=objects, **built)
 
 

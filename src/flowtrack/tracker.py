@@ -10,7 +10,7 @@ missed-frame counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -123,28 +123,13 @@ class TrackerConfig:
         if self.min_det < 1:
             raise ValueError(f"min_det must be >= 1, got {self.min_det}")
 
-
-@dataclass
-class PipelineConfig:
-    """Tracker parameters plus the pipeline-level choices that ride along in
-    the same configuration file."""
-
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    flow_source: str = "oracle"
-    category: str = "Car"
-
-    def __post_init__(self) -> None:
-        if self.flow_source not in ("oracle", "nn", "file"):
-            raise ValueError(f"unknown flow_source {self.flow_source!r}")
-
     @classmethod
-    def from_file(cls, path: Path) -> "PipelineConfig":
+    def from_file(cls, path: Path) -> "TrackerConfig":
         """Read a configuration file (see :func:`read_settings`).
 
-        It holds no section; its keys are the fields of
-        :class:`TrackerConfig` (``iou_min``, ``max_mis``, ``min_det``) and
-        of this class (``flow_source``, ``category``), and each value is
-        checked by building the class it belongs to.
+        It holds no section; its keys are the fields of this class
+        (``iou_min``, ``max_mis``, ``min_det``), each value checked by
+        building the class.
 
         Raises
         ------
@@ -153,8 +138,7 @@ class PipelineConfig:
             malformed, unknown or out of range.
         """
         [(_, _, lines)] = read_settings(path, sections=())
-        tracker, config = build_settings(lines, TrackerConfig(), cls())
-        return replace(config, tracker=tracker)
+        return build_settings(lines, cls())
 
 
 class SettingsError(ValueError):
@@ -226,25 +210,22 @@ def parse_setting(types: dict[str, object], line: SettingLine) -> object:
     raise SettingsError(f"{where}: {key}: expected {kind}, got {text!r}")
 
 
-def build_settings(lines: Iterable[SettingLine], *templates: T) -> list[T]:
-    """Each dataclass instance of ``templates`` rebuilt with the values of
-    the lines that name one of its :func:`setting_fields`, parsed as the
+def build_settings(lines: Iterable[SettingLine], template: T) -> T:
+    """The dataclass instance ``template`` rebuilt with the values of the
+    lines, each naming one of its :func:`setting_fields` and parsed as the
     type of the template's value.
 
-    After each line the instance is built again from every value read for
-    it so far, so its ``__post_init__`` checks each value on its own line.
+    After each line the instance is built again from every value read so
+    far, so its ``__post_init__`` checks each value on its own line.
     """
-    owned = [setting_fields(template) for template in templates]
-    types = {key: like for keys in owned for key, like in keys.items()}
-    values: list[dict[str, object]] = [{} for _ in templates]
-    built = list(templates)
+    types = setting_fields(template)
+    values: dict[str, object] = {}
+    built = template
     for line in lines:
-        value = parse_setting(types, line)
         where, key, _ = line
-        index = next(i for i, keys in enumerate(owned) if key in keys)
-        values[index][key] = value
+        values[key] = parse_setting(types, line)
         try:
-            built[index] = replace(templates[index], **values[index])
+            built = replace(template, **values)
         except ValueError as exc:
             raise SettingsError(f"{where}: {key}: {exc}") from exc
     return built

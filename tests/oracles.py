@@ -109,6 +109,7 @@ def preprocessed_flows_reference(
         sampled = None
         if (cloud := clouds_by_frame.get(frame)) is not None:
             sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+            sampled = sampled if len(sampled) else None
         flow = None
         if prev_sampled is not None and sampled is not None and flow_estimator is not None:
             flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +100,9 @@ class TestPipeline:
         assert "version" in sim_manifest
         track_manifest = json.loads((tracked_dir / "run_manifest.json").read_text())
         assert track_manifest["command"] == "track"
-        resolved = track_manifest["arguments"]["resolved_config"]
-        assert resolved == {
-            "iou_min": 0.01,
-            "max_mis": 2,
-            "min_det": 3,
-            "flow_source": "oracle",
-            "category": "Car",
-        }
+        arguments = track_manifest["arguments"]
+        assert arguments["resolved_config"] == {"iou_min": 0.01, "max_mis": 2, "min_det": 3}
+        assert (arguments["flow_source"], arguments["category"]) == ("oracle", "Car")
         out = tmp_path / "eval"
         run(["eval", "--gt", sim_dir / "gt.txt", "--results",
              tracked_dir / "results.txt", "--out", out])
@@ -220,6 +216,46 @@ class TestFlowSources:
         # Frames 6 and 7 have no flow, and their tracks carry on.
         assert all(len(gap[frame]) == 3 for frame in range(12))
 
+    @pytest.mark.parametrize("flow_source", ["nn", "oracle"])
+    def test_empty_cloud_tracks_like_a_missing_one(self, sim_dir, tmp_path, flow_source):
+        # A zero-byte cloud, and one the crop empties (every point behind the
+        # camera), give no flow into or out of their frame.
+        behind = PointCloud(positions=[[-10.0, 0.0, 0.0], [-12.0, 1.0, 0.0]])
+        results = {}
+        for name in ("missing", "empty", "cropped"):
+            clouds = tmp_path / name / "velodyne"
+            shutil.copytree(sim_dir / "velodyne", clouds)
+            cloud = clouds / "000006.bin"
+            if name == "missing":
+                cloud.unlink()
+            elif name == "empty":
+                cloud.write_bytes(b"")
+            else:
+                kitti_io.write_velodyne(cloud, behind)
+            out = tmp_path / name / "out"
+            args = {"--flow-source": flow_source, "--clouds": clouds}
+            assert run(track_args(sim_dir, out, **args)) == 0
+            results[name] = (out / "results.txt").read_bytes()
+        assert results["empty"] == results["missing"] == results["cropped"]
+
+    def test_non_default_image_size_file_flow_round_trip(self, tmp_path):
+        # sim --write-flow and track crop by the same rule, the one the
+        # calibration gives, so the flow files fit track's default crop.
+        scenario = demo_scenario(frames=12, num_objects=3)
+        scenario.sensor = replace(scenario.sensor, image_width=1000)
+        write_scenario(tmp_path / "w1000.scn", scenario)
+        scene = tmp_path / "scene"
+        assert run(["sim", "--scenario", tmp_path / "w1000.scn", "--write-flow",
+                    "--out", scene]) == 0
+        assert run(["track", "--detections", scene / "detections.txt",
+                    "--clouds", scene / "velodyne", "--calib", scene / "calib.txt",
+                    "--flow-source", "file", "--flow-dir", scene / "flow",
+                    "--out", tmp_path / "trk"]) == 0
+        assert run(["eval", "--gt", scene / "gt.txt", "--results", tmp_path / "trk" / "results.txt",
+                    "--out", tmp_path / "eval"]) == 0
+        report = json.loads((tmp_path / "eval" / "report_iou0.25.json").read_text())
+        assert report["sAMOTA"] == 100.0
+
     def test_constant_velocity_needs_no_clouds(self, sim_dir, tmp_path):
         out = tmp_path / "cv"
         assert run([
@@ -279,9 +315,8 @@ class TestFlowSources:
             frame: {row.track_id: box for row, box in pairs}
             for frame, pairs in cli.read_boxes(sim_dir / "gt.txt", calib, "Car").items()
         })
-        frustum = cli.Frustum(calibration=calib, image_width=1200, image_height=400)
         results = run_tracking(detections, eager, estimator, TrackerConfig(),
-                               frustum=frustum, num_points=2000)
+                               frustum=cli.Frustum(calib), num_points=2000)
         cli.write_results(tmp_path / "eager.txt", results, calib)
         assert (tmp_path / "eager.txt").read_bytes() == (tracked_dir / "results.txt").read_bytes()
         assert (tmp_path / "lazy" / "results.txt").read_bytes() == (
@@ -370,35 +405,30 @@ class TestFlowSources:
                 tmp_path / "x", predictor="kalman",
             )
 
+    def test_unknown_flow_source_is_a_usage_error(self, sim_dir, tmp_path):
+        with pytest.raises(UsageError, match="unknown flow source 'magic'"):
+            cli.run_tracking_files(
+                sim_dir / "detections.txt", sim_dir / "velodyne", sim_dir / "calib.txt",
+                tmp_path / "x", flow_source="magic",
+            )
+
 
 class TestConfigFile:
     def test_config_reflected_in_manifest(self, sim_dir, tmp_path):
         cfg = tmp_path / "tracker.cfg"
-        cfg.write_text("iou_min = 0.2\nmax_mis = 5\nflow_source = nn\n")
+        cfg.write_text("iou_min = 0.2\nmax_mis = 5\n")
         out = tmp_path / "cfg_run"
-        run(track_args(sim_dir, out, **{"--config": cfg, "--flow-source": None}))
+        assert run(track_args(sim_dir, out, **{"--config": cfg})) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         resolved = manifest["arguments"]["resolved_config"]
-        assert resolved["iou_min"] == 0.2
-        assert resolved["max_mis"] == 5
-        assert resolved["flow_source"] == "nn"
-        assert resolved["min_det"] == 3
-
-    def test_command_line_overrides_config(self, sim_dir, tmp_path):
-        cfg = tmp_path / "tracker.cfg"
-        cfg.write_text("flow_source = nn\n")
-        out = tmp_path / "cfg_run"
-        run(track_args(sim_dir, out, **{"--config": cfg}))
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["arguments"]["resolved_config"]["flow_source"] == "oracle"
+        assert resolved == {"iou_min": 0.2, "max_mis": 5, "min_det": 3}
 
 
 class TestSettingsFiles:
     def track_with_config(self, sim_dir, tmp_path, text: str) -> tuple[int, Path]:
         cfg = tmp_path / "tracker.cfg"
         cfg.write_text(text)
-        args = track_args(sim_dir, tmp_path / "out", **{"--config": cfg, "--flow-source": None})
-        return run(args), cfg
+        return run(track_args(sim_dir, tmp_path / "out", **{"--config": cfg})), cfg
 
     def test_out_of_range_config_value_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         code, cfg = self.track_with_config(
@@ -413,6 +443,11 @@ class TestSettingsFiles:
         code, cfg = self.track_with_config(sim_dir, tmp_path, "max_mis 4\nbogus_key = 3\n")
         assert code == 2
         assert f"{cfg}:2: unknown key 'bogus_key'" in one_line_error(capsys, "track")
+
+    def test_flow_source_config_key_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        code, cfg = self.track_with_config(sim_dir, tmp_path, "flow_source = nn\n")
+        assert code == 2
+        assert f"{cfg}:1: unknown key 'flow_source'" in one_line_error(capsys, "track")
 
     def test_config_section_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         code, cfg = self.track_with_config(sim_dir, tmp_path, "[tracker]\niou_min = 0.2\n")
@@ -435,6 +470,11 @@ class TestSettingsFiles:
     def test_zero_frames_one_line_exit_2(self, tmp_path, capsys):
         assert run(["sim", "--frames", "0", "--out", tmp_path / "out"]) == 2
         assert "at least one frame, got 0" in one_line_error(capsys, "sim")
+
+    def test_negative_object_count_one_line_exit_2(self, tmp_path, capsys):
+        assert run(["sim", "--objects", "-2", "--out", tmp_path / "out"]) == 2
+        assert "object count must be at least 0, got -2" in one_line_error(capsys, "sim")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCommand:
@@ -478,6 +518,14 @@ class TestEvalCommand:
         assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", tracked_dir,
                     "--out", tmp_path / "eval"]) == 2
         assert "both be files or both be directories" in one_line_error(capsys, "eval")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "nan"])
+    def test_iou_threshold_out_of_range_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path,
+                                                        capsys, value):
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", tracked_dir / "results.txt",
+                    "--iou-thres", "0.25", "--iou-thres", value, "--out", tmp_path / "eval"]) == 2
+        assert "IoU threshold must be in (0, 1]" in one_line_error(capsys, "eval")
+        assert not (tmp_path / "eval").exists()
 
     def test_zero_recall_steps_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path, capsys):
         assert run(["eval", "--gt", sim_dir / "gt.txt", "--results",
@@ -637,6 +685,12 @@ class TestCleanFailures:
         args = track_args(sim_dir, tmp_path / "out", **{"--flow-source": "nn", flag: value})
         assert run(args) == 2
         assert message in one_line_error(capsys, "track")
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-80", "inf"])
+    def test_bad_fov_margin_one_line_exit_2(self, sim_dir, tmp_path, capsys, value):
+        assert run(track_args(sim_dir, tmp_path / "out", **{"--fov-margin": value})) == 2
+        assert "--fov-margin must be finite and at least 0" in one_line_error(capsys, "track")
         assert not (tmp_path / "out" / "results.txt").exists()
 
     def test_flow_predictor_without_clouds_one_line_exit_2(self, sim_dir, tmp_path, capsys):

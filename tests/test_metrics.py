@@ -335,6 +335,12 @@ def amota_fixture() -> tuple[dict, dict]:
 
 
 class TestRecallSweep:
+    @pytest.mark.parametrize("iou_thres", [0.0, -1.0, 1.5, math.nan])
+    def test_iou_threshold_outside_unit_interval_rejected(self, iou_thres):
+        with pytest.raises(EvaluationInputError, match=r"IoU threshold must be in \(0, 1\]"):
+            EvalConfig(iou_thres=iou_thres)
+        assert EvalConfig(iou_thres=1.0).iou_thres == 1.0
+
     def test_two_step_sweep_exact(self):
         gt, pred = amota_fixture()
         cfg = EvalConfig(iou_thres=0.25, num_recall_steps=2)

@@ -162,14 +162,9 @@ class TestPipelinedChain:
         cli.write_scenario_outputs(frames, tmp_path, calib, write_flow=True,
                                    num_points=NUM_POINTS, seed=4)
         estimator = OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in frames})
-        frustum = cli.Frustum(
-            calibration=calib,
-            image_width=int(calib.projection[0, 2] * 2),
-            image_height=int(calib.projection[1, 2] * 2),
-        )
         reference = preprocessed_flows_reference(
             cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames], estimator,
-            frustum, NUM_POINTS, 4,
+            cli.Frustum(calib), NUM_POINTS, 4,
         )
         written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
         expected = [(frame, prev, flow) for frame, prev, flow in reference if flow is not None]

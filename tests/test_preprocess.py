@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,12 +85,7 @@ class TestCalibration:
 
 
 def nominal_frustum(margin_deg=0.0) -> Frustum:
-    return Frustum(
-        calibration=Calibration.nominal(),
-        image_width=1200,
-        image_height=400,
-        margin_deg=margin_deg,
-    )
+    return Frustum(Calibration.nominal(), margin_deg)
 
 
 def azimuth_point(azimuth_deg: float, depth: float = 10.0) -> list[float]:
@@ -114,6 +110,25 @@ class TestFilterFov:
         cloud = make_cloud([azimuth_point(50.0)])
         assert len(filter_fov(cloud, nominal_frustum(0.0))) == 0
         assert len(filter_fov(cloud, nominal_frustum(10.0))) == 1
+
+    @pytest.mark.parametrize("margin_deg", [0.0, 10.0])
+    def test_image_spans_twice_the_principal_point(self, margin_deg):
+        # A KITTI-like camera: the principal point is off the image center
+        # of its 1242 x 375 image, and the crop is symmetric about it.
+        nominal = Calibration.nominal()
+        projection = [[721.54, 0.0, 609.56, 0.0], [0.0, 721.54, 172.85, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        calib = Calibration(projection, nominal.rect, nominal.velo_to_cam)
+        frustum = Frustum(calib, margin_deg)
+        half_az = math.degrees(math.atan2(609.56, 721.54)) + margin_deg
+        half_el = math.degrees(math.atan2(172.85, 721.54)) + margin_deg
+        for azimuth, kept in [(half_az - 0.01, 1), (half_az + 0.01, 0)]:
+            for sign in (1.0, -1.0):
+                assert len(filter_fov(make_cloud([azimuth_point(sign * azimuth)]), frustum)) == kept
+        for elevation, kept in [(half_el - 0.01, 1), (half_el + 0.01, 0)]:
+            for sign in (1.0, -1.0):
+                e = math.radians(sign * elevation)
+                point = [10.0 * math.cos(e), 0.0, 10.0 * math.sin(e)]
+                assert len(filter_fov(make_cloud([point]), frustum)) == kept
 
     def test_idempotent(self, rng):
         cloud = make_cloud(rng.uniform(-30, 30, size=(500, 3)))
@@ -145,7 +160,7 @@ class TestFilterFov:
             rect=calib.rect,
             velo_to_cam=calib.velo_to_cam,
         )
-        frustum = Frustum(calibration=broken, image_width=1200, image_height=400)
+        frustum = Frustum(broken)
         with pytest.raises(CalibrationError):
             filter_fov(make_cloud([[10, 0, 0]]), frustum)
 
@@ -157,7 +172,7 @@ class TestFilterFov:
         assert singular.lidar_to_camera(np.ones((2, 3))).tolist() == [[0.0] * 3] * 2
         with pytest.raises(CalibrationError, match="not invertible"):
             singular.camera_to_lidar(np.ones((2, 3)))
-        frustum = Frustum(calibration=singular, image_width=1200, image_height=400)
+        frustum = Frustum(singular)
         with pytest.raises(CalibrationError):
             filter_fov(make_cloud([[10, 0, 0]]), frustum)
 
@@ -434,6 +449,12 @@ class TestSamplePoints:
         with pytest.warns(RuntimeWarning):
             sampled_all = sample_points(cloud, 5)
         assert len(sampled_all) == 2
+
+    def test_empty_cloud_gives_empty_sample(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sampled = sample_points(make_cloud(np.empty((0, 3))), 10)
+        assert len(sampled) == 0 and sampled.features.shape == (0, 0)
 
     def test_invalid_count_rejected(self, rng):
         cloud = make_cloud(rng.uniform(-1, 1, size=(10, 3)))

@@ -18,7 +18,6 @@ from flowtrack.tracker import (
     Detection,
     FrameInputError,
     Offset,
-    PipelineConfig,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -68,53 +67,46 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrackerConfig(min_det=0)
 
-    def test_pipeline_config_file(self, tmp_path):
+    def test_config_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(
             "# tracker settings\n"
             "iou_min = 0.1\n"
             "max_mis = 4\n"
             "min_det = 2\n"
-            "flow_source = nn\n"
-            "category = Pedestrian\n"
         )
-        cfg = PipelineConfig.from_file(path)
-        assert cfg.tracker.iou_min == 0.1
-        assert cfg.tracker.max_mis == 4
-        assert cfg.tracker.min_det == 2
-        assert cfg.flow_source == "nn"
-        assert cfg.category == "Pedestrian"
+        assert TrackerConfig.from_file(path) == TrackerConfig(iou_min=0.1, max_mis=4, min_det=2)
 
-    def test_pipeline_config_rejects_unknown_key(self, tmp_path):
+    def test_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("iou_max = 0.1\n")
         with pytest.raises(ValueError, match="iou_max"):
-            PipelineConfig.from_file(path)
+            TrackerConfig.from_file(path)
 
-    def test_pipeline_config_rejects_bad_flow_source(self, tmp_path):
+    @pytest.mark.parametrize("line", ["flow_source = nn", "category = Pedestrian"])
+    def test_config_holds_no_flag_setting(self, tmp_path, line):
         path = tmp_path / "cfg.txt"
-        path.write_text("flow_source = magic\n")
-        with pytest.raises(ValueError, match="magic"):
-            PipelineConfig.from_file(path)
-        with pytest.raises(ValueError, match="magic"):
-            PipelineConfig(flow_source="magic")
+        path.write_text(f"min_det = 2\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(SettingsError, match=re.escape(f"{path}:2: unknown key '{key}'")):
+            TrackerConfig.from_file(path)
 
-    def test_pipeline_config_file_values_are_range_checked(self, tmp_path):
+    def test_config_file_values_are_range_checked(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("min_det = 2\niou_min = 7\n")
         with pytest.raises(SettingsError, match=re.escape(f"{path}:2: iou_min: ")):
-            PipelineConfig.from_file(path)
+            TrackerConfig.from_file(path)
 
     @pytest.mark.parametrize("line, message", [
         ("max_mis = two", "max_mis: expected an integer, got 'two'"),
         ("iou_min =", "iou_min: expected a number, got ''"),
         ("iou_min", "expected 'key = value'"),
     ])
-    def test_pipeline_config_malformed_value_names_line_and_key(self, tmp_path, line, message):
+    def test_config_malformed_value_names_line_and_key(self, tmp_path, line, message):
         path = tmp_path / "cfg.txt"
         path.write_text(f"# header\n\n{line}\n")
         with pytest.raises(SettingsError, match=re.escape(f"{path}:3: {message}")):
-            PipelineConfig.from_file(path)
+            TrackerConfig.from_file(path)
 
     def test_readme_configuration_block_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -122,10 +114,7 @@ class TestConfig:
         block = section.split("```", 2)[1]
         path = tmp_path / "readme.cfg"
         path.write_text(block)
-        assert PipelineConfig.from_file(path) == PipelineConfig(
-            TrackerConfig(iou_min=0.01, max_mis=2, min_det=3), flow_source="file",
-            category="Car",
-        )
+        assert TrackerConfig.from_file(path) == TrackerConfig(iou_min=0.01, max_mis=2, min_det=3)
 
 
 class TestComputeOffset:
