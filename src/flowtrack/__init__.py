@@ -35,7 +35,6 @@ from .assignment import max_similarity_assignment
 from .tracker import (
     Detection,
     EmittedTrack,
-    FrameInputError,
     Offset,
     SettingsError,
     Tracker,
@@ -85,7 +84,6 @@ __all__ = [
     "max_similarity_assignment",
     "Detection",
     "EmittedTrack",
-    "FrameInputError",
     "Offset",
     "SettingsError",
     "Tracker",

@@ -58,7 +58,6 @@ from .sim import FrameData, demo_scenario, generate, read_scenario, select_frame
 from .tracker import (
     Detection,
     EmittedTrack,
-    FrameInputError,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -76,8 +75,8 @@ PREPROCESS_WORKERS = 2
 PREPROCESS_LOOKAHEAD = 4
 
 # Malformed inputs: ``main`` reports them in one line and exits with status 2.
-DOMAIN_ERRORS = (CalibrationError, EvaluationInputError, FlowDataError, FrameInputError,
-                 LabelFormatError, SettingsError, UsageError, VelodyneFormatError)
+DOMAIN_ERRORS = (CalibrationError, EvaluationInputError, FlowDataError, LabelFormatError,
+                 SettingsError, UsageError, VelodyneFormatError)
 
 
 def write_manifest(
@@ -189,13 +188,14 @@ def preprocessed_flows(
     frustum: Frustum | None,
     num_points: int,
     seed: int,
-) -> Iterator[tuple[int, PointCloud | None, FlowField | None]]:
+) -> Iterator[tuple[int, FlowField | None]]:
     """The preprocess -> flow chain that ``track`` and ``sim --write-flow`` share.
 
-    Yields ``(k, prev, flow)`` for each frame ``k``: ``prev`` is the cloud of
-    frame ``k - 1`` preprocessed with draws keyed by ``(seed, k - 1)``, and
-    ``flow`` the estimate from ``k - 1`` to ``k``; either is ``None`` when an
-    input is missing, or when a cloud is empty after preprocessing.
+    Yields ``(k, flow)`` for each frame ``k``: ``flow`` is the estimate from
+    ``k - 1`` to ``k``, whose sources are the cloud of frame ``k - 1``
+    preprocessed with draws keyed by ``(seed, k - 1)``.  It is ``None``
+    without an estimator, when either cloud is missing, or when one is
+    empty after preprocessing.
 
     Each frame's cloud is read and preprocessed on one of
     ``PREPROCESS_WORKERS`` threads, at most ``PREPROCESS_LOOKAHEAD`` frames
@@ -210,7 +210,7 @@ def preprocessed_flows(
         raise UsageError(f"--num-points must be at least 1, got {num_points}")
     if not clouds_by_frame:
         for frame in frames:
-            yield frame, None, None
+            yield frame, None
         return
     # Imported here: concurrent.futures loads logging, which costs more than
     # every other standard module the CLI imports, and runs without clouds
@@ -233,7 +233,7 @@ def preprocessed_flows(
             flow = None
             if prev_sampled is not None and sampled is not None and flow_estimator is not None:
                 flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
-            yield frame, prev_sampled, flow
+            yield frame, flow
             prev_sampled = sampled
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -274,10 +274,8 @@ def run_tracking(
         clouds, range(min(frames), max(frames) + 1), flow_estimator, frustum, num_points, seed
     )) as chain:
         return {
-            frame: tracker.step(
-                list(detections_by_frame.get(frame, [])), prev_cloud=prev_sampled, flow=flow
-            )
-            for frame, prev_sampled, flow in chain
+            frame: tracker.step(list(detections_by_frame.get(frame, [])), flow)
+            for frame, flow in chain
         }
 
 
@@ -312,6 +310,8 @@ def run_tracking_files(
         raise UsageError(f"unknown flow source {flow_source!r}")
     if not 0.0 <= fov_margin_deg < math.inf:
         raise UsageError(f"--fov-margin must be finite and at least 0, got {fov_margin_deg}")
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
     if predictor == "flow" and clouds_dir is None:
         raise UsageError("--predictor flow needs --clouds")
     if clouds_dir is not None and not Path(clouds_dir).is_dir():
@@ -483,9 +483,9 @@ def write_scenario_outputs(
             CloudFiles(out_dir / "velodyne"), [f.index for f in frames], estimator, Frustum(calib),
             num_points, seed,
         )) as chain:
-            for frame, prev_sampled, field in chain:
+            for frame, field in chain:
                 if field is not None:
-                    save_flow(out_dir / "flow", frame - 1, prev_sampled.positions, field)
+                    save_flow(out_dir / "flow", frame - 1, field)
 
 
 def run_decimation(in_dir: Path, out_dir: Path, stride: int, offset: int) -> list[int]:
@@ -496,6 +496,8 @@ def run_decimation(in_dir: Path, out_dir: Path, stride: int, offset: int) -> lis
     original frame indices kept.
     """
     in_dir, out_dir = Path(in_dir), Path(out_dir)
+    if not in_dir.is_dir():
+        raise UsageError(f"--in {in_dir}: no such directory")
     clouds = CloudFiles(in_dir / "velodyne").paths
     labels = {
         name: read_labels(in_dir / name)
@@ -570,14 +572,12 @@ def _add_sim_parser(subparsers: argparse._SubParsersAction) -> None:
 def _add_decimate_parser(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser("decimate", help="drop frames from a written scenario")
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
-    p.add_argument("--keep", choices=("even", "odd"), default=None)
-    p.add_argument("--stride", type=int, default=None)
+    p.add_argument("--stride", type=int, required=True, help="keep every n-th frame")
+    p.add_argument("--offset", type=int, default=0, help="index of the first frame kept")
     p.add_argument("--out", type=Path, required=True)
 
 
-def _run_command(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, arg_record: dict
-) -> None:
+def _run_command(args: argparse.Namespace, arg_record: dict) -> None:
     """Run the parsed subcommand; ``arg_record`` gains the resolved config."""
     if args.command == "track":
         config = TrackerConfig.from_file(args.config) if args.config else TrackerConfig()
@@ -624,13 +624,7 @@ def _run_command(
         )
         print(f"scenario written to {args.out}")
     elif args.command == "decimate":
-        if (args.keep is None) == (args.stride is None):
-            parser.error("give exactly one of --keep or --stride")
-        if args.keep is not None:
-            stride, offset = 2, (0 if args.keep == "even" else 1)
-        else:
-            stride, offset = args.stride, 0
-        kept = run_decimation(args.in_dir, args.out, stride, offset)
+        kept = run_decimation(args.in_dir, args.out, args.stride, args.offset)
         print(f"kept {len(kept)} frames")
 
 
@@ -650,7 +644,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.time()
     arg_record = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        _run_command(parser, args, arg_record)
+        _run_command(args, arg_record)
     except (*DOMAIN_ERRORS, OSError) as exc:
         # OSError: an input file that is missing or cannot be read.
         message = " ".join(str(exc).splitlines())

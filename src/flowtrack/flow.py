@@ -1,9 +1,10 @@
-"""Scene-flow fields aligned with a sampled point cloud.
+"""Scene-flow fields: per-point motion vectors with the points they move.
 
 A flow field assigns one 3D motion vector to every point of the previous
-frame's working cloud.  Three sources are supported behind one interface:
-exact flow derived from known per-instance rigid motions, a nearest-neighbor
-baseline, and precomputed fields loaded from disk.
+frame's working cloud and holds those points with the vectors.  Three
+sources are supported behind one interface: exact flow derived from known
+per-instance rigid motions, a nearest-neighbor baseline, and precomputed
+fields loaded from disk.
 """
 
 from __future__ import annotations
@@ -33,18 +34,34 @@ class FlowDataError(ValueError):
 
 @dataclass
 class FlowField:
-    """Per-point motion vectors, row-aligned with a source cloud.
+    """Per-point motion vectors with the points they move.
+
+    This is the one place that ties a vector to its point: row ``i`` of
+    ``vectors`` moves row ``i`` of ``sources``.
 
     Attributes
     ----------
+    sources : np.ndarray
+        Positions of the previous frame's points, shape (n, 3).
     vectors : np.ndarray
-        Array of shape (n, 3), finite.
+        One motion vector per source point, shape (n, 3), finite.
+
+    Raises
+    ------
+    FlowDataError
+        When the two arrays differ in length, or a vector is not finite.
     """
 
+    sources: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        self.sources = np.asarray(self.sources, dtype=float).reshape(-1, 3)
         self.vectors = np.asarray(self.vectors, dtype=float).reshape(-1, 3)
+        if len(self.vectors) != len(self.sources):
+            raise FlowDataError(
+                f"flow has {len(self.vectors)} vectors for {len(self.sources)} points"
+            )
         if not np.all(np.isfinite(self.vectors)):
             raise FlowDataError("flow vectors must be finite")
 
@@ -114,7 +131,7 @@ def estimate_oracle(prev: PointCloud, motions: Mapping[int, RigidMotion]) -> Flo
         mask = prev.labels == instance_id
         points = prev.positions[mask]
         vectors[mask] = motions[int(instance_id)].apply(points) - points
-    return FlowField(vectors=vectors)
+    return FlowField(prev.positions, vectors)
 
 
 def estimate_nn(
@@ -138,14 +155,14 @@ def estimate_nn(
         distances, indices = tree.query(prev.positions, k=1)
         matched = distances <= max_match_distance
         vectors[matched] = curr.positions[indices[matched]] - prev.positions[matched]
-    return FlowField(vectors=vectors)
+    return FlowField(prev.positions, vectors)
 
 
 def _flow_path(path: Path, frame_index: int) -> Path:
     return Path(path) / f"{frame_index:06d}.sfl"
 
 
-def write_flow_file(file_path: Path, sources: np.ndarray, field: FlowField) -> None:
+def write_flow_file(file_path: Path, field: FlowField) -> None:
     """Write one flow field with its source coordinates.
 
     Layout: magic ``SFL1``, little-endian u32 point count, then per point
@@ -153,30 +170,25 @@ def write_flow_file(file_path: Path, sources: np.ndarray, field: FlowField) -> N
     stored source coordinates let readers verify that a file really belongs
     to the cloud it is loaded for.
     """
-    sources = np.asarray(sources, dtype=float).reshape(-1, 3)
-    if len(sources) != len(field):
-        raise FlowDataError(
-            f"source count {len(sources)} does not match flow count {len(field)}"
-        )
-    records = np.hstack([sources, field.vectors]).astype("<f4")
+    records = np.hstack([field.sources, field.vectors]).astype("<f4")
     file_path = Path(file_path)
     file_path.parent.mkdir(parents=True, exist_ok=True)
     with open(file_path, "wb") as handle:
         handle.write(FLOW_MAGIC)
-        handle.write(struct.pack("<I", len(sources)))
+        handle.write(struct.pack("<I", len(field)))
         handle.write(records.tobytes())
 
 
-def save_flow(path: Path, frame_index: int, sources: np.ndarray, field: FlowField) -> Path:
+def save_flow(path: Path, frame_index: int, field: FlowField) -> Path:
     """Write the flow for one frame pair under ``path``, named by the index
     of the pair's previous frame."""
     file_path = _flow_path(path, frame_index)
-    write_flow_file(file_path, sources, field)
+    write_flow_file(file_path, field)
     return file_path
 
 
-def read_flow_file(file_path: Path) -> tuple[np.ndarray, FlowField]:
-    """Read one flow file, returning ``(sources, field)``.
+def read_flow_file(file_path: Path) -> FlowField:
+    """Read one flow file as the field of its stored sources.
 
     Raises
     ------
@@ -198,13 +210,12 @@ def read_flow_file(file_path: Path) -> tuple[np.ndarray, FlowField]:
     records = np.frombuffer(payload, dtype="<f4").reshape(-1, 6).astype(float)
     if not np.all(np.isfinite(records)):
         raise FlowDataError(f"{file_path}: non-finite values")
-    return records[:, :3], FlowField(vectors=records[:, 3:])
+    return FlowField(records[:, :3], records[:, 3:])
 
 
-def load_flow(
-    path: Path, frame_index: int, sources: np.ndarray | None = None
-) -> FlowField:
-    """Load the flow field for one frame pair from a directory.
+def load_flow(path: Path, frame_index: int, sources: np.ndarray) -> FlowField:
+    """Load the flow field for one frame pair from a directory, checked
+    against the cloud it moves.
 
     Parameters
     ----------
@@ -212,9 +223,10 @@ def load_flow(
         Directory holding one ``.sfl`` file per frame pair.
     frame_index : int
         Index of the pair's previous frame.
-    sources : np.ndarray, optional
-        Positions of the cloud the field must align with.  When given, the
-        stored source coordinates are checked against them.
+    sources : np.ndarray
+        Positions of the cloud the field must align with.  The stored
+        source coordinates are checked against them, and the returned field
+        holds these positions, not the file's single-precision copies.
 
     Raises
     ------
@@ -225,21 +237,19 @@ def load_flow(
     file_path = _flow_path(path, frame_index)
     if not file_path.exists():
         raise FlowDataError(f"no flow file for frame {frame_index}: {file_path}")
-    stored_sources, field = read_flow_file(file_path)
-    if sources is not None:
-        sources = np.asarray(sources, dtype=float).reshape(-1, 3)
-        if len(sources) != len(field):
-            raise FlowDataError(
-                f"frame {frame_index}: flow has {len(field)} points, cloud has "
-                f"{len(sources)}"
-            )
-        deviation = float(np.max(np.abs(stored_sources - sources), initial=0.0))
-        if deviation > SOURCE_ALIGNMENT_TOL:
-            raise FlowDataError(
-                f"frame {frame_index}: flow sources deviate from the cloud by "
-                f"{deviation:.2e} m (max {SOURCE_ALIGNMENT_TOL:.0e})"
-            )
-    return field
+    stored = read_flow_file(file_path)
+    sources = np.asarray(sources, dtype=float).reshape(-1, 3)
+    if len(sources) != len(stored):
+        raise FlowDataError(
+            f"frame {frame_index}: flow has {len(stored)} points, cloud has {len(sources)}"
+        )
+    deviation = float(np.max(np.abs(stored.sources - sources), initial=0.0))
+    if deviation > SOURCE_ALIGNMENT_TOL:
+        raise FlowDataError(
+            f"frame {frame_index}: flow sources deviate from the cloud by "
+            f"{deviation:.2e} m (max {SOURCE_ALIGNMENT_TOL:.0e})"
+        )
+    return FlowField(sources, stored.vectors)
 
 
 def motions_from_boxes(
@@ -296,7 +306,7 @@ class NearestNeighborFlowEstimator:
 class FileFlowEstimator:
     """Estimator that loads precomputed fields, validating alignment.
 
-    The loaded field must have exactly one vector per point of the previous
+    The loaded file must have exactly one vector per point of the previous
     cloud and its stored source coordinates must match that cloud; a
     mismatch usually means the files were computed against a different
     preprocessing seed.

@@ -257,11 +257,14 @@ def generate(scenario: Scenario) -> list[FrameData]:
     Raises
     ------
     SettingsError
-        For a scenario without frames, with duplicate object ids, or with
-        an object whose waypoints do not cover every frame.
+        For a scenario without frames, with a negative seed, with duplicate
+        object ids, or with an object whose waypoints do not cover every
+        frame.
     """
     if scenario.frames < 1:
         raise SettingsError(f"scenario needs at least one frame, got {scenario.frames}")
+    if scenario.seed < 0:
+        raise SettingsError(f"the scenario seed must be at least 0, got {scenario.seed}")
     ids = [spec.obj_id for spec in scenario.objects]
     if len(set(ids)) != len(ids):
         raise SettingsError(f"duplicate object ids: {ids}")

@@ -19,20 +19,15 @@ import numpy as np
 from .assignment import max_similarity_assignment
 from .flow import FlowField
 from .geometry import ATTRIBUTION_MARGIN, Box3D, iou_matrix, points_in_boxes, wrap_angle
-from .preprocess import PointCloud
 
 T = TypeVar("T")
 
 
-class FrameInputError(ValueError):
-    """Raised when a frame's inputs violate the step contract; the frame is
-    rejected and the tracker state is left unchanged."""
-
-
 class UsageError(ValueError):
     """Raised for run arguments outside their range, or missing the input
-    another argument needs: a decimation stride below 1, a flow source
-    without its ground truth or flow files."""
+    another argument needs: a decimation stride below 1, a negative seed,
+    an input directory that does not exist, a flow source without its
+    ground truth or flow files."""
 
 
 @dataclass
@@ -242,9 +237,7 @@ def format_settings(items: Iterable[tuple[str, object]], header: str = "") -> st
     return "\n".join(lines)
 
 
-def compute_offset(
-    tracklet: Tracklet, prev_cloud: PointCloud, flow: FlowField, inside: np.ndarray
-) -> tuple[Offset, int]:
+def compute_offset(tracklet: Tracklet, flow: FlowField, inside: np.ndarray) -> tuple[Offset, int]:
     """Motion offset of a tracklet from the flow of the points in its box.
 
     The translation is the arithmetic mean of the flow vectors of the
@@ -252,8 +245,8 @@ def compute_offset(
     yaw increment assumes constant angular velocity: the change between the
     tracklet's last two adopted yaws, or zero without history.
 
-    ``inside`` holds the indices of those points, as :func:`points_in_boxes`
-    gives them with ``ATTRIBUTION_MARGIN``.
+    ``inside`` holds the indices of those points among ``flow.sources``, as
+    :func:`points_in_boxes` gives them with ``ATTRIBUTION_MARGIN``.
 
     Returns
     -------
@@ -263,10 +256,6 @@ def compute_offset(
         offset translation is zero in that case and callers should fall
         back to constant-velocity extrapolation.
     """
-    if len(flow) != len(prev_cloud):
-        raise FrameInputError(
-            f"flow has {len(flow)} vectors for {len(prev_cloud)} points"
-        )
     prev = tracklet.prev_box
     dtheta = 0.0 if prev is None else wrap_angle(tracklet.box.theta - prev.theta)
     if len(inside) == 0:
@@ -391,10 +380,7 @@ class Tracker:
         self.frames_seen = 0
 
     def step(
-        self,
-        detections: Sequence[Detection],
-        prev_cloud: PointCloud | None = None,
-        flow: FlowField | None = None,
+        self, detections: Sequence[Detection], flow: FlowField | None = None
     ) -> list[EmittedTrack]:
         """Advance the tracker by one frame.
 
@@ -402,38 +388,26 @@ class Tracker:
         ----------
         detections : sequence of Detection
             Current-frame detections.
-        prev_cloud : PointCloud, optional
-            Sampled cloud of the previous frame; required with ``flow``.
         flow : FlowField, optional
-            Flow aligned with ``prev_cloud``.  Without it every tracklet
-            advances by constant velocity.
+            Flow of the previous frame's sampled points; each tracklet's
+            points are those of ``flow.sources`` inside its box.  Without it
+            every tracklet advances by constant velocity.
 
         Returns
         -------
         list of EmittedTrack
             Reported tracks for this frame.
-
-        Raises
-        ------
-        FrameInputError
-            When ``flow`` is given without ``prev_cloud``, or misaligned
-            with it.  The state is unchanged in that case.
         """
-        if flow is not None and prev_cloud is None:
-            raise FrameInputError("flow needs the previous frame's cloud")
-        if flow is not None and len(flow) != len(prev_cloud):
-            raise FrameInputError(f"flow has {len(flow)} vectors for {len(prev_cloud)} points")
-
         if flow is None or not self.tracklets:
             predicted = [predict_constant_velocity(t) for t in self.tracklets]
         else:
             # One attribution pass for every tracklet.
             members = points_in_boxes(
-                [t.box for t in self.tracklets], prev_cloud.positions, margin=ATTRIBUTION_MARGIN
+                [t.box for t in self.tracklets], flow.sources, margin=ATTRIBUTION_MARGIN
             )
             predicted = []
             for tracklet, inside in zip(self.tracklets, members):
-                offset, n_points = compute_offset(tracklet, prev_cloud, flow, inside)
+                offset, n_points = compute_offset(tracklet, flow, inside)
                 predicted.append(
                     predict(tracklet, offset) if n_points else predict_constant_velocity(tracklet)
                 )

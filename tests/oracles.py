@@ -101,7 +101,7 @@ def preprocessed_flows_reference(
     frustum: Frustum | None,
     num_points: int,
     seed: int,
-) -> Iterator[tuple[int, PointCloud | None, FlowField | None]]:
+) -> Iterator[tuple[int, FlowField | None]]:
     """The preprocess -> flow chain as one sequential loop on the caller's
     thread: each frame read, preprocessed, then its flow estimated."""
     prev_sampled = None
@@ -113,7 +113,7 @@ def preprocessed_flows_reference(
         flow = None
         if prev_sampled is not None and sampled is not None and flow_estimator is not None:
             flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
-        yield frame, prev_sampled, flow
+        yield frame, flow
         prev_sampled = sampled
 
 

@@ -424,14 +424,9 @@ def test_criterion_9_format_fidelity(tmp_path):
     # Flow files: the same double round trip is byte identical.
     sources = rng.uniform(-40, 40, size=(300, 3))
     vectors = rng.normal(0.0, 1.0, size=(300, 3))
-    save_flow(tmp_path / "flow1", 4, sources, FlowField(vectors=vectors))
-    field = load_flow(tmp_path / "flow1", 4)
-    save_flow(
-        tmp_path / "flow2",
-        4,
-        sources.astype(np.float32).astype(float),
-        field,
-    )
+    save_flow(tmp_path / "flow1", 4, FlowField(sources, vectors))
+    field = load_flow(tmp_path / "flow1", 4, sources.astype(np.float32).astype(float))
+    save_flow(tmp_path / "flow2", 4, field)
     flow_exact = (tmp_path / "flow1" / "000004.sfl").read_bytes() == (
         tmp_path / "flow2" / "000004.sfl"
     ).read_bytes()

@@ -476,6 +476,17 @@ class TestSettingsFiles:
         assert "object count must be at least 0, got -2" in one_line_error(capsys, "sim")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_sim_seed_one_line_exit_2(self, tmp_path, capsys):
+        assert run(["sim", "--seed", "-1", "--out", tmp_path / "out"]) == 2
+        assert "scenario seed must be at least 0, got -1" in one_line_error(capsys, "sim")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_scenario_file_seed_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "neg.scn"
+        write_scenario(path, replace(demo_scenario(frames=3, num_objects=1), seed=-2))
+        assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        assert "scenario seed must be at least 0, got -2" in one_line_error(capsys, "sim")
+
 
 class TestEvalCommand:
     def test_multiple_thresholds_write_report_pairs(self, sim_dir, tracked_dir, tmp_path):
@@ -704,6 +715,13 @@ class TestCleanFailures:
                                                            "--predictor": "cv"})) == 0
 
     @pytest.mark.parametrize("predictor", ["flow", "cv"])
+    def test_negative_track_seed_one_line_exit_2(self, sim_dir, tmp_path, capsys, predictor):
+        args = track_args(sim_dir, tmp_path / "out", **{"--seed": "-3", "--predictor": predictor})
+        assert run(args) == 2
+        assert "--seed must be at least 0, got -3" in one_line_error(capsys, "track")
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    @pytest.mark.parametrize("predictor", ["flow", "cv"])
     def test_missing_clouds_directory_one_line_exit_2(self, sim_dir, tmp_path, capsys, predictor):
         missing = tmp_path / "nope_dir"
         args = track_args(sim_dir, tmp_path / "out", **{"--clouds": missing,
@@ -739,9 +757,9 @@ class TestCleanFailures:
 
 
 class TestDecimateCommand:
-    def test_keep_even_halves_scene(self, sim_dir, tmp_path):
+    def test_stride_2_halves_scene(self, sim_dir, tmp_path):
         out = tmp_path / "half"
-        assert run(["decimate", "--in", sim_dir, "--keep", "even", "--out", out]) == 0
+        assert run(["decimate", "--in", sim_dir, "--stride", "2", "--out", out]) == 0
         bins = sorted(p.name for p in (out / "velodyne").glob("*.bin"))
         assert bins == [f"{i:06d}.bin" for i in range(6)]
         assert (out / "velodyne" / "000002.bin").read_bytes() == (
@@ -752,9 +770,17 @@ class TestDecimateCommand:
         assert (out / "calib.txt").read_bytes() == (sim_dir / "calib.txt").read_bytes()
         assert json.loads((out / "run_manifest.json").read_text())["command"] == "decimate"
 
+    def test_offset_keeps_the_odd_frames(self, sim_dir, tmp_path):
+        out = tmp_path / "odd"
+        assert run(["decimate", "--in", sim_dir, "--stride", "2", "--offset", "1",
+                    "--out", out]) == 0
+        assert [p.read_bytes() for p in sorted((out / "velodyne").glob("*.bin"))] == [
+            (sim_dir / "velodyne" / f"{i:06d}.bin").read_bytes() for i in range(1, 12, 2)
+        ]
+
     def test_stride_composes(self, sim_dir, tmp_path):
         half = tmp_path / "half"
-        run(["decimate", "--in", sim_dir, "--keep", "even", "--out", half])
+        run(["decimate", "--in", sim_dir, "--stride", "2", "--out", half])
         quarter = tmp_path / "quarter"
         run(["decimate", "--in", half, "--stride", "2", "--out", quarter])
         direct = tmp_path / "direct"
@@ -797,7 +823,7 @@ class TestDecimateCommand:
 
     def test_file_flow_on_decimated_scene_exits_2(self, sim_dir, tmp_path, capsys):
         half = tmp_path / "half"
-        assert run(["decimate", "--in", sim_dir, "--keep", "even", "--out", half]) == 0
+        assert run(["decimate", "--in", sim_dir, "--stride", "2", "--out", half]) == 0
         assert not (half / "flow").exists()
         args = track_args(half, tmp_path / "trk", **{
             "--flow-source": "file", "--flow-dir": half / "flow",
@@ -807,11 +833,11 @@ class TestDecimateCommand:
         assert err.startswith("flowtrack track: error: no flow file for frame 0")
         assert err.count("\n") == 1
 
-    def test_exactly_one_mode_required(self, sim_dir, tmp_path):
+    def test_stride_required_and_keep_removed(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit):
             run(["decimate", "--in", sim_dir, "--out", tmp_path / "x"])
         with pytest.raises(SystemExit):
-            run(["decimate", "--in", sim_dir, "--keep", "even", "--stride", "3",
+            run(["decimate", "--in", sim_dir, "--keep", "even", "--stride", "2",
                  "--out", tmp_path / "x"])
 
     @pytest.mark.parametrize("stride", ["0", "-2"])
@@ -825,6 +851,13 @@ class TestDecimateCommand:
         with pytest.raises(UsageError, match="offset must be non-negative, got -1"):
             cli.run_decimation(sim_dir, tmp_path / "x", 2, -1)
         assert UsageError in cli.DOMAIN_ERRORS
+
+    def test_missing_input_directory_one_line_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope_dir"
+        args = ["decimate", "--in", missing, "--stride", "2", "--out", tmp_path / "out"]
+        assert run(args) == 2
+        assert f"--in {missing}: no such directory" in one_line_error(capsys, "decimate")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_input_warns(self, tmp_path):
         empty = tmp_path / "empty_scene"

@@ -39,16 +39,20 @@ def cloud_of(positions, labels=None) -> PointCloud:
 
 class TestFlowField:
     def test_length(self):
-        field = FlowField(vectors=np.zeros((4, 3)))
+        field = FlowField(np.zeros((4, 3)), np.zeros((4, 3)))
         assert len(field) == 4
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            FlowField(vectors=np.array([[0.0, math.nan, 0.0]]))
+            FlowField(np.zeros((1, 3)), np.array([[0.0, math.nan, 0.0]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            FlowField(vectors=np.zeros((4, 2)))
+            FlowField(np.zeros((4, 3)), np.zeros((4, 2)))
+
+    def test_rejects_vectors_misaligned_with_sources(self):
+        with pytest.raises(FlowDataError, match="flow has 2 vectors for 3 points"):
+            FlowField(np.zeros((3, 3)), np.zeros((2, 3)))
 
 
 class TestRigidMotion:
@@ -116,6 +120,11 @@ class TestEstimateOracle:
             expected = motion.apply(positions)
             assert np.max(np.abs(landed - expected)) <= 1e-9
 
+    def test_sources_are_the_cloud_positions(self):
+        cloud = cloud_of([[0, 0, 0], [1, 1, 1]], labels=[7, GROUND])
+        field = estimate_oracle(cloud, {7: RigidMotion(np.eye(3), np.ones(3))})
+        assert np.shares_memory(field.sources, cloud.positions)
+
 
 class TestEstimateNn:
     def test_identical_clouds_zero_field(self, rng):
@@ -150,7 +159,9 @@ class TestEstimateNn:
     def test_alignment_invariant(self, rng):
         prev = cloud_of(rng.uniform(-5, 5, size=(37, 3)))
         curr = cloud_of(rng.uniform(-5, 5, size=(11, 3)))
-        assert len(estimate_nn(prev, curr)) == len(prev)
+        field = estimate_nn(prev, curr)
+        assert len(field) == len(prev)
+        assert np.shares_memory(field.sources, prev.positions)
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -161,22 +172,22 @@ class TestFlowFiles:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         sources = rng.uniform(-50, 50, size=(100, 3)).astype(np.float32).astype(float)
         vectors = rng.uniform(-2, 2, size=(100, 3)).astype(np.float32).astype(float)
-        path = save_flow(tmp_path, 4, sources, FlowField(vectors))
+        path = save_flow(tmp_path, 4, FlowField(sources, vectors))
         assert path.name == "000004.sfl"
-        stored_sources, field = read_flow_file(path)
-        assert np.array_equal(stored_sources, sources)
+        field = read_flow_file(path)
+        assert np.array_equal(field.sources, sources)
         assert np.array_equal(field.vectors, vectors)
 
     def test_well_formed_count_three(self, tmp_path):
         sources = np.arange(9, dtype=float).reshape(3, 3)
         vectors = np.ones((3, 3))
-        write_flow_file(tmp_path / "f.sfl", sources, FlowField(vectors))
-        _, field = read_flow_file(tmp_path / "f.sfl")
+        write_flow_file(tmp_path / "f.sfl", FlowField(sources, vectors))
+        field = read_flow_file(tmp_path / "f.sfl")
         assert len(field) == 3
 
     def test_truncated_payload_rejected(self, tmp_path):
         file_path = tmp_path / "f.sfl"
-        write_flow_file(file_path, np.zeros((3, 3)), FlowField(np.zeros((3, 3))))
+        write_flow_file(file_path, FlowField(np.zeros((3, 3)), np.zeros((3, 3))))
         data = file_path.read_bytes()
         file_path.write_bytes(data[:-4])
         with pytest.raises(FlowDataError, match="declared 3"):
@@ -207,23 +218,23 @@ class TestFlowFiles:
         file_path = tmp_path / "f.sfl"
         file_path.write_bytes(magic + count + np.array(values, dtype="<f4").tobytes() + tail)
         try:
-            sources, field = read_flow_file(file_path)
+            field = read_flow_file(file_path)
         except FlowDataError:
             return
-        assert len(sources) == len(field) and np.isfinite(sources).all()
+        assert len(field.sources) == len(field) and np.isfinite(field.sources).all()
 
     def test_missing_file_names_frame(self, tmp_path):
         with pytest.raises(FlowDataError, match="frame 7"):
-            load_flow(tmp_path, 7)
+            load_flow(tmp_path, 7, np.zeros((3, 3)))
 
     def test_source_count_mismatch_names_frame(self, tmp_path):
-        save_flow(tmp_path, 2, np.zeros((3, 3)), FlowField(np.zeros((3, 3))))
+        save_flow(tmp_path, 2, FlowField(np.zeros((3, 3)), np.zeros((3, 3))))
         with pytest.raises(FlowDataError, match="frame 2"):
             load_flow(tmp_path, 2, sources=np.zeros((4, 3)))
 
     def test_source_deviation_rejected(self, tmp_path):
         sources = np.zeros((3, 3))
-        save_flow(tmp_path, 0, sources, FlowField(np.zeros((3, 3))))
+        save_flow(tmp_path, 0, FlowField(sources, np.zeros((3, 3))))
         off = sources.copy()
         off[1, 0] += 5e-4
         with pytest.raises(FlowDataError, match="deviate"):
@@ -232,6 +243,14 @@ class TestFlowFiles:
         near = sources.copy()
         near[1, 0] += 5e-5
         assert len(load_flow(tmp_path, 0, sources=near)) == 3
+
+    def test_loaded_field_moves_the_cloud_not_the_file_copy(self, tmp_path, rng):
+        # The file stores single-precision sources; the loaded field holds
+        # the cloud's own double-precision positions.
+        sources = rng.uniform(-50, 50, size=(10, 3))
+        save_flow(tmp_path, 1, FlowField(sources, np.zeros((10, 3))))
+        assert not np.array_equal(read_flow_file(tmp_path / "000001.sfl").sources, sources)
+        assert np.array_equal(load_flow(tmp_path, 1, sources).sources, sources)
 
 
 class TestEstimatorClasses:
@@ -262,7 +281,7 @@ class TestEstimatorClasses:
     def test_file_estimator_round_trip(self, tmp_path, rng):
         positions = rng.uniform(-5, 5, size=(20, 3)).astype(np.float32).astype(float)
         vectors = rng.uniform(-1, 1, size=(20, 3)).astype(np.float32).astype(float)
-        save_flow(tmp_path, 3, positions, FlowField(vectors))
+        save_flow(tmp_path, 3, FlowField(positions, vectors))
         estimator = FileFlowEstimator(tmp_path)
         field = estimator.estimate(cloud_of(positions), cloud_of(positions), 3)
         assert np.array_equal(field.vectors, vectors)

@@ -18,9 +18,7 @@ import pytest
 
 import flowtrack.cli as cli
 import flowtrack.tracker as tracker
-from flowtrack.flow import (
-    FlowField, NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file,
-)
+from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
 from flowtrack.sim import NoiseSpec, demo_scenario, generate
 from flowtrack.tracker import TrackerConfig
@@ -47,13 +45,10 @@ def spawned_threads(before: set) -> list[threading.Thread]:
 def assert_same_chain(got, want) -> None:
     got, want = list(got), list(want)
     assert [g[0] for g in got] == [w[0] for w in want]
-    for (_, prev, flow), (_, prev_ref, flow_ref) in zip(got, want):
-        assert (prev is None) == (prev_ref is None)
-        if prev is not None:
-            assert prev.positions.tobytes() == prev_ref.positions.tobytes()
-            assert prev.labels.tobytes() == prev_ref.labels.tobytes()
+    for (_, flow), (_, flow_ref) in zip(got, want):
         assert (flow is None) == (flow_ref is None)
         if flow is not None:
+            assert flow.sources.tobytes() == flow_ref.sources.tobytes()
             assert flow.vectors.tobytes() == flow_ref.vectors.tobytes()
 
 
@@ -110,7 +105,7 @@ class TestPipelinedChain:
         assert pipelined[0].startswith(f"{bad}: size ")
         assert pipelined[1] == 6
 
-    def test_no_thread_left_running(self, scene):
+    def test_no_thread_left_running(self, scene, monkeypatch):
         scenario, frames = scene
         clouds = {f.index: f.cloud for f in frames}
         frustum = scenario.sensor.frustum()
@@ -121,14 +116,16 @@ class TestPipelinedChain:
                          frustum=frustum, num_points=NUM_POINTS)
         assert spawned_threads(before) == []
 
-        # A frame the tracker rejects: flow misaligned with its cloud.
-        class MisalignedAtFrame5(NearestNeighborFlowEstimator):
-            def estimate(self, prev, curr, frame_index):
-                flow = super().estimate(prev, curr, frame_index)
-                return FlowField(flow.vectors[1:]) if frame_index == 4 else flow
+        # A tracker that fails on frame 5, while workers preprocess ahead.
+        class FailsAtFrame5(tracker.Tracker):
+            def step(self, detections, flow=None):
+                if self.frames_seen == 5:
+                    raise RuntimeError("step failed on frame 5")
+                return super().step(detections, flow)
 
-        with pytest.raises(tracker.FrameInputError) as raised:
-            cli.run_tracking(detections, clouds, MisalignedAtFrame5(),
+        monkeypatch.setattr(cli, "Tracker", FailsAtFrame5)
+        with pytest.raises(RuntimeError, match="frame 5") as raised:
+            cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(),
                              TrackerConfig(), frustum=frustum, num_points=NUM_POINTS)
         # Stopped by run_tracking itself, not by the collection of a chain
         # that the kept traceback still holds.
@@ -154,7 +151,7 @@ class TestPipelinedChain:
             detections, None, NearestNeighborFlowEstimator(), TrackerConfig()
         ) == by_cv
         chain = cli.preprocessed_flows({}, range(3), None, None, NUM_POINTS, 0)
-        assert list(chain) == [(0, None, None), (1, None, None), (2, None, None)]
+        assert list(chain) == [(0, None), (1, None), (2, None)]
 
     def test_written_flow_files_match_the_sequential_loop(self, scene, tmp_path):
         scenario, frames = scene
@@ -167,13 +164,11 @@ class TestPipelinedChain:
             cli.Frustum(calib), NUM_POINTS, 4,
         )
         written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
-        expected = [(frame, prev, flow) for frame, prev, flow in reference if flow is not None]
-        assert [path.name for path in written] == [
-            f"{frame - 1:06d}.sfl" for frame, _, _ in expected
-        ]
-        for path, (_, prev, flow) in zip(written, expected):
-            sources, field = read_flow_file(path)
-            assert sources.tobytes() == prev.positions.astype("<f4").astype(float).tobytes()
+        expected = [(frame, flow) for frame, flow in reference if flow is not None]
+        assert [path.name for path in written] == [f"{frame - 1:06d}.sfl" for frame, _ in expected]
+        for path, (_, flow) in zip(written, expected):
+            field = read_flow_file(path)
+            assert field.sources.tobytes() == flow.sources.astype("<f4").astype(float).tobytes()
             assert field.vectors.tobytes() == flow.vectors.astype("<f4").astype(float).tobytes()
 
 

@@ -16,7 +16,6 @@ from flowtrack.geometry import ATTRIBUTION_MARGIN, Box3D, iou3d, points_in_box, 
 from flowtrack.preprocess import PointCloud
 from flowtrack.tracker import (
     Detection,
-    FrameInputError,
     Offset,
     SettingsError,
     Tracker,
@@ -43,15 +42,10 @@ def tracklet_at(x: float, y: float = 0.0, theta: float = 0.0, track_id: int = 0)
     return Tracklet(track_id=track_id, box=box_at(x, y, theta), confidence=1.0, category="Car")
 
 
-def cloud_with_flow(points, vectors):
-    cloud = PointCloud(positions=np.asarray(points, dtype=float))
-    return cloud, FlowField(vectors=np.asarray(vectors, dtype=float))
-
-
-def offset_of(tracklet, cloud, flow):
-    """:func:`compute_offset` over the cloud's points inside the tracklet's box."""
-    inside = points_in_box(tracklet.box, cloud.positions, margin=ATTRIBUTION_MARGIN)
-    return compute_offset(tracklet, cloud, flow, inside)
+def offset_of(tracklet, flow):
+    """:func:`compute_offset` over the flow's sources inside the tracklet's box."""
+    inside = points_in_box(tracklet.box, flow.sources, margin=ATTRIBUTION_MARGIN)
+    return compute_offset(tracklet, flow, inside)
 
 
 class TestConfig:
@@ -121,55 +115,44 @@ class TestComputeOffset:
     def test_mean_of_constant_flow(self):
         tracklet = tracklet_at(0.0)
         points = [[dx, 0.0, 1.0] for dx in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-        cloud, flow = cloud_with_flow(points, [[1.0, 0.0, 0.0]] * 5)
-        offset, count = offset_of(tracklet, cloud, flow)
+        flow = FlowField(points, [[1.0, 0.0, 0.0]] * 5)
+        offset, count = offset_of(tracklet, flow)
         assert count == 5
         assert (offset.dx, offset.dy, offset.dz, offset.dtheta) == (1.0, 0.0, 0.0, 0.0)
 
     def test_two_point_mean(self):
         tracklet = tracklet_at(0.0)
-        cloud, flow = cloud_with_flow(
-            [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0, 0], [3.0, 0, 0]]
-        )
-        offset, count = offset_of(tracklet, cloud, flow)
+        flow = FlowField([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0, 0], [3.0, 0, 0]])
+        offset, count = offset_of(tracklet, flow)
         assert count == 2
         assert offset.dx == 2.0
 
     def test_only_in_box_points_aggregated(self):
         tracklet = tracklet_at(0.0)
-        cloud, flow = cloud_with_flow(
-            [[0.0, 0.0, 1.0], [50.0, 0.0, 1.0]], [[1.0, 0, 0], [9.0, 0, 0]]
-        )
-        offset, count = offset_of(tracklet, cloud, flow)
+        flow = FlowField([[0.0, 0.0, 1.0], [50.0, 0.0, 1.0]], [[1.0, 0, 0], [9.0, 0, 0]])
+        offset, count = offset_of(tracklet, flow)
         assert count == 1
         assert offset.dx == 1.0
 
     def test_yaw_history_increment(self):
         tracklet = tracklet_at(0.0, theta=0.3)
         tracklet.prev_box = box_at(-1.0, theta=0.1)
-        cloud, flow = cloud_with_flow([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = offset_of(tracklet, cloud, flow)
+        flow = FlowField([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
+        offset, _ = offset_of(tracklet, flow)
         assert offset.dtheta == pytest.approx(0.2, abs=1e-12)
 
     def test_no_history_zero_dtheta(self):
         tracklet = tracklet_at(0.0, theta=0.7)
-        cloud, flow = cloud_with_flow([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = offset_of(tracklet, cloud, flow)
+        flow = FlowField([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
+        offset, _ = offset_of(tracklet, flow)
         assert offset.dtheta == 0.0
 
     def test_flow_starved_signals_zero_count(self):
         tracklet = tracklet_at(0.0)
-        cloud, flow = cloud_with_flow([[50.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-        offset, count = offset_of(tracklet, cloud, flow)
+        flow = FlowField([[50.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+        offset, count = offset_of(tracklet, flow)
         assert count == 0
         assert (offset.dx, offset.dy, offset.dz) == (0.0, 0.0, 0.0)
-
-    def test_misaligned_flow_rejected(self):
-        tracklet = tracklet_at(0.0)
-        cloud = PointCloud(positions=np.zeros((3, 3)))
-        flow = FlowField(vectors=np.zeros((2, 3)))
-        with pytest.raises(FrameInputError):
-            offset_of(tracklet, cloud, flow)
 
 
 class TestPredict:
@@ -432,38 +415,6 @@ class TestTrackerLifecycle:
             [(t.track_id, t.box, t.confidence) for t in frame] for frame in a
         ] == [[(t.track_id, t.box, t.confidence) for t in frame] for frame in b]
 
-    def test_flow_predictor_requires_aligned_inputs(self):
-        tracker = Tracker()
-        tracker.step([det_at(0.0)])
-        cloud = PointCloud(positions=np.zeros((3, 3)))
-        flow = FlowField(vectors=np.zeros((2, 3)))
-        with pytest.raises(FrameInputError):
-            tracker.step([det_at(1.0)], prev_cloud=cloud, flow=flow)
-        # The failed frame must not have advanced the clock.
-        assert tracker.frames_seen == 1
-
-    def test_misaligned_flow_rejected_without_live_tracklets(self):
-        tracker = Tracker()
-        cloud = PointCloud(positions=np.zeros((3, 3)))
-        flow = FlowField(vectors=np.zeros((2, 3)))
-        with pytest.raises(FrameInputError, match="flow has 2 vectors for 3 points"):
-            tracker.step([], prev_cloud=cloud, flow=flow)
-        with pytest.raises(FrameInputError, match="flow has 2 vectors for 3 points"):
-            tracker.step([det_at(0.0)], prev_cloud=cloud, flow=flow)
-        assert (tracker.frames_seen, tracker.tracklets, tracker.next_id) == (0, [], 0)
-
-    def test_flow_without_prev_cloud_rejected(self):
-        tracker = Tracker()
-        flow = FlowField(vectors=np.zeros((2, 3)))
-        with pytest.raises(FrameInputError, match="previous frame's cloud"):
-            tracker.step([det_at(0.0)], flow=flow)
-        assert (tracker.frames_seen, tracker.tracklets) == (0, [])
-        tracker.step([det_at(0.0)])
-        with pytest.raises(FrameInputError, match="previous frame's cloud"):
-            tracker.step([det_at(1.0)], flow=flow)
-        assert tracker.frames_seen == 1
-        assert [t.box.x for t in tracker.tracklets] == [0.0]
-
     def test_frame_without_flow_advances_by_last_displacement(self):
         # Frames 0-2 move the car by 1 m each, and frame 2 comes with flow.
         # Frame 3 has no detection: with flow it coasts by the flow, without
@@ -471,12 +422,11 @@ class TestTrackerLifecycle:
         tracker = Tracker()
         tracker.step([det_at(0.0)])
         tracker.step([det_at(1.0)])
-        cloud, flow = cloud_with_flow([[1.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
-        tracker.step([det_at(2.0)], prev_cloud=cloud, flow=flow)
+        tracker.step([det_at(2.0)], FlowField([[1.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]]))
         with_flow = copy.deepcopy(tracker)
-        cloud, flow = cloud_with_flow([[2.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
-        assert with_flow.step([], prev_cloud=cloud, flow=flow)[0].box.x == pytest.approx(2.5)
-        assert tracker.step([], prev_cloud=cloud)[0].box.x == pytest.approx(3.0)
+        flow = FlowField([[2.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
+        assert with_flow.step([], flow)[0].box.x == pytest.approx(2.5)
+        assert tracker.step([])[0].box.x == pytest.approx(3.0)
         assert tracker.step([])[0].box.x == pytest.approx(4.0)
 
     def test_constant_velocity_trace_with_oracle_flow(self):
@@ -487,7 +437,7 @@ class TestTrackerLifecycle:
         estimator = OracleFlowEstimator(boxes)
         tracker = Tracker()
         ids = set()
-        prev_cloud = None
+        prev = None
         for frame in range(10):
             box = boxes[frame][1]
             cloud = PointCloud(
@@ -496,16 +446,12 @@ class TestTrackerLifecycle:
                 )
             )
             flow = None
-            if prev_cloud is not None:
-                flow = estimator.estimate(prev_cloud, cloud, frame - 1)
-            emitted = tracker.step(
-                [Detection(box=box, confidence=1.0, category="Car")],
-                prev_cloud=prev_cloud,
-                flow=flow,
-            )
+            if prev is not None:
+                flow = estimator.estimate(prev, cloud, frame - 1)
+            emitted = tracker.step([Detection(box=box, confidence=1.0, category="Car")], flow)
             assert len(emitted) == 1
             ids.add(emitted[0].track_id)
-            prev_cloud = cloud
+            prev = cloud
         assert len(ids) == 1
 
     def test_flow_starved_tracklet_falls_back_to_constant_velocity(self):
@@ -513,12 +459,11 @@ class TestTrackerLifecycle:
         # flow-starved and prediction must come from the displacement
         # history instead.
         tracker = Tracker()
-        far_cloud = PointCloud(positions=np.array([[200.0, 0.0, 1.0]]))
-        starved = FlowField(vectors=np.zeros((1, 3)))
+        starved = FlowField([[200.0, 0.0, 1.0]], np.zeros((1, 3)))
         tracker.step([det_at(0.0)])
-        tracker.step([det_at(1.0)], prev_cloud=far_cloud, flow=starved)
-        tracker.step([det_at(2.0)], prev_cloud=far_cloud, flow=starved)
-        emitted = tracker.step([], prev_cloud=far_cloud, flow=starved)
+        tracker.step([det_at(1.0)], starved)
+        tracker.step([det_at(2.0)], starved)
+        emitted = tracker.step([], starved)
         assert emitted[0].box.x == pytest.approx(3.0)
 
     def test_cross_category_never_associates(self):
