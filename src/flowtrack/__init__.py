@@ -27,7 +27,6 @@ from .flow import (
     FlowField,
     RigidMotion,
     estimate_nn,
-    estimate_oracle,
     load_flow,
     save_flow,
 )
@@ -35,7 +34,6 @@ from .assignment import max_similarity_assignment
 from .tracker import (
     Detection,
     EmittedTrack,
-    Offset,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -45,7 +43,6 @@ from .tracker import (
     build_similarity,
     compute_offset,
     predict,
-    predict_constant_velocity,
 )
 from .metrics import (
     EvalConfig,
@@ -78,13 +75,11 @@ __all__ = [
     "FlowField",
     "RigidMotion",
     "estimate_nn",
-    "estimate_oracle",
     "load_flow",
     "save_flow",
     "max_similarity_assignment",
     "Detection",
     "EmittedTrack",
-    "Offset",
     "SettingsError",
     "Tracker",
     "TrackerConfig",
@@ -94,7 +89,6 @@ __all__ = [
     "build_similarity",
     "compute_offset",
     "predict",
-    "predict_constant_velocity",
     "EvalConfig",
     "EvaluationInputError",
     "MetricsReport",

@@ -376,20 +376,14 @@ def load_tracked_frames(path: Path, category: str | None = None) -> dict[int, li
     }
 
 
-def _check_frame_alignment(gt: Mapping, pred: Mapping) -> None:
-    """Reject result files whose frame indices share nothing with the ground
-    truth; that pattern means the files were produced for different frame
-    numbering (for example decimated results against full-rate truth)."""
-
-    def frame_set(data: Mapping) -> set[int]:
-        if data and all(isinstance(v, Mapping) for v in data.values()):
-            return {f for frames in data.values() for f in frames}
-        return set(data)
-
-    gt_frames, pred_frames = frame_set(gt), frame_set(pred)
-    if gt_frames and pred_frames and not (gt_frames & pred_frames):
+def _check_frame_alignment(gt: Mapping, pred: Mapping, where: str = "") -> None:
+    """Reject results whose frame indices share nothing with the ground
+    truth of their sequence; that pattern means the two were produced for
+    different frame numbering (for example decimated results against
+    full-rate truth).  ``where`` prefixes the message."""
+    if gt and pred and not gt.keys() & pred.keys():
         raise EvaluationInputError(
-            "results and ground truth cover disjoint frame ranges; "
+            f"{where}results and ground truth cover disjoint frame ranges; "
             "check that both use the same frame numbering"
         )
 
@@ -420,11 +414,12 @@ def run_evaluation(
             p.stem: load_tracked_frames(p, category)
             for p in sorted(results_path.glob("*.txt"))
         }
+        for name in sorted(gt.keys() & pred.keys()):
+            _check_frame_alignment(gt[name], pred[name], f"sequence {name}: ")
     else:
         gt = load_tracked_frames(gt_path, category)
         pred = load_tracked_frames(results_path, category)
-
-    _check_frame_alignment(gt, pred)
+        _check_frame_alignment(gt, pred)
     reports = []
     for cfg in configs:
         report = recall_sweep(gt, pred, cfg)

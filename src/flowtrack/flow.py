@@ -112,28 +112,6 @@ class FlowEstimator(Protocol):
         ...
 
 
-def estimate_oracle(prev: PointCloud, motions: Mapping[int, RigidMotion]) -> FlowField:
-    """Exact flow from known per-instance rigid motions.
-
-    Every point labeled with instance id ``i`` moves by ``motions[i]``;
-    unlabeled and ground points are static and get zero flow.
-
-    Raises
-    ------
-    FlowDataError
-        If an instance label present in the cloud has no motion entry.
-    """
-    vectors = np.zeros((len(prev), 3))
-    instance_ids = np.unique(prev.labels[prev.labels >= 0])
-    for instance_id in instance_ids:
-        if int(instance_id) not in motions:
-            raise FlowDataError(f"no rigid motion for instance id {int(instance_id)}")
-        mask = prev.labels == instance_id
-        points = prev.positions[mask]
-        vectors[mask] = motions[int(instance_id)].apply(points) - points
-    return FlowField(prev.positions, vectors)
-
-
 def estimate_nn(
     prev: PointCloud, curr: PointCloud, max_match_distance: float = NN_MAX_MATCH_DISTANCE
 ) -> FlowField:
@@ -270,10 +248,12 @@ def motions_from_boxes(
 class OracleFlowEstimator:
     """Exact flow derived from ground-truth boxes.
 
-    Points of the previous cloud are attributed to instances by box
-    membership (with ``ATTRIBUTION_MARGIN``, so surface points are not lost
-    to rounding), motions come from the pose change of each box, and instances
-    that disappear in the next frame are treated as static.
+    Each point of the previous cloud inside an instance's box (with
+    ``ATTRIBUTION_MARGIN``, so surface points are not lost to rounding)
+    moves by that instance's rigid motion, the pose change of its box.  A
+    point inside several boxes moves with the lowest instance id.  Points in
+    no box, and those of instances that disappear in the next frame, are
+    static and get zero flow.
     """
 
     def __init__(self, boxes_by_frame: Mapping[int, Mapping[int, Box3D]]) -> None:
@@ -283,14 +263,16 @@ class OracleFlowEstimator:
         prev_boxes = self.boxes_by_frame.get(frame_index, {})
         curr_boxes = self.boxes_by_frame.get(frame_index + 1, {})
         motions = motions_from_boxes(prev_boxes, curr_boxes)
-        labels = np.full(len(prev), -1, dtype=int)
+        vectors = np.zeros((len(prev), 3))
+        claimed = np.zeros(len(prev), dtype=bool)
         ids = sorted(motions)
         members = points_in_boxes([prev_boxes[i] for i in ids], prev.positions, ATTRIBUTION_MARGIN)
         for instance_id, inside in zip(ids, members):
-            unclaimed = inside[labels[inside] < 0]
-            labels[unclaimed] = instance_id
-        labeled = PointCloud(positions=prev.positions, features=prev.features, labels=labels)
-        return estimate_oracle(labeled, motions)
+            unclaimed = inside[~claimed[inside]]
+            claimed[unclaimed] = True
+            points = prev.positions[unclaimed]
+            vectors[unclaimed] = motions[instance_id].apply(points) - points
+        return FlowField(prev.positions, vectors)
 
 
 class NearestNeighborFlowEstimator:

@@ -8,7 +8,6 @@ so it can be excluded, then draw a fixed-size working subset of points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,20 +398,12 @@ def sample_points(cloud: PointCloud, n: int, seed: int | tuple = 0) -> PointClou
     PointCloud
         Sampled cloud with positions, features and labels aligned; the
         selected indices are ascending, so the output is a subsequence of
-        the input.  If every point is labeled ground the full cloud is
-        returned and a ``RuntimeWarning`` is emitted; an empty cloud gives
-        an empty sample.
+        the input.  A cloud with no point left but ground, or no point at
+        all, gives an empty sample.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     pool = np.nonzero(cloud.labels != GROUND)[0]
-    if len(pool) == 0 and len(cloud):
-        warnings.warn(
-            "every point is labeled ground; sampling from the full cloud",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        pool = np.arange(len(cloud))
     if n >= len(pool):
         return cloud.take(pool)
     rng = np.random.default_rng(seed)

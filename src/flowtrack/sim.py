@@ -11,7 +11,6 @@ exact scene flow is available by construction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, TypeVar
@@ -360,14 +359,18 @@ def generate(scenario: Scenario) -> list[FrameData]:
 
 def select_frames(frames: Sequence[T], stride: int, offset: int) -> list[T]:
     """Every ``stride``-th frame from ``offset`` on: the one decimation rule,
-    in memory and on disk.  An empty result emits a ``RuntimeWarning``."""
+    in memory and on disk.  A result without a frame raises
+    :class:`UsageError` naming the stride, the offset and the frame count."""
     if stride < 1:
         raise UsageError(f"stride must be at least 1, got {stride}")
     if offset < 0:
         raise UsageError(f"offset must be non-negative, got {offset}")
     kept = list(frames[offset::stride])
     if not kept:
-        warnings.warn("decimation kept no frames", RuntimeWarning, stacklevel=3)
+        raise UsageError(
+            f"decimation with stride {stride} and offset {offset} keeps no frame "
+            f"of {len(frames)}"
+        )
     return kept
 
 
@@ -377,7 +380,7 @@ def decimate(frames: list[FrameData], stride: int = 2, offset: int = 0) -> list[
 
     Clouds, ground truth and detections travel with their frames, so the
     exact motion between two kept frames is still the pose change of their
-    ground-truth boxes.  An empty result emits a ``RuntimeWarning``.
+    ground-truth boxes.  A result without a frame raises :class:`UsageError`.
     """
     return [
         replace(frame, index=index)

@@ -1,9 +1,11 @@
 """Tracking-by-detection over oriented 3D boxes.
 
-Each live tracklet is advanced by the mean scene-flow vector of the sampled
-points inside its box, plus a constant-angular-velocity yaw increment, or
-without flow by its last displacement.  The predicted boxes are matched to
-the current detections by maximum total IoU, matched tracklets adopt their
+One rule predicts each live tracklet (:func:`predict`): its box moves by a
+translation and turns by its last yaw increment.  The translation is the
+mean scene-flow vector of the previous frame's sampled points inside the
+box (:func:`compute_offset`), or, for a tracklet without such points or a
+frame without flow, its last displacement.  The predicted boxes are matched
+to the current detections by maximum total IoU, matched tracklets adopt their
 detection box verbatim, and births and deaths follow consecutive-match and
 missed-frame counters.
 """
@@ -37,16 +39,6 @@ class Detection:
     box: Box3D
     confidence: float
     category: str
-
-
-@dataclass
-class Offset:
-    """Predicted inter-frame motion of one tracklet."""
-
-    dx: float
-    dy: float
-    dz: float
-    dtheta: float
 
 
 @dataclass
@@ -237,13 +229,8 @@ def format_settings(items: Iterable[tuple[str, object]], header: str = "") -> st
     return "\n".join(lines)
 
 
-def compute_offset(tracklet: Tracklet, flow: FlowField, inside: np.ndarray) -> tuple[Offset, int]:
-    """Motion offset of a tracklet from the flow of the points in its box.
-
-    The translation is the arithmetic mean of the flow vectors of the
-    previous-frame sampled points inside the tracklet's current box.  The
-    yaw increment assumes constant angular velocity: the change between the
-    tracklet's last two adopted yaws, or zero without history.
+def compute_offset(flow: FlowField, inside: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Mean flow vector of the points in one tracklet's box.
 
     ``inside`` holds the indices of those points among ``flow.sources``, as
     :func:`points_in_boxes` gives them with ``ATTRIBUTION_MARGIN``.
@@ -251,45 +238,39 @@ def compute_offset(tracklet: Tracklet, flow: FlowField, inside: np.ndarray) -> t
     Returns
     -------
     tuple
-        ``(offset, n_points)`` where ``n_points`` is the number of in-box
-        points.  ``n_points == 0`` signals a flow-starved tracklet; the
-        offset translation is zero in that case and callers should fall
-        back to constant-velocity extrapolation.
+        ``(mean, n_points)``: the arithmetic mean of the points' flow
+        vectors, shape (3,), and their count.  A flow-starved tracklet, with
+        no point in its box, gets ``(None, 0)``.
     """
-    prev = tracklet.prev_box
-    dtheta = 0.0 if prev is None else wrap_angle(tracklet.box.theta - prev.theta)
     if len(inside) == 0:
-        return Offset(0.0, 0.0, 0.0, dtheta), 0
-    mean = flow.vectors[inside].mean(axis=0)
-    return Offset(float(mean[0]), float(mean[1]), float(mean[2]), dtheta), len(inside)
+        return None, 0
+    return flow.vectors[inside].mean(axis=0), len(inside)
 
 
-def predict(tracklet: Tracklet, offset: Offset) -> Box3D:
-    """Apply a motion offset to the tracklet's box.
+def predict(
+    tracklet: Tracklet, translation: np.ndarray | Sequence[float] | None = None
+) -> Box3D:
+    """The tracklet's box moved to its predicted pose in the next frame.
 
-    Dimensions are preserved; the center moves by the offset translation and
-    the yaw advances by ``dtheta``, renormalized to (-pi, pi].
+    The center moves by ``translation``, or without one by the last
+    inter-frame displacement.  The yaw advances by the last yaw increment
+    (constant angular velocity), or by 0.0 without history, renormalized to
+    (-pi, pi].  Dimensions are preserved.  With neither a translation nor
+    history the box is returned unchanged.
     """
-    box = tracklet.box
+    box, prev = tracklet.box, tracklet.prev_box
+    if prev is None:
+        if translation is None:
+            return box
+        dtheta = 0.0
+    else:
+        dtheta = wrap_angle(box.theta - prev.theta)
+        if translation is None:
+            translation = (box.x - prev.x, box.y - prev.y, box.z - prev.z)
+    dx, dy, dz = map(float, translation)
     return Box3D(
-        box.x + offset.dx, box.y + offset.dy, box.z + offset.dz, box.l, box.w, box.h,
-        wrap_angle(box.theta + offset.dtheta),
-    )
-
-
-def predict_constant_velocity(tracklet: Tracklet) -> Box3D:
-    """Extrapolate the tracklet by its last inter-frame displacement.
-
-    With no history (a single observed state) the current box is returned
-    unchanged.  The yaw advances by the last yaw increment, wrapped.
-    """
-    if tracklet.prev_box is None:
-        return tracklet.box
-    box = tracklet.box
-    prev = tracklet.prev_box
-    return Box3D(
-        box.x + (box.x - prev.x), box.y + (box.y - prev.y), box.z + (box.z - prev.z),
-        box.l, box.w, box.h, wrap_angle(box.theta + wrap_angle(box.theta - prev.theta)),
+        box.x + dx, box.y + dy, box.z + dz, box.l, box.w, box.h,
+        wrap_angle(box.theta + dtheta),
     )
 
 
@@ -358,11 +339,10 @@ class Tracker:
 
     Notes
     -----
-    Prediction rule: a tracklet with at least one sampled point of the
-    previous frame inside its box advances by the mean flow of those points
-    (:func:`compute_offset`, :func:`predict`); every other tracklet, and
-    every tracklet of a frame without flow, advances by its last
-    displacement (:func:`predict_constant_velocity`).
+    Prediction rule (:func:`predict`): a tracklet with at least one sampled
+    point of the previous frame inside its box moves by the mean flow of
+    those points (:func:`compute_offset`); every other tracklet, and every
+    tracklet of a frame without flow, moves by its last displacement.
 
     Emission rule: a track is reported for a frame when it is alive and
     confirmed, including frames it coasts through while missed.  A tracklet
@@ -398,19 +378,14 @@ class Tracker:
         list of EmittedTrack
             Reported tracks for this frame.
         """
-        if flow is None or not self.tracklets:
-            predicted = [predict_constant_velocity(t) for t in self.tracklets]
-        else:
+        translations: list[np.ndarray | None] = [None] * len(self.tracklets)
+        if flow is not None and self.tracklets:
             # One attribution pass for every tracklet.
             members = points_in_boxes(
                 [t.box for t in self.tracklets], flow.sources, margin=ATTRIBUTION_MARGIN
             )
-            predicted = []
-            for tracklet, inside in zip(self.tracklets, members):
-                offset, n_points = compute_offset(tracklet, flow, inside)
-                predicted.append(
-                    predict(tracklet, offset) if n_points else predict_constant_velocity(tracklet)
-                )
+            translations = [compute_offset(flow, inside)[0] for inside in members]
+        predicted = [predict(t, d) for t, d in zip(self.tracklets, translations)]
         self.frames_seen += 1
 
         similarity = build_similarity(

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,18 @@ class TestPipeline:
         assert (sim_dir / "detections.txt").exists()
         assert len(list((sim_dir / "velodyne").glob("*.bin"))) == 12
         assert len(list((sim_dir / "flow").glob("*.sfl"))) == 11
+
+    def test_all_ground_scene_runs_silently(self, tmp_path, capsys):
+        # Without objects every point left after the crop is ground, so no
+        # frame has a sample or flow, and neither command warns.
+        scene = tmp_path / "ground"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sim", "--frames", "3", "--objects", "0", "--write-flow",
+                        "--out", scene]) == 0
+            assert run(track_args(scene, tmp_path / "tracked")) == 0
+        assert capsys.readouterr().err == ""
+        assert not list(scene.glob("flow/*.sfl"))
 
     def test_noise_free_run_scores_perfectly(self, sim_dir, tracked_dir, tmp_path):
         out = tmp_path / "eval"
@@ -511,18 +524,37 @@ class TestEvalCommand:
         assert report["AMOTA"] == 0.0
         assert all(row["MOTA"] == 0.0 for row in report["rows"])
 
-    def test_disjoint_frames_rejected(self, sim_dir, tracked_dir, tmp_path, capsys):
-        shifted = tmp_path / "shifted.txt"
-        lines = (tracked_dir / "results.txt").read_text().splitlines()
+    @staticmethod
+    def write_shifted(results: Path, shifted: Path) -> None:
+        """``results`` with every frame index moved 100 frames on."""
         moved = []
-        for line in lines:
+        for line in results.read_text().splitlines():
             tokens = line.split()
             tokens[0] = str(int(tokens[0]) + 100)
             moved.append(" ".join(tokens))
         shifted.write_text("\n".join(moved) + "\n")
+
+    def test_disjoint_frames_rejected(self, sim_dir, tracked_dir, tmp_path, capsys):
+        shifted = tmp_path / "shifted.txt"
+        self.write_shifted(tracked_dir / "results.txt", shifted)
         assert run(["eval", "--gt", sim_dir / "gt.txt", "--results", shifted,
                     "--out", tmp_path / "eval"]) == 2
         assert "disjoint frame ranges" in one_line_error(capsys, "eval")
+
+    def test_disjoint_frames_rejected_per_sequence(self, sim_dir, tracked_dir, tmp_path,
+                                                  capsys):
+        # Sequence 0000 is aligned, so the frames of the two directories
+        # overlap as a whole; sequence 0001 alone is shifted.
+        gt, results = tmp_path / "gt", tmp_path / "results"
+        gt.mkdir()
+        results.mkdir()
+        for name in ("0000", "0001"):
+            shutil.copyfile(sim_dir / "gt.txt", gt / f"{name}.txt")
+        shutil.copyfile(tracked_dir / "results.txt", results / "0000.txt")
+        self.write_shifted(tracked_dir / "results.txt", results / "0001.txt")
+        assert run(["eval", "--gt", gt, "--results", results, "--out", tmp_path / "eval"]) == 2
+        err = one_line_error(capsys, "eval")
+        assert "sequence 0001: results and ground truth cover disjoint frame ranges" in err
 
     def test_file_against_directory_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path,
                                                     capsys):
@@ -859,11 +891,25 @@ class TestDecimateCommand:
         assert f"--in {missing}: no such directory" in one_line_error(capsys, "decimate")
         assert not (tmp_path / "out").exists()
 
-    def test_empty_input_warns(self, tmp_path):
+    def test_empty_input_one_line_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty_scene"
         empty.mkdir()
-        with pytest.warns(RuntimeWarning, match="no frames"):
-            run(["decimate", "--in", empty, "--stride", "2", "--out", tmp_path / "out"])
+        assert run(["decimate", "--in", empty, "--stride", "2", "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "flowtrack decimate: error: decimation with stride 2 and offset 0 keeps no frame "
+            "of 0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_offset_past_the_last_frame_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        args = ["decimate", "--in", sim_dir, "--stride", "2", "--offset", "40",
+                "--out", tmp_path / "out"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            "flowtrack decimate: error: decimation with stride 2 and offset 40 keeps no frame "
+            "of 12\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestImport:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from flowtrack.flow import (
     OracleFlowEstimator,
     RigidMotion,
     estimate_nn,
-    estimate_oracle,
     load_flow,
     motions_from_boxes,
     read_flow_file,
@@ -27,7 +27,7 @@ from flowtrack.flow import (
     write_flow_file,
 )
 from flowtrack.geometry import Box3D
-from flowtrack.preprocess import GROUND, UNLABELED, PointCloud
+from flowtrack.preprocess import PointCloud
 
 
 def cloud_of(positions, labels=None) -> PointCloud:
@@ -74,56 +74,63 @@ class TestRigidMotion:
         assert np.max(np.abs(moved_nose - nose_curr)) <= 1e-12
 
 
-class TestEstimateOracle:
+def oracle_field(positions, prev_boxes, curr_boxes) -> FlowField:
+    """The oracle flow of ``positions`` from frame 0 to frame 1 of the
+    given ground-truth boxes."""
+    estimator = OracleFlowEstimator({0: prev_boxes, 1: curr_boxes})
+    return estimator.estimate(cloud_of(positions), cloud_of([[0, 0, 0]]), 0)
+
+
+class TestOracleFlow:
     def test_pure_translation(self):
-        cloud = cloud_of(
-            [[0, 0, 0], [1, 1, 1], [5, 5, 5]], labels=[7, 7, GROUND]
+        prev_box = Box3D(x=0.5, y=0.5, z=0.5, l=4, w=4, h=4, theta=0)
+        field = oracle_field(
+            [[0, 0, 0], [1, 1, 1], [5, 5, 5]], {7: prev_box}, {7: replace(prev_box, x=1.5)}
         )
-        motions = {7: RigidMotion(np.eye(3), np.array([1.0, 0.0, 0.0]))}
-        field = estimate_oracle(cloud, motions)
         assert field.vectors[0].tolist() == [1.0, 0.0, 0.0]
         assert field.vectors[1].tolist() == [1.0, 0.0, 0.0]
         assert field.vectors[2].tolist() == [0.0, 0.0, 0.0]
 
     def test_unlabeled_points_static(self):
-        cloud = cloud_of([[2, 2, 0]], labels=[UNLABELED])
-        field = estimate_oracle(cloud, {})
+        field = oracle_field([[2, 2, 0]], {}, {})
         assert field.vectors[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_quarter_turn_about_center(self):
-        # Rotating pi/2 about the instance center sends center + (1, 0, 0)
-        # to center + (0, 1, 0): flow (-1, 1, 0).
-        center = np.array([4.0, -2.0, 1.0])
-        angle = math.pi / 2
-        c, s = math.cos(angle), math.sin(angle)
-        rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        translation = center - rotation @ center
-        cloud = cloud_of([center + np.array([1.0, 0.0, 0.0])], labels=[3])
-        field = estimate_oracle(cloud, {3: RigidMotion(rotation, translation)})
+        # Rotating pi/2 about the box center sends center + (1, 0, 0) to
+        # center + (0, 1, 0): flow (-1, 1, 0).
+        prev_box = Box3D(x=4.0, y=-2.0, z=1.0, l=4, w=2, h=2, theta=0)
+        curr_box = replace(prev_box, theta=math.pi / 2)
+        field = oracle_field([[5.0, -2.0, 1.0]], {3: prev_box}, {3: curr_box})
         assert field.vectors[0] == pytest.approx([-1.0, 1.0, 0.0], abs=1e-12)
 
-    def test_missing_motion_entry_rejected(self):
-        cloud = cloud_of([[0, 0, 0]], labels=[9])
-        with pytest.raises(FlowDataError):
-            estimate_oracle(cloud, {})
-
     def test_rigid_exactness_property(self, rng):
+        # Every point keeps its coordinates in the frame of its box.
         for _ in range(20):
-            angle = float(rng.uniform(-math.pi, math.pi))
-            c, s = math.cos(angle), math.sin(angle)
-            rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            motion = RigidMotion(rotation=rotation, translation=rng.uniform(-5, 5, 3))
+            prev_box = Box3D(x=0, y=0, z=0, l=30, w=30, h=30, theta=0.0)
+            curr_box = Box3D(*rng.uniform(-5, 5, 3), l=30, w=30, h=30,
+                             theta=float(rng.uniform(-math.pi, math.pi)))
             positions = rng.uniform(-10, 10, size=(100, 3))
-            cloud = cloud_of(positions, labels=np.zeros(100, dtype=int))
-            field = estimate_oracle(cloud, {0: motion})
-            landed = positions + field.vectors
-            expected = motion.apply(positions)
-            assert np.max(np.abs(landed - expected)) <= 1e-9
+            field = oracle_field(positions, {0: prev_box}, {0: curr_box})
+            c, s = math.cos(curr_box.theta), math.sin(curr_box.theta)
+            rotation = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+            expected = positions @ rotation.T + curr_box.center
+            assert np.max(np.abs(positions + field.vectors - expected)) <= 1e-9
 
     def test_sources_are_the_cloud_positions(self):
-        cloud = cloud_of([[0, 0, 0], [1, 1, 1]], labels=[7, GROUND])
-        field = estimate_oracle(cloud, {7: RigidMotion(np.eye(3), np.ones(3))})
-        assert np.shares_memory(field.sources, cloud.positions)
+        prev = cloud_of([[0, 0, 0], [10, 10, 10]])
+        box = Box3D(x=0, y=0, z=0, l=2, w=2, h=2, theta=0)
+        estimator = OracleFlowEstimator({0: {7: box}, 1: {7: replace(box, x=1.0)}})
+        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0)
+        assert np.shares_memory(field.sources, prev.positions)
+
+    def test_overlapping_boxes_lower_id_claims_shared_point(self):
+        # Boxes 2 and 5 overlap on 1 <= x <= 2; given in descending id order.
+        box_5 = Box3D(x=2.5, y=0, z=0, l=3, w=2, h=2, theta=0)
+        box_2 = Box3D(x=0.0, y=0, z=0, l=4, w=2, h=2, theta=0)
+        prev_boxes = {5: box_5, 2: box_2}
+        curr_boxes = {5: replace(box_5, y=3.0), 2: replace(box_2, x=1.0)}
+        field = oracle_field([[-1.5, 0, 0], [1.5, 0, 0], [3.5, 0, 0]], prev_boxes, curr_boxes)
+        assert field.vectors.tolist() == [[1.0, 0, 0], [1.0, 0, 0], [0, 3.0, 0]]
 
 
 class TestEstimateNn:

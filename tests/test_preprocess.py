@@ -441,14 +441,12 @@ class TestSamplePoints:
         first_column = sampled.positions[:, 0]
         assert np.all(np.diff(first_column) > 0)
 
-    def test_empty_pool_warns_and_samples_from_everything(self):
+    def test_all_ground_cloud_gives_empty_sample(self):
         cloud = make_cloud([[0, 0, 0], [1, 1, 1]], labels=[GROUND, GROUND])
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sampled = sample_points(cloud, 1)
-        assert len(sampled) == 1
-        with pytest.warns(RuntimeWarning):
-            sampled_all = sample_points(cloud, 5)
-        assert len(sampled_all) == 2
+        assert len(sampled) == 0 and sampled.positions.shape == (0, 3)
 
     def test_empty_cloud_gives_empty_sample(self):
         with warnings.catch_warnings():

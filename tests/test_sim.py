@@ -11,7 +11,7 @@ import pytest
 from flowtrack.flow import motions_from_boxes
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
 from flowtrack.preprocess import UNLABELED, PointCloud, filter_fov
-from flowtrack.tracker import SettingsError
+from flowtrack.tracker import SettingsError, UsageError
 from flowtrack.sim import (
     FrameData,
     GroundSpec,
@@ -275,10 +275,10 @@ class TestDecimate:
             assert a.cloud is b.cloud
             assert a.gt == b.gt
 
-    def test_empty_result_warns(self):
+    def test_empty_result_rejected(self):
         frames = self.scenario_frames(3)
-        with pytest.warns(RuntimeWarning, match="no frames"):
-            assert decimate(frames, stride=2, offset=5) == []
+        with pytest.raises(UsageError, match="stride 2 and offset 5 keeps no frame of 3"):
+            decimate(frames, stride=2, offset=5)
 
     def test_invalid_parameters(self):
         frames = self.scenario_frames(4)

@@ -1,4 +1,4 @@
-"""Offset aggregation, prediction, association and tracklet lifecycle."""
+"""Flow aggregation, prediction, association and tracklet lifecycle."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from flowtrack.geometry import ATTRIBUTION_MARGIN, Box3D, iou3d, points_in_box, 
 from flowtrack.preprocess import PointCloud
 from flowtrack.tracker import (
     Detection,
-    Offset,
     SettingsError,
     Tracker,
     TrackerConfig,
@@ -25,7 +24,6 @@ from flowtrack.tracker import (
     build_similarity,
     compute_offset,
     predict,
-    predict_constant_velocity,
 )
 from oracles import hungarian_reference
 
@@ -45,7 +43,7 @@ def tracklet_at(x: float, y: float = 0.0, theta: float = 0.0, track_id: int = 0)
 def offset_of(tracklet, flow):
     """:func:`compute_offset` over the flow's sources inside the tracklet's box."""
     inside = points_in_box(tracklet.box, flow.sources, margin=ATTRIBUTION_MARGIN)
-    return compute_offset(tracklet, flow, inside)
+    return compute_offset(flow, inside)
 
 
 class TestConfig:
@@ -116,74 +114,82 @@ class TestComputeOffset:
         tracklet = tracklet_at(0.0)
         points = [[dx, 0.0, 1.0] for dx in (-1.5, -0.5, 0.0, 0.5, 1.5)]
         flow = FlowField(points, [[1.0, 0.0, 0.0]] * 5)
-        offset, count = offset_of(tracklet, flow)
+        mean, count = offset_of(tracklet, flow)
         assert count == 5
-        assert (offset.dx, offset.dy, offset.dz, offset.dtheta) == (1.0, 0.0, 0.0, 0.0)
+        assert mean.tolist() == [1.0, 0.0, 0.0]
 
     def test_two_point_mean(self):
         tracklet = tracklet_at(0.0)
         flow = FlowField([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1.0, 0, 0], [3.0, 0, 0]])
-        offset, count = offset_of(tracklet, flow)
+        mean, count = offset_of(tracklet, flow)
         assert count == 2
-        assert offset.dx == 2.0
+        assert mean[0] == 2.0
 
     def test_only_in_box_points_aggregated(self):
         tracklet = tracklet_at(0.0)
         flow = FlowField([[0.0, 0.0, 1.0], [50.0, 0.0, 1.0]], [[1.0, 0, 0], [9.0, 0, 0]])
-        offset, count = offset_of(tracklet, flow)
+        mean, count = offset_of(tracklet, flow)
         assert count == 1
-        assert offset.dx == 1.0
-
-    def test_yaw_history_increment(self):
-        tracklet = tracklet_at(0.0, theta=0.3)
-        tracklet.prev_box = box_at(-1.0, theta=0.1)
-        flow = FlowField([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = offset_of(tracklet, flow)
-        assert offset.dtheta == pytest.approx(0.2, abs=1e-12)
-
-    def test_no_history_zero_dtheta(self):
-        tracklet = tracklet_at(0.0, theta=0.7)
-        flow = FlowField([[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]])
-        offset, _ = offset_of(tracklet, flow)
-        assert offset.dtheta == 0.0
+        assert mean[0] == 1.0
 
     def test_flow_starved_signals_zero_count(self):
         tracklet = tracklet_at(0.0)
         flow = FlowField([[50.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-        offset, count = offset_of(tracklet, flow)
-        assert count == 0
-        assert (offset.dx, offset.dy, offset.dz) == (0.0, 0.0, 0.0)
+        assert offset_of(tracklet, flow) == (None, 0)
 
 
 class TestPredict:
-    def test_zero_offset_identity(self):
+    def test_zero_translation_identity(self):
         tracklet = tracklet_at(2.0, theta=0.4)
-        predicted = predict(tracklet, Offset(0.0, 0.0, 0.0, 0.0))
+        predicted = predict(tracklet, (0.0, 0.0, 0.0))
         assert predicted == tracklet.box
 
     def test_direct_addition(self):
-        tracklet = tracklet_at(0.0)
-        predicted = predict(tracklet, Offset(1.0, 2.0, 0.0, 0.1))
+        tracklet = tracklet_at(0.0, theta=0.1)
+        tracklet.prev_box = box_at(-5.0)
+        predicted = predict(tracklet, np.array([1.0, 2.0, 0.0]))
         assert (predicted.x, predicted.y, predicted.z) == (1.0, 2.0, 1.0)
-        assert predicted.theta == pytest.approx(0.1)
+        assert all(type(v) is float for v in (predicted.x, predicted.y, predicted.z))
+        assert predicted.theta == pytest.approx(0.2)
         assert (predicted.l, predicted.w, predicted.h) == (4.0, 2.0, 2.0)
+
+    def test_yaw_history_increment(self):
+        tracklet = tracklet_at(0.0, theta=0.3)
+        tracklet.prev_box = box_at(-1.0, theta=0.1)
+        predicted = predict(tracklet, (0.0, 0.0, 0.0))
+        assert predicted.theta == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_history_zero_dtheta(self):
+        tracklet = tracklet_at(0.0, theta=0.7)
+        predicted = predict(tracklet, (1.0, 0.0, 0.0))
+        assert (predicted.x, predicted.theta) == (1.0, 0.7)
+
+    def test_no_history_turns_negative_zero_yaw_to_zero(self):
+        # A translation without history adds a 0.0 yaw increment, so a yaw
+        # of -0.0 comes out as 0.0; without either the box is returned as is.
+        tracklet = tracklet_at(0.0, theta=-0.0)
+        assert math.copysign(1.0, predict(tracklet, (0.0, 0.0, 0.0)).theta) == 1.0
+        assert math.copysign(1.0, predict(tracklet).theta) == -1.0
 
     def test_yaw_wraps(self):
         tracklet = tracklet_at(0.0, theta=3.1)
-        predicted = predict(tracklet, Offset(0.0, 0.0, 0.0, 0.1))
+        tracklet.prev_box = box_at(0.0, theta=3.0)
+        predicted = predict(tracklet, (0.0, 0.0, 0.0))
         assert predicted.theta == pytest.approx(3.2 - 2.0 * math.pi, abs=1e-12)
         assert predicted.theta == pytest.approx(-math.pi + 0.0584073, abs=1e-6)
 
 
 class TestPredictConstantVelocity:
+    """:func:`predict` without a translation moves by the last displacement."""
+
     def test_no_history_identity(self):
         tracklet = tracklet_at(5.0)
-        assert predict_constant_velocity(tracklet) == tracklet.box
+        assert predict(tracklet) is tracklet.box
 
     def test_linear_extrapolation(self):
         tracklet = tracklet_at(1.0)
         tracklet.prev_box = box_at(0.0)
-        predicted = predict_constant_velocity(tracklet)
+        predicted = predict(tracklet)
         assert (predicted.x, predicted.y) == (2.0, 0.0)
 
     def test_decimation_doubles_bootstrap_error(self):
@@ -191,15 +197,15 @@ class TestPredictConstantVelocity:
         # first prediction misses by v at full rate and by 2v at half rate.
         v = 1.5
         full = tracklet_at(0.0)
-        miss_full = abs(predict_constant_velocity(full).x - v)
+        miss_full = abs(predict(full).x - v)
         half = tracklet_at(0.0)
-        miss_half = abs(predict_constant_velocity(half).x - 2 * v)
+        miss_half = abs(predict(half).x - 2 * v)
         assert miss_half == pytest.approx(2.0 * miss_full)
 
     def test_angular_increment_carried(self):
         tracklet = tracklet_at(1.0, theta=0.3)
         tracklet.prev_box = box_at(0.0, theta=0.1)
-        predicted = predict_constant_velocity(tracklet)
+        predicted = predict(tracklet)
         assert predicted.theta == pytest.approx(0.5, abs=1e-12)
 
 
