@@ -24,12 +24,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .flow import (
     FileFlowEstimator,
     FlowDataError,
     FlowEstimator,
-    FlowField,
     NN_MAX_MATCH_DISTANCE,
     NearestNeighborFlowEstimator,
     OracleFlowEstimator,
@@ -184,18 +185,18 @@ def _preprocessed(
 def preprocessed_flows(
     clouds_by_frame: Mapping[int, PointCloud],
     frames: Iterable[int],
-    flow_estimator: FlowEstimator | None,
     frustum: Frustum | None,
     num_points: int,
     seed: int,
-) -> Iterator[tuple[int, FlowField | None]]:
-    """The preprocess -> flow chain that ``track`` and ``sim --write-flow`` share.
+) -> Iterator[tuple[int, PointCloud | None, PointCloud | None]]:
+    """The preprocessing half of the preprocess -> flow chain that ``track``
+    and ``sim --write-flow`` share; the caller estimates the flow.
 
-    Yields ``(k, flow)`` for each frame ``k``: ``flow`` is the estimate from
-    ``k - 1`` to ``k``, whose sources are the cloud of frame ``k - 1``
-    preprocessed with draws keyed by ``(seed, k - 1)``.  It is ``None``
-    without an estimator, when either cloud is missing, or when one is
-    empty after preprocessing.
+    Yields ``(k, prev, curr)`` for each frame ``k``: ``curr`` is the cloud of
+    frame ``k`` preprocessed with draws keyed by ``(seed, k)``, ``prev`` the
+    ``curr`` of the frame before, when that frame was among ``frames``.
+    Either is ``None`` when its cloud is missing or empty after
+    preprocessing.
 
     Each frame's cloud is read and preprocessed on one of
     ``PREPROCESS_WORKERS`` threads, at most ``PREPROCESS_LOOKAHEAD`` frames
@@ -210,7 +211,7 @@ def preprocessed_flows(
         raise UsageError(f"--num-points must be at least 1, got {num_points}")
     if not clouds_by_frame:
         for frame in frames:
-            yield frame, None
+            yield frame, None, None
         return
     # Imported here: concurrent.futures loads logging, which costs more than
     # every other standard module the CLI imports, and runs without clouds
@@ -230,10 +231,7 @@ def preprocessed_flows(
             frame, job = pending.popleft()
             pending.extend(map(submitted, islice(upcoming, 1)))
             sampled = job.result()
-            flow = None
-            if prev_sampled is not None and sampled is not None and flow_estimator is not None:
-                flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
-            yield frame, flow
+            yield frame, prev_sampled, sampled
             prev_sampled = sampled
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -257,10 +255,14 @@ def run_tracking(
     (so without one a :class:`CloudFiles` reads none and no thread starts).
     Clouds are preprocessed ahead on background threads by
     :func:`preprocessed_flows` while this thread estimates flow and steps
-    the tracker; the threads are stopped before this returns or raises.  A
-    frame without flow (no estimator, or a missing or empty cloud at either
-    end of the pair) tracks by constant velocity, as :class:`Tracker`
-    describes.
+    the tracker; the threads are stopped before this returns or raises.
+
+    Flow is estimated only where the tracker reads it: the previous frame's
+    points inside the live tracklets' boxes, found by one
+    :meth:`Tracker.membership` pass that the step reuses.  A frame without
+    flow (no estimator, a missing or empty cloud at either end of the pair,
+    no live tracklet, or no point inside any box) tracks by constant
+    velocity, as :class:`Tracker` describes.
     """
     frames: set[int] = set(detections_by_frame)
     if clouds_by_frame:
@@ -270,13 +272,19 @@ def run_tracking(
 
     clouds = (clouds_by_frame or {}) if flow_estimator is not None else {}
     tracker = Tracker(config=tracker_config)
+    results = {}
     with closing(preprocessed_flows(
-        clouds, range(min(frames), max(frames) + 1), flow_estimator, frustum, num_points, seed
+        clouds, range(min(frames), max(frames) + 1), frustum, num_points, seed
     )) as chain:
-        return {
-            frame: tracker.step(list(detections_by_frame.get(frame, [])), flow)
-            for frame, flow in chain
-        }
+        for frame, prev, curr in chain:
+            flow = members = None
+            if prev is not None and curr is not None and tracker.tracklets:
+                members = tracker.membership(prev.positions)
+                reads = np.unique(np.concatenate(members))
+                if len(reads):
+                    flow = flow_estimator.estimate(prev, curr, frame - 1, reads)
+            results[frame] = tracker.step(list(detections_by_frame.get(frame, [])), flow, members)
+    return results
 
 
 def run_tracking_files(
@@ -475,12 +483,12 @@ def write_scenario_outputs(
         }
         estimator = OracleFlowEstimator(boxes_by_frame)
         with closing(preprocessed_flows(
-            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], estimator, Frustum(calib),
+            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], Frustum(calib),
             num_points, seed,
         )) as chain:
-            for frame, field in chain:
-                if field is not None:
-                    save_flow(out_dir / "flow", frame - 1, field)
+            for frame, prev, curr in chain:
+                if prev is not None and curr is not None:
+                    save_flow(out_dir / "flow", frame - 1, estimator.estimate(prev, curr, frame - 1))
 
 
 def run_decimation(in_dir: Path, out_dir: Path, stride: int, offset: int) -> list[int]:

@@ -104,10 +104,18 @@ class FlowEstimator(Protocol):
 
     ``frame_index`` identifies the previous frame of the pair; estimators
     backed by files or per-frame ground truth need it, the others ignore it.
+    ``reads`` holds the ascending indices of the points of ``prev`` whose
+    flow will be read; an estimator may leave the other rows zero.  Without
+    it every point is estimated.  The field is aligned with the whole of
+    ``prev`` either way.
     """
 
     def estimate(
-        self, prev: PointCloud, curr: PointCloud, frame_index: int
+        self,
+        prev: PointCloud,
+        curr: PointCloud,
+        frame_index: int,
+        reads: np.ndarray | None = None,
     ) -> FlowField:  # pragma: no cover - protocol
         ...
 
@@ -253,13 +261,16 @@ class OracleFlowEstimator:
     moves by that instance's rigid motion, the pose change of its box.  A
     point inside several boxes moves with the lowest instance id.  Points in
     no box, and those of instances that disappear in the next frame, are
-    static and get zero flow.
+    static and get zero flow.  ``reads`` is ignored: every point is moved.
     """
 
     def __init__(self, boxes_by_frame: Mapping[int, Mapping[int, Box3D]]) -> None:
         self.boxes_by_frame = boxes_by_frame
 
-    def estimate(self, prev: PointCloud, curr: PointCloud, frame_index: int) -> FlowField:
+    def estimate(
+        self, prev: PointCloud, curr: PointCloud, frame_index: int,
+        reads: np.ndarray | None = None,
+    ) -> FlowField:
         prev_boxes = self.boxes_by_frame.get(frame_index, {})
         curr_boxes = self.boxes_by_frame.get(frame_index + 1, {})
         motions = motions_from_boxes(prev_boxes, curr_boxes)
@@ -276,13 +287,24 @@ class OracleFlowEstimator:
 
 
 class NearestNeighborFlowEstimator:
-    """Estimator wrapper around :func:`estimate_nn`."""
+    """Estimator wrapper around :func:`estimate_nn`.
+
+    With ``reads`` only those points of ``prev`` are matched; every other
+    row gets zero flow.
+    """
 
     def __init__(self, max_match_distance: float = NN_MAX_MATCH_DISTANCE) -> None:
         self.max_match_distance = max_match_distance
 
-    def estimate(self, prev: PointCloud, curr: PointCloud, frame_index: int) -> FlowField:
-        return estimate_nn(prev, curr, self.max_match_distance)
+    def estimate(
+        self, prev: PointCloud, curr: PointCloud, frame_index: int,
+        reads: np.ndarray | None = None,
+    ) -> FlowField:
+        if reads is None:
+            return estimate_nn(prev, curr, self.max_match_distance)
+        vectors = np.zeros((len(prev), 3))
+        vectors[reads] = estimate_nn(prev.take(reads), curr, self.max_match_distance).vectors
+        return FlowField(prev.positions, vectors)
 
 
 class FileFlowEstimator:
@@ -291,11 +313,14 @@ class FileFlowEstimator:
     The loaded file must have exactly one vector per point of the previous
     cloud and its stored source coordinates must match that cloud; a
     mismatch usually means the files were computed against a different
-    preprocessing seed.
+    preprocessing seed.  ``reads`` is ignored: the whole file is loaded.
     """
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
 
-    def estimate(self, prev: PointCloud, curr: PointCloud, frame_index: int) -> FlowField:
+    def estimate(
+        self, prev: PointCloud, curr: PointCloud, frame_index: int,
+        reads: np.ndarray | None = None,
+    ) -> FlowField:
         return load_flow(self.directory, frame_index, sources=prev.positions)

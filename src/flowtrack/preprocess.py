@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 # Per-point label values.  Non-negative labels are instance ids.
 UNLABELED = -1
 GROUND = -2
+
+# The ground fit stops drawing hypotheses once, at its best plane's inlier
+# share, a triple of inliers would have been drawn with this probability.
+GROUND_CONFIDENCE = 0.999
+# Plane hypotheses drawn and bounded together by the ground fit.
+_BATCH = 8
 
 
 class CalibrationError(ValueError):
@@ -154,9 +161,11 @@ class Calibration:
         """
         cam = self.lidar_to_camera(points)
         uvw = _affine(cam, self.projection)
-        uv = np.full((len(cam), 2), np.nan)
-        valid = uvw[:, 2] > 0
-        uv[valid] = uvw[valid, :2] / uvw[valid, 2:3]
+        # Every row is divided, then the rows at or behind the camera plane
+        # are overwritten; the others get the bits they would get alone.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uv = uvw[:, :2] / uvw[:, 2:3]
+        uv[~(uvw[:, 2] > 0)] = np.nan
         return uv, cam[:, 2]
 
     @classmethod
@@ -214,12 +223,14 @@ class GroundFit:
     """Outcome of a ground-plane search.
 
     ``plane`` holds ``(a, b, c, d)`` with ``a*x + b*y + c*z + d = 0`` and a
-    unit normal; it is ``None`` when no plane was found.
+    unit normal; it is ``None`` when no plane was found.  ``hypotheses``
+    counts the plane hypotheses drawn, degenerate ones included.
     """
 
     found: bool
     plane: tuple[float, float, float, float] | None = None
     num_inliers: int = 0
+    hypotheses: int = 0
 
 
 def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
@@ -275,27 +286,55 @@ def _refit_plane(positions: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _inlier_bounds(
-    positions: np.ndarray, normals: np.ndarray, offsets: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Per plane, at least the count of points ``_plane_distances`` puts within
-    ``threshold``: chunks of planes are scored by one single-precision product
-    with the homogeneous coordinates, whose rounding error ``slack`` exceeds."""
+    positions: np.ndarray, threshold: float
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Scorer of planes through points of the cloud: for unit ``normals``
+    and their ``offsets`` it gives, per plane, at least the count of points
+    ``_plane_distances`` puts within ``threshold``.
+
+    Eight planes at a time are scored by one single-precision product with
+    the homogeneous coordinates, whose rounding error the slack exceeds: the
+    offset of a unit normal through a point of the cloud is at most
+    ``sqrt(3)`` times the largest coordinate.  The coordinates, the slack
+    and the blocks are made once, for every call of the scorer.
+    """
     homogeneous = np.ones((4, len(positions)), dtype=np.float32)
     homogeneous[:3] = positions.T
-    planes = np.column_stack([normals, offsets]).astype(np.float32)
-    slack = 1e-5 * (1.0 + np.abs(positions).max() + np.abs(offsets).max(initial=0.0))
+    limit = threshold + 1e-5 * (1.0 + 3.0 * float(np.abs(positions).max()))
     # Eight planes per product, so the block stays in cache; the blocks are
     # reused, as fresh ones cost about as much in page faults as the product.
-    distances = np.empty((8, len(positions)), dtype=np.float32)
+    distances = np.empty((_BATCH, len(positions)), dtype=np.float32)
     inside = np.empty(distances.shape, dtype=bool)
-    bounds = np.empty(len(planes), dtype=int)
-    for start in range(0, len(planes), len(distances)):
-        chunk = planes[start : start + len(distances)]
-        block, mask = distances[: len(chunk)], inside[: len(chunk)]
-        np.abs(np.matmul(chunk, homogeneous, out=block), out=block)
-        np.less_equal(block, threshold + slack, out=mask)
-        bounds[start : start + len(chunk)] = [np.count_nonzero(row) for row in mask]
+
+    def bounds(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        planes = np.column_stack([normals, offsets]).astype(np.float32)
+        counts = np.empty(len(planes), dtype=int)
+        for start in range(0, len(planes), _BATCH):
+            chunk = planes[start : start + _BATCH]
+            block, mask = distances[: len(chunk)], inside[: len(chunk)]
+            np.abs(np.matmul(chunk, homogeneous, out=block), out=block)
+            np.less_equal(block, limit, out=mask)
+            # Row by row: a whole-block count with ``axis=1`` takes six times
+            # as long as these eight calls.
+            counts[start : start + len(chunk)] = [np.count_nonzero(row) for row in mask]
+        return counts
+
     return bounds
+
+
+def _hypotheses_needed(inliers: int, n: int) -> float:
+    """Hypotheses after which RANSAC trusts its best one (Fischler and
+    Bolles, 1981): ``ceil(log(1 - GROUND_CONFIDENCE) / log(1 - w**3))`` for
+    the inlier share ``w = inliers / n``, the least ``k`` at which ``k``
+    draws hold a triple of inliers with probability ``GROUND_CONFIDENCE``.
+    Infinite for ``w == 0``."""
+    w3 = (inliers / n) ** 3
+    if w3 == 0.0:
+        return math.inf
+    if w3 >= 1.0:
+        return 1
+    # log1p(-w3) is log(1 - w3) without the rounding of 1 - w3 to 1.
+    return math.ceil(math.log(1.0 - GROUND_CONFIDENCE) / math.log1p(-w3))
 
 
 def fit_ground(
@@ -307,8 +346,10 @@ def fit_ground(
 ) -> tuple[PointCloud, GroundFit]:
     """Label ground points by random-sample-consensus plane fitting.
 
-    Three-point plane hypotheses are drawn for a fixed number of iterations;
-    the best one is refined by a least-squares fit over its inliers.  Points
+    Three-point plane hypotheses are drawn until the best one is trusted
+    (:func:`_hypotheses_needed` of its inlier count, with degenerate triples
+    counted), or ``iterations`` are drawn; the first one with the most
+    inliers is refined by a least-squares fit over its inliers.  Points
     within ``inlier_threshold`` of the refined plane are labeled ``GROUND``.
     Only unlabeled (or already ground) points are relabeled; instance labels
     are never touched, and coordinates are never modified.
@@ -320,7 +361,8 @@ def fit_ground(
     inlier_threshold : float
         Maximum point-to-plane distance for an inlier, meters.
     iterations : int
-        Number of random hypotheses.
+        Most random hypotheses drawn; all of them when no hypothesis has an
+        inlier.
     min_inlier_fraction : float
         Minimum fraction of the cloud the winning plane must explain.
     seed : int or tuple
@@ -338,31 +380,39 @@ def fit_ground(
         raise ValueError(f"ground fitting needs at least 3 points, got {n}")
     rng = np.random.default_rng(seed)
     positions = cloud.positions
+    bounds_of = _inlier_bounds(positions, inlier_threshold)
 
-    # One draw per hypothesis, in order: the random stream of a one-at-a-time loop.
-    triples = [rng.choice(n, size=3, replace=False) for _ in range(iterations)]
-    p0, p1, p2 = positions[np.array(triples, dtype=int).reshape(-1, 3).T]
-    normals = np.cross(p1 - p0, p2 - p0)
-    norms = np.sqrt(np.vecdot(normals, normals))
-    valid = np.flatnonzero(~(norms < 1e-12))
-    normals = normals[valid] / norms[valid, None]
-    bounds = _inlier_bounds(positions, normals, -np.vecdot(normals, p0[valid]), inlier_threshold)
-
-    # Exact counts (the scalar expressions of a one-at-a-time loop) for each
-    # hypothesis whose bound reaches the best so far; the first of equals wins.
-    best, best_count, inliers = -1, -1, None
-    for i in np.argsort(-bounds, kind="stable"):
-        if bounds[i] < best_count:
-            break
-        p0, p1, p2 = positions[triples[valid[i]]]
-        normal = np.cross(p1 - p0, p2 - p0)
-        normal = normal / np.linalg.norm(normal)
-        mask = _plane_distances(positions, normal, -float(normal @ p0)) <= inlier_threshold
-        count = int(mask.sum())
-        if count > best_count or (count == best_count and i < best):
-            best, best_count, inliers = i, count, mask
-    if best_count <= 0 or best_count / n < min_inlier_fraction:
-        return cloud, GroundFit(found=False)
+    # Hypotheses are drawn and bounded eight at a time, then judged in draw
+    # order: one is counted exactly (the scalar expressions of a
+    # one-at-a-time loop) when its bound exceeds the best count, and wins
+    # with strictly more inliers.  Draws past the stop are never judged.
+    best_count, inliers, drawn, needed = 0, None, 0, math.inf
+    while drawn < min(iterations, needed):
+        # One draw per hypothesis, in order: the random stream of a one-at-a-time loop.
+        triples = [
+            rng.choice(n, size=3, replace=False) for _ in range(min(_BATCH, iterations - drawn))
+        ]
+        p0, p1, p2 = positions[np.array(triples, dtype=int).T]
+        normals = np.cross(p1 - p0, p2 - p0)
+        norms = np.sqrt(np.vecdot(normals, normals))
+        valid = ~(norms < 1e-12)
+        normals /= np.where(valid, norms, 1.0)[:, None]
+        bounds = np.where(valid, bounds_of(normals, -np.vecdot(normals, p0)), -1)
+        for triple, bound in zip(triples, bounds.tolist()):
+            drawn += 1
+            if bound > best_count:
+                p0, p1, p2 = positions[triple]
+                normal = np.cross(p1 - p0, p2 - p0)
+                normal = normal / np.linalg.norm(normal)
+                mask = _plane_distances(positions, normal, -float(normal @ p0)) <= inlier_threshold
+                count = int(np.count_nonzero(mask))
+                if count > best_count:
+                    best_count, inliers = count, mask
+                    needed = _hypotheses_needed(best_count, n)
+            if drawn >= needed:
+                break
+    if inliers is None or best_count / n < min_inlier_fraction:
+        return cloud, GroundFit(found=False, hypotheses=drawn)
 
     normal, offset = _refit_plane(positions[inliers])
     refined = _plane_distances(positions, normal, offset) <= inlier_threshold
@@ -375,6 +425,7 @@ def fit_ground(
         found=True,
         plane=(float(normal[0]), float(normal[1]), float(normal[2]), float(offset)),
         num_inliers=int(refined.sum()),
+        hypotheses=drawn,
     )
     return labeled, fit
 

@@ -359,8 +359,17 @@ class Tracker:
         self.next_id = 0
         self.frames_seen = 0
 
+    def membership(self, points: np.ndarray) -> list[np.ndarray]:
+        """Indices of ``points`` inside each live tracklet's box, in
+        tracklet order: one :func:`points_in_boxes` pass with
+        ``ATTRIBUTION_MARGIN`` for every tracklet."""
+        return points_in_boxes([t.box for t in self.tracklets], points, margin=ATTRIBUTION_MARGIN)
+
     def step(
-        self, detections: Sequence[Detection], flow: FlowField | None = None
+        self,
+        detections: Sequence[Detection],
+        flow: FlowField | None = None,
+        members: list[np.ndarray] | None = None,
     ) -> list[EmittedTrack]:
         """Advance the tracker by one frame.
 
@@ -372,6 +381,9 @@ class Tracker:
             Flow of the previous frame's sampled points; each tracklet's
             points are those of ``flow.sources`` inside its box.  Without it
             every tracklet advances by constant velocity.
+        members : list of np.ndarray, optional
+            :meth:`membership` of ``flow.sources``, when the caller already
+            made it; otherwise it is made here.
 
         Returns
         -------
@@ -380,10 +392,8 @@ class Tracker:
         """
         translations: list[np.ndarray | None] = [None] * len(self.tracklets)
         if flow is not None and self.tracklets:
-            # One attribution pass for every tracklet.
-            members = points_in_boxes(
-                [t.box for t in self.tracklets], flow.sources, margin=ATTRIBUTION_MARGIN
-            )
+            if members is None:
+                members = self.membership(flow.sources)
             translations = [compute_offset(flow, inside)[0] for inside in members]
         predicted = [predict(t, d) for t, d in zip(self.tracklets, translations)]
         self.frames_seen += 1

@@ -14,8 +14,7 @@ conversion replace: the same arithmetic, one pair, box or row per call; the
 last uses the package's ``Calibration`` transforms and ``wrap_angle`` on
 one row at a time.
 ``preprocessed_flows_reference`` is the sequential loop the pipelined
-preprocess -> flow chain replaces; it calls the package's
-``preprocess_frame`` and flow estimators.
+preprocessing replaces; it calls the package's ``preprocess_frame``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from flowtrack.cli import preprocess_frame
-from flowtrack.flow import FlowField
 from flowtrack.geometry import Box3D, wrap_angle
 from flowtrack.kitti_io import LabelRow
 from flowtrack.metrics import (
@@ -97,23 +95,20 @@ def points_in_boxes_reference(
 def preprocessed_flows_reference(
     clouds_by_frame: Mapping[int, PointCloud],
     frames: Iterable[int],
-    flow_estimator,
     frustum: Frustum | None,
     num_points: int,
     seed: int,
-) -> Iterator[tuple[int, FlowField | None]]:
-    """The preprocess -> flow chain as one sequential loop on the caller's
-    thread: each frame read, preprocessed, then its flow estimated."""
+) -> Iterator[tuple[int, PointCloud | None, PointCloud | None]]:
+    """The preprocessing of the preprocess -> flow chain as one sequential
+    loop on the caller's thread: each frame read and preprocessed, then
+    yielded with the frame before."""
     prev_sampled = None
     for frame in frames:
         sampled = None
         if (cloud := clouds_by_frame.get(frame)) is not None:
             sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
             sampled = sampled if len(sampled) else None
-        flow = None
-        if prev_sampled is not None and sampled is not None and flow_estimator is not None:
-            flow = flow_estimator.estimate(prev_sampled, sampled, frame - 1)
-        yield frame, flow
+        yield frame, prev_sampled, sampled
         prev_sampled = sampled
 
 
@@ -564,8 +559,11 @@ def fit_ground_reference(
 
     The plain loop the batched ``fit_ground`` must reproduce bit for bit:
     one ``rng.choice`` triple per iteration, a skipped degenerate triple,
-    the first strictly best inlier count kept, then a least-squares refit
-    over the winner's inliers.
+    the first strictly best inlier count kept, and after every hypothesis,
+    degenerate ones too, the adaptive stop: once ``k`` hypotheses are drawn
+    and ``k >= ceil(log(1 - 0.999) / log(1 - w**3))`` for the best inlier
+    share ``w``, no more are drawn (never while ``w == 0``).  Then a
+    least-squares refit over the winner's inliers.
     """
 
     def distances(normal: np.ndarray, offset: float) -> np.ndarray:
@@ -577,23 +575,26 @@ def fit_ground_reference(
     rng = np.random.default_rng(seed)
     positions = cloud.positions
 
-    best_count = -1
+    best_count = 0
     best_plane: tuple[np.ndarray, float] | None = None
-    for _ in range(iterations):
+    drawn = 0
+    for drawn in range(1, iterations + 1):
         idx = rng.choice(n, size=3, replace=False)
         p0, p1, p2 = positions[idx]
         normal = np.cross(p1 - p0, p2 - p0)
         norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        count = int(np.sum(distances(normal, -float(normal @ p0)) <= inlier_threshold))
-        if count > best_count:
-            best_count = count
-            best_plane = (normal, -float(normal @ p0))
+        if not norm < 1e-12:
+            normal = normal / norm
+            count = int(np.sum(distances(normal, -float(normal @ p0)) <= inlier_threshold))
+            if count > best_count:
+                best_count = count
+                best_plane = (normal, -float(normal @ p0))
+        w3 = (best_count / n) ** 3
+        if w3 >= 1.0 or (w3 > 0.0 and drawn >= math.ceil(math.log(1 - 0.999) / math.log1p(-w3))):
+            break
 
-    if best_plane is None or best_count == 0 or best_count / n < min_inlier_fraction:
-        return cloud, GroundFit(found=False)
+    if best_plane is None or best_count / n < min_inlier_fraction:
+        return cloud, GroundFit(found=False, hypotheses=drawn)
 
     inliers = distances(*best_plane) <= inlier_threshold
     centroid = positions[inliers].mean(axis=0)
@@ -609,6 +610,7 @@ def fit_ground_reference(
         found=True,
         plane=(float(normal[0]), float(normal[1]), float(normal[2]), float(offset)),
         num_inliers=int(refined.sum()),
+        hypotheses=drawn,
     )
     return labeled, fit
 

@@ -4,7 +4,8 @@
 threads while the caller's thread estimates flow and tracks; it must yield
 what the sequential loop ``oracles.preprocessed_flows_reference`` yields,
 raise a bad cloud's error where that loop raises it, and leave no thread
-behind however it ends.
+behind however it ends.  ``cli.run_tracking`` estimates flow only for the
+points inside live boxes, found by one attribution pass per frame.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowtrack.cli as cli
 import flowtrack.tracker as tracker
 from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
+from flowtrack.geometry import Box3D
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
+from flowtrack.preprocess import PointCloud
 from flowtrack.sim import NoiseSpec, demo_scenario, generate
-from flowtrack.tracker import TrackerConfig
+from flowtrack.tracker import Detection, TrackerConfig
 from oracles import points_in_boxes_reference, preprocessed_flows_reference
 
 NUM_POINTS = 800
@@ -45,11 +49,13 @@ def spawned_threads(before: set) -> list[threading.Thread]:
 def assert_same_chain(got, want) -> None:
     got, want = list(got), list(want)
     assert [g[0] for g in got] == [w[0] for w in want]
-    for (_, flow), (_, flow_ref) in zip(got, want):
-        assert (flow is None) == (flow_ref is None)
-        if flow is not None:
-            assert flow.sources.tobytes() == flow_ref.sources.tobytes()
-            assert flow.vectors.tobytes() == flow_ref.vectors.tobytes()
+    for (_, *clouds), (_, *clouds_ref) in zip(got, want):
+        for cloud, cloud_ref in zip(clouds, clouds_ref):
+            assert (cloud is None) == (cloud_ref is None)
+            if cloud is not None:
+                assert cloud.positions.tobytes() == cloud_ref.positions.tobytes()
+                assert cloud.features.tobytes() == cloud_ref.features.tobytes()
+                assert cloud.labels.tobytes() == cloud_ref.labels.tobytes()
 
 
 class TestPipelinedChain:
@@ -63,7 +69,6 @@ class TestPipelinedChain:
         for frame, cloud in clouds.items():
             write_velodyne(on_disk / f"{frame:06d}.bin", cloud)
         frustum = scenario.sensor.frustum()
-        estimator = NearestNeighborFlowEstimator()
         span = range(48, 50 + len(frames))
         previous = sys.getswitchinterval()
         try:
@@ -71,8 +76,8 @@ class TestPipelinedChain:
                 sys.setswitchinterval(switch_interval)
             for source in (clouds, cli.CloudFiles(on_disk)):
                 assert_same_chain(
-                    cli.preprocessed_flows(source, span, estimator, frustum, NUM_POINTS, 3),
-                    preprocessed_flows_reference(source, span, estimator, frustum, NUM_POINTS, 3),
+                    cli.preprocessed_flows(source, span, frustum, NUM_POINTS, 3),
+                    preprocessed_flows_reference(source, span, frustum, NUM_POINTS, 3),
                 )
         finally:
             sys.setswitchinterval(previous)
@@ -118,10 +123,10 @@ class TestPipelinedChain:
 
         # A tracker that fails on frame 5, while workers preprocess ahead.
         class FailsAtFrame5(tracker.Tracker):
-            def step(self, detections, flow=None):
+            def step(self, detections, flow=None, members=None):
                 if self.frames_seen == 5:
                     raise RuntimeError("step failed on frame 5")
-                return super().step(detections, flow)
+                return super().step(detections, flow, members)
 
         monkeypatch.setattr(cli, "Tracker", FailsAtFrame5)
         with pytest.raises(RuntimeError, match="frame 5") as raised:
@@ -131,9 +136,7 @@ class TestPipelinedChain:
         # that the kept traceback still holds.
         assert raised.traceback and spawned_threads(before) == []
 
-        chain = cli.preprocessed_flows(
-            clouds, range(len(frames)), NearestNeighborFlowEstimator(), frustum, NUM_POINTS, 0
-        )
+        chain = cli.preprocessed_flows(clouds, range(len(frames)), frustum, NUM_POINTS, 0)
         next(chain)
         next(chain)
         assert spawned_threads(before)
@@ -150,8 +153,8 @@ class TestPipelinedChain:
         assert cli.run_tracking(
             detections, None, NearestNeighborFlowEstimator(), TrackerConfig()
         ) == by_cv
-        chain = cli.preprocessed_flows({}, range(3), None, None, NUM_POINTS, 0)
-        assert list(chain) == [(0, None), (1, None), (2, None)]
+        chain = cli.preprocessed_flows({}, range(3), None, NUM_POINTS, 0)
+        assert list(chain) == [(0, None, None), (1, None, None), (2, None, None)]
 
     def test_written_flow_files_match_the_sequential_loop(self, scene, tmp_path):
         scenario, frames = scene
@@ -160,11 +163,14 @@ class TestPipelinedChain:
                                    num_points=NUM_POINTS, seed=4)
         estimator = OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in frames})
         reference = preprocessed_flows_reference(
-            cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames], estimator,
+            cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames],
             cli.Frustum(calib), NUM_POINTS, 4,
         )
         written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
-        expected = [(frame, flow) for frame, flow in reference if flow is not None]
+        expected = [
+            (frame, estimator.estimate(prev, curr, frame - 1))
+            for frame, prev, curr in reference if prev is not None and curr is not None
+        ]
         assert [path.name for path in written] == [f"{frame - 1:06d}.sfl" for frame, _ in expected]
         for path, (_, flow) in zip(written, expected):
             field = read_flow_file(path)
@@ -197,3 +203,88 @@ class TestAttribution:
         # The loop ran once per frame after the first, and found points.
         assert len(found) == len(frames) - 1
         assert sum(len(inside) for members in found for inside in members) > 0
+
+
+class TestFlowWhereRead:
+    def test_offsets_match_a_field_over_every_point(self, scene, monkeypatch):
+        scenario, frames = scene
+        full = []
+
+        class BothWays(NearestNeighborFlowEstimator):
+            def estimate(self, prev, curr, frame_index, reads=None):
+                assert reads is not None and (np.diff(reads) > 0).all()
+                full.append(super().estimate(prev, curr, frame_index))
+                field = super().estimate(prev, curr, frame_index, reads)
+                assert field.sources.tobytes() == full[-1].sources.tobytes()
+                return field
+
+        offsets = []
+        compute_offset = tracker.compute_offset
+
+        def spy(flow, inside):
+            offsets.append((compute_offset(flow, inside), compute_offset(full[-1], inside)))
+            return offsets[-1][0]
+
+        monkeypatch.setattr(tracker, "compute_offset", spy)
+        cli.run_tracking(
+            {f.index: f.detections for f in frames}, {f.index: f.cloud for f in frames},
+            BothWays(), TrackerConfig(), frustum=scenario.sensor.frustum(), num_points=NUM_POINTS,
+        )
+        assert sum(mean is not None for (mean, _), _ in offsets) > 10
+        for (mean, count), (mean_all, count_all) in offsets:
+            assert count == count_all
+            assert (mean is None) == (mean_all is None)
+            if mean is not None:
+                assert mean.tobytes() == mean_all.tobytes()
+
+    def test_one_attribution_pass_and_no_flow_without_a_live_tracklet(self, scene, monkeypatch):
+        scenario, frames = scene
+        events = []
+        points_in_boxes = tracker.points_in_boxes
+        monkeypatch.setattr(
+            tracker, "points_in_boxes",
+            lambda *a, **k: events.append("attribution") or points_in_boxes(*a, **k),
+        )
+        step = tracker.Tracker.step
+        monkeypatch.setattr(
+            tracker.Tracker, "step",
+            lambda self, *a, **k: events.append(("step", len(self.tracklets))) or step(self, *a, **k),
+        )
+
+        class Spy(NearestNeighborFlowEstimator):
+            def estimate(self, *args):
+                events.append("estimate")
+                return super().estimate(*args)
+
+        # No detection in frames 5-8: every tracklet dies after its third
+        # missed frame, and frames 8 and 9 start without a live one.
+        detections = {f.index: [] if 5 <= f.index <= 8 else f.detections for f in frames}
+        cli.run_tracking(detections, {f.index: f.cloud for f in frames}, Spy(), TrackerConfig(),
+                         frustum=scenario.sensor.frustum(), num_points=NUM_POINTS)
+        # The calls before each step belong to its frame.
+        per_frame, calls = [], []
+        for event in events:
+            if isinstance(event, tuple):
+                per_frame.append((event[1], calls))
+                calls = []
+            else:
+                calls.append(event)
+        assert len(per_frame) == len(frames)
+        assert per_frame[0] == (0, [])
+        for live, calls in per_frame[1:]:
+            assert calls.count("attribution") == (1 if live else 0)
+            assert calls.count("estimate") <= (1 if live else 0)
+        assert [live for live, _ in per_frame[8:10]] == [0, 0]
+        assert sum(calls.count("estimate") for _, calls in per_frame) >= len(frames) - 4
+
+    def test_no_point_in_a_box_estimates_no_flow(self, monkeypatch):
+        # The cloud lies 100 m away from the only car.
+        detections = {k: [Detection(Box3D(10.0 + k, 0.0, 0.0, 4.0, 2.0, 2.0, 0.0), 1.0, "Car")]
+                      for k in range(6)}
+        far = np.random.default_rng(0).uniform(100.0, 110.0, size=(200, 3))
+        clouds = {k: PointCloud(positions=far + 0.1 * k) for k in range(6)}
+        assert len(cli.preprocess_frame(clouds[0], None, NUM_POINTS, 0, 0)) > 0
+        monkeypatch.setattr(NearestNeighborFlowEstimator, "estimate", None)
+        by_flow = cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(),
+                                   TrackerConfig(), num_points=NUM_POINTS)
+        assert by_flow == cli.run_tracking(detections, None, None, TrackerConfig())

@@ -252,7 +252,7 @@ class TestFitGround:
         labeled, fit = fit_ground(
             cloud, inlier_threshold=0.0, iterations=1, min_inlier_fraction=0.0, seed=0
         )
-        assert fit == GroundFit(found=False)
+        assert fit == GroundFit(found=False, hypotheses=1)
         assert labeled is cloud
 
     def test_instance_labels_never_relabeled(self, rng):
@@ -380,7 +380,7 @@ class TestFitGroundMatchesReference:
             [np.abs(positions @ normal + offset) for normal, offset in zip(normals, offsets)]
         )
         for edge in distances[rng.integers(len(positions), size=40), np.arange(40)]:
-            bounds = _inlier_bounds(positions, normals, offsets, edge)
+            bounds = _inlier_bounds(positions, edge)(normals, offsets)
             assert (bounds >= np.count_nonzero(distances <= edge, axis=0)).all()
             assert (bounds <= np.count_nonzero(distances <= edge + 1e-3, axis=0)).all()
 
@@ -407,6 +407,53 @@ class TestFitGroundMatchesReference:
         if iterations in (0, 200):
             assert fit.found == (iterations == 200)
 
+
+def ground_and_clutter(rng, ground_share: float, n: int = 4000):
+    """Flat noisy ground at z = -1.73 (sigma 2 cm) under uniform clutter up
+    to 8 m high; ``ground_share`` of the points are ground."""
+    k = round(ground_share * n)
+    ground = np.column_stack(
+        [rng.uniform(0, 40, k), rng.uniform(-20, 20, k), rng.normal(-1.73, 0.02, k)]
+    )
+    clutter = np.column_stack(
+        [rng.uniform(0, 40, n - k), rng.uniform(-20, 20, n - k), rng.uniform(-1.73, 6.27, n - k)]
+    )
+    return make_cloud(np.vstack([ground, clutter]))
+
+
+class TestAdaptiveStop:
+    """The ground fit stops once its best hypothesis is trusted with 99.9 %
+    confidence, and the batched fit stops where the one-at-a-time loop does."""
+
+    @pytest.mark.parametrize("share", [0.6, 0.65, 0.8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mostly_ground_stops_early_on_the_plane(self, share, seed):
+        cloud = ground_and_clutter(np.random.default_rng(seed), share)
+        fit = assert_same_fit(cloud, seed=seed)
+        assert fit.found
+        assert fit.hypotheses <= 30
+        a, b, c, d = fit.plane
+        corners = np.array([[0.0, -20.0], [0.0, 20.0], [40.0, -20.0], [40.0, 20.0]])
+        assert np.abs(-(d + a * corners[:, 0] + b * corners[:, 1]) / c + 1.73).max() < 0.02
+
+    @pytest.mark.parametrize("share", [0.1, 0.25, 0.29])
+    def test_little_ground_draws_every_hypothesis(self, share):
+        cloud = ground_and_clutter(np.random.default_rng(2), share)
+        fit = assert_same_fit(cloud, min_inlier_fraction=0.0, seed=2)
+        assert fit.hypotheses == 200
+
+    def test_one_iteration(self, rng):
+        cloud = ground_and_clutter(rng, 0.65)
+        fit = assert_same_fit(cloud, iterations=1, min_inlier_fraction=0.0, seed=4)
+        assert fit.hypotheses == 1
+        assert fit.found
+
+    def test_degenerate_triples_count_but_never_stop(self):
+        # Collinear points: every triple is degenerate, no plane is ever
+        # found, so every hypothesis is drawn.
+        cloud = make_cloud(np.arange(30)[:, None] * np.array([1.0, 2.0, 0.5]))
+        fit = assert_same_fit(cloud, iterations=50, min_inlier_fraction=0.0, seed=0)
+        assert fit == GroundFit(found=False, hypotheses=50)
 
 class TestSamplePoints:
     def test_n_at_least_pool_returns_pool_in_order(self):
