@@ -122,11 +122,12 @@ def preprocess_frame(
 
 
 def _sized(row: LabelRow, path: Path) -> LabelRow:
-    """``row``, checked to describe a box: its sizes must be positive."""
-    if min(row.h, row.w, row.l) <= 0:
+    """``row``, checked to describe a box: its sizes must be positive and
+    their product, the volume, finite."""
+    if min(row.h, row.w, row.l) <= 0 or not math.isfinite(row.h * row.w * row.l):
         raise LabelFormatError(
-            f"{path}: frame {row.frame}, id {row.track_id}: box sizes must be positive, "
-            f"got h={row.h} w={row.w} l={row.l}"
+            f"{path}: frame {row.frame}, id {row.track_id}: box sizes must be positive "
+            f"with a finite volume, got h={row.h} w={row.w} l={row.l}"
         )
     return row
 
@@ -405,7 +406,8 @@ def run_evaluation(
     recall_steps: int = 40,
 ) -> list[MetricsReport]:
     """Evaluate a result file (or directory of per-sequence files) against
-    ground truth and write the reports.  Every threshold is checked by its
+    ground truth and write the reports.  A pair of files is evaluated as
+    the one sequence ``""``.  Every threshold is checked by its
     :class:`EvalConfig` before any file is read."""
     configs = [EvalConfig(iou_thres, category, recall_steps) for iou_thres in iou_thresholds]
     gt_path, results_path = Path(gt_path), Path(results_path)
@@ -414,20 +416,15 @@ def run_evaluation(
             "ground truth and results must both be files or both be directories"
         )
     if gt_path.is_dir():
-        gt = {
-            p.stem: load_tracked_frames(p, category)
-            for p in sorted(gt_path.glob("*.txt"))
-        }
-        pred = {
-            p.stem: load_tracked_frames(p, category)
-            for p in sorted(results_path.glob("*.txt"))
-        }
-        for name in sorted(gt.keys() & pred.keys()):
-            _check_frame_alignment(gt[name], pred[name], f"sequence {name}: ")
+        gt, pred = (
+            {p.stem: load_tracked_frames(p, category) for p in sorted(path.glob("*.txt"))}
+            for path in (gt_path, results_path)
+        )
     else:
-        gt = load_tracked_frames(gt_path, category)
-        pred = load_tracked_frames(results_path, category)
-        _check_frame_alignment(gt, pred)
+        gt = {"": load_tracked_frames(gt_path, category)}
+        pred = {"": load_tracked_frames(results_path, category)}
+    for name in sorted(gt.keys() & pred.keys()):
+        _check_frame_alignment(gt[name], pred[name], f"sequence {name}: " if name else "")
     reports = []
     for cfg in configs:
         report = recall_sweep(gt, pred, cfg)
@@ -564,8 +561,8 @@ def _add_eval_parser(subparsers: argparse._SubParsersAction) -> None:
 def _add_sim_parser(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser("sim", help="generate a synthetic scenario")
     p.add_argument("--scenario", type=Path, help="scenario file; omit for the built-in demo")
-    p.add_argument("--frames", type=int, default=30, help="demo scenario length")
-    p.add_argument("--objects", type=int, default=5, help="demo scenario object count")
+    p.add_argument("--frames", type=int, help="demo scenario length (default 30)")
+    p.add_argument("--objects", type=int, help="demo scenario object count (default 5)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--write-flow", action="store_true", help="also write exact flow fields")
     p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
@@ -616,9 +613,14 @@ def _run_command(args: argparse.Namespace, arg_record: dict) -> None:
             print(report.to_text(), end="")
     elif args.command == "sim":
         if args.scenario is not None:
+            if args.frames is not None or args.objects is not None:
+                raise UsageError("--frames and --objects build the demo scenario; "
+                                 "a --scenario file sets its own")
             scenario = read_scenario(args.scenario)
         else:
-            scenario = demo_scenario(frames=args.frames, num_objects=args.objects)
+            arg_record["frames"] = 30 if args.frames is None else args.frames
+            arg_record["objects"] = 5 if args.objects is None else args.objects
+            scenario = demo_scenario(frames=arg_record["frames"], num_objects=arg_record["objects"])
         if args.seed is not None:
             scenario.seed = args.seed
         write_scenario_outputs(

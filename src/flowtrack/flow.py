@@ -193,7 +193,9 @@ def read_flow_file(file_path: Path) -> FlowField:
             f"{file_path}: declared {count} points but payload holds "
             f"{len(payload) / 24:g}"
         )
-    records = np.frombuffer(payload, dtype="<f4").reshape(-1, 6).astype(float)
+    # A signalling NaN raises the invalid flag when cast; it is caught below.
+    with np.errstate(invalid="ignore"):
+        records = np.frombuffer(payload, dtype="<f4").reshape(-1, 6).astype(float)
     if not np.all(np.isfinite(records)):
         raise FlowDataError(f"{file_path}: non-finite values")
     return FlowField(records[:, :3], records[:, 3:])

@@ -19,8 +19,8 @@ import numpy as np
 CLIP_TOL = 1e-9
 
 # Slack of iou_matrix's bulk reject, meters: numpy's and math's hypot may
-# differ in the last bit, so pairs this close to iou3d's own cut reach the
-# clipping kernel.
+# differ in the last bit, so pairs this close to the clipping kernel's own
+# cut reach it.
 PREFILTER_SLACK = 1e-9
 
 # Box-point pairs tested at once by points_in_boxes, at most: about 8 MB per
@@ -121,29 +121,9 @@ def _corner_xy(x, y, l, w, c, s):
     return xs, ys
 
 
-def corners_bev(box: Box3D) -> np.ndarray:
-    """Footprint corners of a box in the horizontal plane.
-
-    Parameters
-    ----------
-    box : Box3D
-        Box whose footprint is requested.
-
-    Returns
-    -------
-    np.ndarray
-        Array of shape (4, 2) with the corners in counter-clockwise order,
-        starting at the corner that lies at ``(+l/2, +w/2)`` in the box frame.
-    """
-    xs, ys = _corner_xy(
-        box.x, box.y, box.l, box.w, math.cos(box.theta), math.sin(box.theta)
-    )
-    return np.array([xs, ys]).T
-
-
 def _footprint_xy(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner x and y of each row of a :func:`_box_fields` array, (n, 4)
-    each, with :func:`corners_bev`'s bits (``math`` trigonometry per box)."""
+    each; the yaw's cosine and sine come from ``math`` per box."""
     theta = fields[:, 6].tolist()
     cos = np.array(list(map(math.cos, theta)), dtype=float)
     sin = np.array(list(map(math.sin, theta)), dtype=float)
@@ -152,7 +132,8 @@ def _footprint_xy(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def footprints(boxes: Sequence[Box3D]) -> np.ndarray:
-    """:func:`corners_bev` of every box at once, shape (n, 4, 2)."""
+    """Footprint corners of each box, shape (n, 4, 2): counter-clockwise
+    from the one at ``(+l/2, +w/2)`` in the box frame."""
     return np.stack(_footprint_xy(_box_fields(boxes)), axis=2)
 
 
@@ -234,7 +215,9 @@ def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _field_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each pair of rows of two (n, 7) :func:`_box_fields` arrays."""
+    """IoU of each pair of rows of two (n, 7) :func:`_box_fields` arrays,
+    in [0, 1]: the clipped footprint area times the vertical overlap, every
+    pair clipped in one batched pass.  Identical boxes give exactly 1.0."""
     # Canonical order: the pair's lexicographically smaller row of fields
     # goes first, which makes the result exactly symmetric.
     swap = np.zeros(len(a), dtype=bool)
@@ -263,30 +246,10 @@ def _field_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ious
 
 
-def iou_pairs(a_boxes: Sequence[Box3D], b_boxes: Sequence[Box3D]) -> np.ndarray:
-    """IoU of each pair ``(a_boxes[k], b_boxes[k])`` of oriented 3D boxes.
-
-    The overlap volume is the clipped footprint area times the vertical
-    extent overlap.  Every pair is clipped in one batched pass; each pair's
-    boxes are put into a canonical order first, which makes the result
-    exactly symmetric.
-
-    Returns
-    -------
-    np.ndarray
-        Shape ``(len(a_boxes),)``, values in [0, 1].  Identical boxes give
-        exactly 1.0; boxes whose footprints or vertical extents do not
-        overlap give exactly 0.0.
-    """
-    if len(a_boxes) != len(b_boxes):
-        raise ValueError(f"{len(a_boxes)} boxes paired with {len(b_boxes)}")
-    return _field_ious(_box_fields(a_boxes), _box_fields(b_boxes))
-
-
 def iou3d(a: Box3D, b: Box3D) -> float:
-    """Intersection-over-union of two oriented 3D boxes: the one-pair case
-    of :func:`iou_pairs`."""
-    return float(iou_pairs([a], [b])[0])
+    """Intersection-over-union of two oriented 3D boxes: the one-cell case
+    of :func:`iou_matrix`."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def _candidates(
@@ -312,8 +275,8 @@ def iou_matrices(
     problems: Sequence[tuple[Sequence[Box3D], Sequence[Box3D], tuple | None]],
 ) -> list[np.ndarray]:
     """:func:`iou_matrix` of each ``(rows, cols, categories)`` problem, with
-    one pass of the :func:`iou_pairs` kernel over the candidate pairs of all
-    of them."""
+    one pass of the clipping kernel over the candidate pairs of all of
+    them."""
     found = [_candidates(*problem) for problem in problems]
     ious = _field_ious(
         np.concatenate([np.empty((0, 7)), *(f[2] for f in found)]),
@@ -334,14 +297,15 @@ def iou_matrix(
     cols: Sequence[Box3D],
     categories: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> np.ndarray:
-    """Matrix of ``iou3d(rows[i], cols[j])``, shape (len(rows), len(cols)).
+    """IoU of each pair ``(rows[i], cols[j])`` of oriented 3D boxes, shape
+    (len(rows), len(cols)); the IoU is exactly symmetric in the two boxes.
 
-    Only the pairs that pass :func:`iou3d`'s cheap rejects (vertical
+    Only the pairs that pass the clipping kernel's cheap rejects (vertical
     overlap, footprint circumcircles) done in bulk and widened by
     ``PREFILTER_SLACK``, and whose categories (row categories, column
-    categories) match when ``categories`` is given, reach the clipping
-    kernel, in row-major order.  Every other cell is 0.0, which is what
-    :func:`iou3d` returns for it.
+    categories) match when ``categories`` is given, reach the kernel, in
+    row-major order.  Every other cell is 0.0, which is what the kernel
+    gives a pair it rejects.
     """
     return iou_matrices([(rows, cols, categories)])[0]
 
@@ -354,7 +318,7 @@ def points_in_boxes(
     The footprint test checks the signed distance to each footprint edge,
     the vertical test checks the distance to the horizontal mid-plane.
     Every (box, point) pair is tested with the same per-element expressions,
-    on :func:`corners_bev`'s corners, so a box's indices do not depend on the
+    on :func:`footprints`' corners, so a box's indices do not depend on the
     other boxes.  Only the points whose x lies within the box footprint's
     x-range, widened by ``2 * |margin|`` plus ``WINDOW_SLACK`` times the
     box's scale, reach the tests; every point outside that window fails

@@ -109,11 +109,19 @@ def camera_to_lidar_boxes(rows: Sequence[LabelRow], calib: Calibration) -> list[
 
     The camera-frame location is the bottom-face center; the result uses
     the volumetric center, shifted by ``h / 2`` along the vertical axis.
+    A center taken to a non-finite point (a finite calibration can still
+    overflow on a far one) raises :class:`CalibrationError` naming its row.
     """
     bottom_cam = np.array([(row.x, row.y, row.z) for row in rows], dtype=float).reshape(-1, 3)
     half_height = np.zeros_like(bottom_cam)
     half_height[:, 1] = [row.h / 2.0 for row in rows]
-    centers = calib.camera_to_lidar(bottom_cam - half_height).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = calib.camera_to_lidar(bottom_cam - half_height)
+    finite = np.isfinite(centers).all(axis=1)
+    if not finite.all():
+        row = rows[np.argmin(finite)]
+        raise CalibrationError(f"frame {row.frame}, id {row.track_id}: the calibration takes "
+                               "the box center to a non-finite point")
     return [
         Box3D(
             x=x,
@@ -124,7 +132,7 @@ def camera_to_lidar_boxes(rows: Sequence[LabelRow], calib: Calibration) -> list[
             h=row.h,
             theta=wrap_angle(-row.rotation_y - math.pi / 2.0),
         )
-        for row, (x, y, z) in zip(rows, centers)
+        for row, (x, y, z) in zip(rows, centers.tolist())
     ]
 
 
@@ -146,7 +154,9 @@ def read_velodyne(path: Path) -> PointCloud:
         raise VelodyneFormatError(
             f"{path}: size {len(data)} is not a multiple of 16-byte records"
         )
-    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
+    # A signalling NaN raises the invalid flag when cast; it is caught below.
+    with np.errstate(invalid="ignore"):
+        records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
     bad = np.flatnonzero(~np.isfinite(records[:, :3]).all(axis=1))
     if len(bad):
         raise VelodyneFormatError(f"{path}: record {bad[0]} has a non-finite coordinate")
@@ -178,8 +188,9 @@ def read_calib(path: Path) -> Calibration:
     Raises
     ------
     CalibrationError
-        Naming the first missing key, or a key whose row has the wrong
-        number of values.
+        Naming the file and the first missing key, a key whose row has the
+        wrong number of values, or what makes the values no valid
+        :class:`Calibration`.
     """
     path = Path(path)
     values: dict[str, np.ndarray] = {}
@@ -214,7 +225,10 @@ def read_calib(path: Path) -> Calibration:
     rect[:3, :3] = pick((3, 3), "R0_rect", "R_rect")
     velo_to_cam = np.eye(4)
     velo_to_cam[:3, :4] = pick((3, 4), "Tr_velo_to_cam", "Tr_velo_cam")
-    return Calibration(projection=projection, rect=rect, velo_to_cam=velo_to_cam)
+    try:
+        return Calibration(projection=projection, rect=rect, velo_to_cam=velo_to_cam)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{path}: {exc}") from exc
 
 
 def write_calib(path: Path, calib: Calibration) -> None:

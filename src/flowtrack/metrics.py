@@ -385,9 +385,7 @@ def smota_value(counts: SequenceCounts, recall_target: float) -> float:
 
 
 def recall_sweep(
-    gt: Frames | Mapping[str, Frames],
-    pred: Frames | Mapping[str, Frames],
-    cfg: EvalConfig,
+    gt: Mapping[str, Frames], pred: Mapping[str, Frames], cfg: EvalConfig
 ) -> MetricsReport:
     """Averaged tracking accuracy over a sweep of target recall levels.
 
@@ -412,9 +410,9 @@ def recall_sweep(
     Parameters
     ----------
     gt, pred : mapping
-        Either ``frame -> boxes`` for a single sequence or
-        ``sequence -> frame -> boxes`` for several.  Every result box needs
-        a confidence score.
+        ``sequence -> frame -> boxes``; a single sequence is one entry
+        under any name.  Result sequences without ground truth are ignored.
+        Every result box needs a confidence score.
     cfg : EvalConfig
         Thresholds, category tag and sweep length.
 
@@ -422,13 +420,13 @@ def recall_sweep(
     ------
     EvaluationInputError
         If any result box lacks a score, or on duplicate ``(frame, id)``
-        rows or empty ground truth.
+        rows, or ground truth without a box (or without a sequence).
     """
-    gt_seqs = _normalize_sequences(gt)
-    pred_seqs = _normalize_sequences(pred)
+    if not gt:
+        raise EvaluationInputError("ground truth holds no boxes")
     # Frames entered by each score as the threshold falls to it.
     entering: dict[float, set[tuple[str, int]]] = {}
-    for name, frames in pred_seqs.items():
+    for name, frames in pred.items():
         for frame, boxes in frames.items():
             for tracked in boxes:
                 if tracked.score is None:
@@ -439,19 +437,17 @@ def recall_sweep(
                 entering.setdefault(float(tracked.score), set()).add((name, frame))
 
     sequences = {}
-    for name in sorted(gt_seqs):
-        _check_sequence(gt_seqs[name], pred_seqs.get(name, {}))
-        sequences[name] = _SequenceFrames(gt_seqs[name], pred_seqs.get(name, {}))
-    kept = {name: {frame: [] for frame in pred_seqs.get(name, {})} for name in gt_seqs}
+    for name in sorted(gt):
+        _check_sequence(gt[name], pred.get(name, {}))
+        sequences[name] = _SequenceFrames(gt[name], pred.get(name, {}))
+    kept = {name: {frame: [] for frame in pred.get(name, {})} for name in gt}
 
     candidates: list[tuple[float, SequenceCounts]] = []
     for threshold in sorted(entering, reverse=True) or [0.0]:
         for name, frame in entering.get(threshold, ()):
             if name in kept:
-                kept[name][frame] = [
-                    b for b in pred_seqs[name][frame] if b.score >= threshold
-                ]
-        counts = evaluate_sequences(gt_seqs, kept, cfg.iou_thres, frames=sequences)
+                kept[name][frame] = [b for b in pred[name][frame] if b.score >= threshold]
+        counts = evaluate_sequences(gt, kept, cfg.iou_thres, frames=sequences)
         candidates.append((threshold, counts))
     lowest = candidates[-1]
 
@@ -502,14 +498,3 @@ def recall_sweep(
 def _mean(values: Iterable[float]) -> float:
     items = list(values)
     return math.fsum(items) / len(items)
-
-
-def _normalize_sequences(data: Frames | Mapping[str, Frames]) -> dict[str, Frames]:
-    """Accept either a single sequence (frame -> boxes) or a mapping of
-    named sequences and return the latter."""
-    if not data:
-        return {"": {}}
-    first_value = next(iter(data.values()))
-    if isinstance(first_value, Mapping):
-        return dict(data)  # type: ignore[arg-type]
-    return {"": data}  # type: ignore[dict-item]

@@ -99,7 +99,9 @@ def _affine(points: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Calibration:
-    """Sensor-to-image calibration.
+    """Sensor-to-image calibration, valid once built: construction raises
+    :class:`CalibrationError` for a non-finite entry (of the composed
+    transform too), a zero focal length or a singular transform.
 
     Attributes
     ----------
@@ -120,17 +122,24 @@ class Calibration:
     rect: np.ndarray
     velo_to_cam: np.ndarray
     velo_to_cam_rect: np.ndarray = field(init=False, repr=False, compare=False)
-    _cam_rect_to_velo: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _cam_rect_to_velo: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.projection = np.asarray(self.projection, dtype=float).reshape(3, 4)
         self.rect = np.asarray(self.rect, dtype=float).reshape(4, 4)
         self.velo_to_cam = np.asarray(self.velo_to_cam, dtype=float).reshape(4, 4)
-        self.velo_to_cam_rect = self.rect @ self.velo_to_cam
-        try:
-            self._cam_rect_to_velo = np.linalg.inv(self.velo_to_cam_rect)
-        except np.linalg.LinAlgError:
-            self._cam_rect_to_velo = None
+        with np.errstate(all="ignore"):
+            self.velo_to_cam_rect = self.rect @ self.velo_to_cam
+            det = np.linalg.det(self.velo_to_cam_rect)
+        matrices = (self.projection, self.rect, self.velo_to_cam, self.velo_to_cam_rect)
+        if not all(np.isfinite(m).all() for m in matrices):
+            raise CalibrationError("calibration entries must be finite")
+        fx, fy = self.projection[0, 0], self.projection[1, 1]
+        if fx == 0.0 or fy == 0.0:
+            raise CalibrationError(f"degenerate projection: fx={fx} fy={fy}")
+        if not abs(det) >= 1e-12:
+            raise CalibrationError("sensor-to-camera transform is not invertible")
+        self._cam_rect_to_velo = np.linalg.inv(self.velo_to_cam_rect)
 
     def lidar_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map points of shape (n, 3) from the sensor frame to the rectified
@@ -138,15 +147,7 @@ class Calibration:
         return _affine(points, self.velo_to_cam_rect)
 
     def camera_to_lidar(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`lidar_to_camera`.
-
-        Raises
-        ------
-        CalibrationError
-            If the sensor-to-camera transform is singular.
-        """
-        if self._cam_rect_to_velo is None:
-            raise CalibrationError("sensor-to-camera transform is not invertible")
+        """Inverse of :meth:`lidar_to_camera`."""
         return _affine(points, self._cam_rect_to_velo)
 
     def project_to_image(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,23 +243,14 @@ def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
     at most ``atan2(cx, fx)`` and ``atan2(cy, fy)`` plus the margin in
     magnitude.  Membership is evaluated per point, so the operation is
     idempotent, and the kept set grows monotonically with ``margin_deg``.  Points at or
-    behind the camera plane are always removed, regardless of margin.
-
-    Raises
-    ------
-    CalibrationError
-        If the projection has a zero focal length or the sensor-to-camera
-        transform is not invertible.
+    behind the camera plane are always removed, regardless of margin.  The
+    focal lengths are non-zero, as every :class:`Calibration` checks.
     """
     calib = frustum.calibration
     fx = calib.projection[0, 0]
     fy = calib.projection[1, 1]
     cx = calib.projection[0, 2]
     cy = calib.projection[1, 2]
-    if not (np.isfinite(fx) and np.isfinite(fy)) or fx == 0.0 or fy == 0.0:
-        raise CalibrationError(f"degenerate projection: fx={fx} fy={fy}")
-    if abs(np.linalg.det(calib.velo_to_cam_rect)) < 1e-12:
-        raise CalibrationError("sensor-to-camera transform is not invertible")
 
     uv, depth = calib.project_to_image(cloud.positions)
     keep = depth > 0.0

@@ -18,7 +18,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from .geometry import Box3D, wrap_angle
-from .preprocess import UNLABELED, Calibration, Frustum, PointCloud
+from .preprocess import UNLABELED, Calibration, PointCloud
 from .tracker import (
     Detection, SettingLine, SettingsError, UsageError, build_settings, format_settings,
     parse_setting, read_settings, setting_fields,
@@ -118,18 +118,15 @@ class GroundSpec:
 
 @dataclass
 class SensorSpec:
-    """Forward-facing camera defining the frustum."""
+    """Forward-facing camera of the scenario's nominal calibration; a zero
+    ``focal`` raises :class:`~flowtrack.preprocess.CalibrationError`."""
 
     focal: float = 600.0
     image_width: int = 1200
     image_height: int = 400
-    margin_deg: float = 10.0
 
     def calibration(self) -> Calibration:
         return Calibration.nominal(self.focal, self.image_width, self.image_height)
-
-    def frustum(self) -> Frustum:
-        return Frustum(self.calibration(), self.margin_deg)
 
 
 @dataclass
@@ -167,6 +164,12 @@ class Scenario:
 
 # The fields of Scenario that a scenario file holds as [sections].
 SCENARIO_SECTIONS = ("ground", "sensor", "noise")
+
+# Largest magnitude of a scenario's float settings, object sizes and poses:
+# a thousand kilometres is beyond any sensor's range, and the bound keeps
+# every number that generate derives from them finite, in float32 too.
+SCENARIO_LIMIT = 1e6
+LIMIT_RULE = f"numbers must be finite and at most {SCENARIO_LIMIT:g} in magnitude"
 
 
 @dataclass
@@ -256,7 +259,10 @@ def generate(scenario: Scenario) -> list[FrameData]:
     Raises
     ------
     SettingsError
-        For a scenario without frames, with a negative seed, with duplicate
+        For a scenario without frames, with a negative seed or point count,
+        with a float setting, object size or waypoint pose beyond
+        ``SCENARIO_LIMIT`` in magnitude (or not finite), with a descending
+        range, with an object size that is not positive, with duplicate
         object ids, or with an object whose waypoints do not cover every
         frame.
     """
@@ -264,6 +270,20 @@ def generate(scenario: Scenario) -> list[FrameData]:
         raise SettingsError(f"scenario needs at least one frame, got {scenario.frames}")
     if scenario.seed < 0:
         raise SettingsError(f"the scenario seed must be at least 0, got {scenario.seed}")
+    if min(scenario.points_per_object, scenario.ground.num_points) < 0:
+        raise SettingsError("point counts must be at least 0")
+    for name in SCENARIO_SECTIONS:
+        for key, value in setting_fields(getattr(scenario, name)).items():
+            if isinstance(value, (float, tuple)) and not np.all(np.abs(value) <= SCENARIO_LIMIT):
+                raise SettingsError(f"[{name}] {key}: {LIMIT_RULE}, got {value}")
+            if isinstance(value, tuple) and value[0] > value[1]:
+                raise SettingsError(f"[{name}] {key}: a range runs from low to high, got {value}")
+    for spec in scenario.objects:
+        sizes = np.array([spec.l, spec.w, spec.h])
+        poses = np.array([(wp.x, wp.y, wp.z, wp.yaw) for wp in spec.waypoints])
+        bounded = np.all(sizes <= SCENARIO_LIMIT) and np.all(np.abs(poses) <= SCENARIO_LIMIT)
+        if not (np.all(sizes > 0) and bounded):
+            raise SettingsError(f"object {spec.obj_id}: sizes must be positive and {LIMIT_RULE}")
     ids = [spec.obj_id for spec in scenario.objects]
     if len(set(ids)) != len(ids):
         raise SettingsError(f"duplicate object ids: {ids}")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TypeVar
 import numpy as np
 
 from .assignment import max_similarity_assignment
-from .flow import FlowField
+from .flow import FlowDataError, FlowField
 from .geometry import ATTRIBUTION_MARGIN, Box3D, iou_matrix, points_in_boxes, wrap_angle
 
 T = TypeVar("T")
@@ -151,7 +151,8 @@ def read_settings(
     the one before any header, with header ``""``.
     """
     found: list[tuple[str, str, list[SettingLine]]] = [(str(path), "", [])]
-    for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_bytes().decode(errors="replace")
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         where = f"{path}:{line_number}"
         if not line:
@@ -256,7 +257,8 @@ def predict(
     inter-frame displacement.  The yaw advances by the last yaw increment
     (constant angular velocity), or by 0.0 without history, renormalized to
     (-pi, pi].  Dimensions are preserved.  With neither a translation nor
-    history the box is returned unchanged.
+    history the box is returned unchanged.  A move out of the float range,
+    as flow vectors near its limit make, raises :class:`FlowDataError`.
     """
     box, prev = tracklet.box, tracklet.prev_box
     if prev is None:
@@ -268,10 +270,14 @@ def predict(
         if translation is None:
             translation = (box.x - prev.x, box.y - prev.y, box.z - prev.z)
     dx, dy, dz = map(float, translation)
-    return Box3D(
-        box.x + dx, box.y + dy, box.z + dz, box.l, box.w, box.h,
-        wrap_angle(box.theta + dtheta),
-    )
+    try:
+        return Box3D(
+            box.x + dx, box.y + dy, box.z + dz, box.l, box.w, box.h,
+            wrap_angle(box.theta + dtheta),
+        )
+    except ValueError as exc:
+        raise FlowDataError(f"tracklet {tracklet.track_id}: moving its box by "
+                            f"{(dx, dy, dz)} leaves the float range") from exc
 
 
 def build_similarity(
@@ -394,7 +400,9 @@ class Tracker:
         if flow is not None and self.tracklets:
             if members is None:
                 members = self.membership(flow.sources)
-            translations = [compute_offset(flow, inside)[0] for inside in members]
+            # A mean past the float range is reported by predict, not warned of.
+            with np.errstate(over="ignore"):
+                translations = [compute_offset(flow, inside)[0] for inside in members]
         predicted = [predict(t, d) for t, d in zip(self.tracklets, translations)]
         self.frames_seen += 1
 

@@ -620,26 +620,19 @@ def recall_sweep_reference(
 ) -> MetricsReport:
     """Recall sweep that filters the results and evaluates every sequence
     anew at each distinct score, with no state shared between
-    thresholds.  Inputs are ``frame -> boxes`` or ``sequence -> frame ->
-    boxes``; every result box needs a score."""
-
-    def named(data: Mapping) -> dict:
-        if data and isinstance(next(iter(data.values())), Mapping):
-            return dict(data)
-        return {"": data}
-
-    gt_seqs, pred_seqs = named(gt), named(pred)
+    thresholds.  Inputs are ``sequence -> frame -> boxes``; every result
+    box needs a score."""
     scores = sorted(
-        {float(b.score) for frames in pred_seqs.values() for boxes in frames.values() for b in boxes},
+        {float(b.score) for frames in pred.values() for boxes in frames.values() for b in boxes},
         reverse=True,
     ) or [0.0]
     candidates: list[tuple[float, SequenceCounts]] = []
     for threshold in scores:
         filtered = {
             name: {f: [b for b in boxes if b.score >= threshold] for f, boxes in frames.items()}
-            for name, frames in pred_seqs.items()
+            for name, frames in pred.items()
         }
-        candidates.append((threshold, evaluate_sequences(gt_seqs, filtered, cfg.iou_thres)))
+        candidates.append((threshold, evaluate_sequences(gt, filtered, cfg.iou_thres)))
 
     rows: list[RecallRow] = []
     best: tuple[float, SequenceCounts] | None = None

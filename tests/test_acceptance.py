@@ -112,7 +112,7 @@ def test_criterion_2_perfect_pipeline_closure():
         frame: [eval_box(t.track_id, t.box, t.confidence) for t in tracks]
         for frame, tracks in results.items()
     }
-    report = recall_sweep(gt, pred, EvalConfig(iou_thres=0.25))
+    report = recall_sweep({"": gt}, {"": pred}, EvalConfig(iou_thres=0.25))
     elapsed = time.perf_counter() - start
 
     exact = (
@@ -371,7 +371,7 @@ def test_criterion_8_sweep_arithmetic():
     pred_boxes += [
         eval_box(201 + k, box_at(-600.0 - 100.0 * k), score=0.5) for k in range(3)
     ]
-    report = recall_sweep(gt, {0: pred_boxes}, EvalConfig(num_recall_steps=2))
+    report = recall_sweep({"": gt}, {"": {0: pred_boxes}}, EvalConfig(num_recall_steps=2))
 
     mean_identity = report.amota == pytest.approx(
         100.0 * math.fsum(r.mota for r in report.rows) / len(report.rows), abs=1e-12
@@ -389,7 +389,7 @@ def test_criterion_8_sweep_arithmetic():
     clamp_pred += [
         eval_box(300 + k, box_at(-500.0 - 100.0 * k), score=0.9) for k in range(9)
     ]
-    clamp_report = recall_sweep(gt, {0: clamp_pred}, EvalConfig(num_recall_steps=4))
+    clamp_report = recall_sweep({"": gt}, {"": {0: clamp_pred}}, EvalConfig(num_recall_steps=4))
     clamped = all(
         r.mota == pytest.approx(-0.4, abs=1e-12) and r.smota == 0.0
         for r in clamp_report.rows

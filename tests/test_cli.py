@@ -500,6 +500,61 @@ class TestSettingsFiles:
         assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
         assert "scenario seed must be at least 0, got -2" in one_line_error(capsys, "sim")
 
+    @pytest.mark.parametrize("flags", [["--frames", "12"], ["--objects", "7"],
+                                       ["--frames", "30", "--objects", "5"]])
+    def test_demo_flags_with_scenario_one_line_exit_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "s.scn"
+        write_scenario(path, demo_scenario(frames=5, num_objects=2))
+        assert run(["sim", "--scenario", path, *flags, "--out", tmp_path / "out"]) == 2
+        err = one_line_error(capsys, "sim")
+        assert "--frames and --objects build the demo scenario" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_demo_defaults_recorded(self, tmp_path):
+        assert run(["sim", "--frames", "2", "--out", tmp_path / "out"]) == 0
+        arguments = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["arguments"]
+        assert (arguments["frames"], arguments["objects"]) == (2, 5)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[ground]\nx_range = -1e308 1e308\n", "[ground] x_range: numbers must be finite"),
+        ("[ground]\nnum_points = -5\n", "point counts must be at least 0"),
+        ("points_per_object = -1\n[object]\nwaypoint = 0 5 0 0.8 0\n",
+         "point counts must be at least 0"),
+        ("[noise]\npos_sigma = nan\n", "[noise] pos_sigma: numbers must be finite"),
+        ("[noise]\nscore_range = 0 inf\n", "[noise] score_range: numbers must be finite"),
+        ("[noise]\nscore_range = 1 0.5\n", "[noise] score_range: a range runs from low to high"),
+        ("[object]\ndims = 0 1.8 1.6\nwaypoint = 0 5 0 0.8 0\n", "object 1: sizes must be"),
+        ("[object]\ndims = -4 1.8 1.6\nwaypoint = 0 5 0 0.8 0\n", "object 1: sizes must be"),
+        ("[object]\ndims = 1e300 1e300 1.6\nwaypoint = 0 5 0 0.8 0\n",
+         "object 1: sizes must be positive and numbers must be finite"),
+        ("frames = 2\n[object]\nwaypoint = 0 -1e308 0 0.8 0\nwaypoint = 1 1e308 0 0.8 0\n",
+         "object 1: sizes must be positive and numbers must be finite"),
+    ])
+    def test_scenario_numbers_out_of_range_one_line_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        assert message in one_line_error(capsys, "sim")
+
+    @pytest.mark.parametrize("command", ["track", "sim"])
+    def test_undecodable_settings_file_one_line_exit_2(self, sim_dir, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"frames = 2\xff\n" if command == "sim" else b"max_mis = 2\xff\n")
+        if command == "sim":
+            args = ["sim", "--scenario", path, "--out", tmp_path / "out"]
+        else:
+            args = track_args(sim_dir, tmp_path / "out", **{"--config": path})
+        assert run(args) == 2
+        assert f"{path}:1: " in one_line_error(capsys, command)
+
+    def test_zero_focal_scenario_one_line_exit_2(self, tmp_path, capsys):
+        # Rejected where the calibration is built, with or without --write-flow.
+        path = tmp_path / "blind.scn"
+        scenario = demo_scenario(frames=3, num_objects=1)
+        write_scenario(path, replace(scenario, sensor=replace(scenario.sensor, focal=0.0)))
+        assert run(["sim", "--scenario", path, "--out", tmp_path / "out"]) == 2
+        assert "degenerate projection: fx=0.0 fy=0.0" in one_line_error(capsys, "sim")
+
 
 class TestEvalCommand:
     def test_multiple_thresholds_write_report_pairs(self, sim_dir, tracked_dir, tmp_path):
@@ -613,6 +668,18 @@ def write_with_bad_size(source: Path, target: Path, column: int, value: str) -> 
     return int(tokens[0]), int(tokens[1])
 
 
+def write_calib_value(source: Path, target: Path, key: str, index: int, value: str) -> Path:
+    """Copy a calibration file with value ``index`` of row ``key`` replaced."""
+    lines = source.read_text().splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith(f"{key}:"):
+            tokens = line.split()
+            tokens[1 + index] = value
+            lines[k] = " ".join(tokens)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
 class TestCleanFailures:
     def test_malformed_label_file_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         bad = tmp_path / "results.txt"
@@ -637,6 +704,41 @@ class TestCleanFailures:
         assert err.startswith("flowtrack track: error: ")
         assert "'P2' needs 12 numbers, got 3" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, index, value, message", [
+        ("Tr_velo_to_cam", 3, "nan", "calibration entries must be finite"),
+        ("P2", 0, "0", "degenerate projection"),
+        ("R0_rect", 0, "0", "not invertible"),
+        # Invertible on paper, but its determinant rounds to zero.
+        ("R0_rect", 2, "1e308", "not invertible"),
+    ])
+    def test_bad_calibration_values_one_line_exit_2(
+        self, sim_dir, tmp_path, capsys, key, index, value, message
+    ):
+        calib = write_calib_value(sim_dir / "calib.txt", tmp_path / "calib.txt", key, index, value)
+        args = ["track", "--detections", sim_dir / "detections.txt", "--calib", calib,
+                "--predictor", "cv", "--out", tmp_path / "out"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 2
+        err = one_line_error(capsys, "track")
+        assert f"{calib}: " in err and message in err
+        assert not (tmp_path / "out" / "results.txt").exists()
+
+    def test_overflowing_conversion_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        # A valid calibration that scales camera x by 1e-10, so its inverse
+        # takes a finite, far label row past the float range.
+        calib = write_calib_value(sim_dir / "calib.txt", tmp_path / "calib.txt", "R0_rect", 0,
+                                  "1e-10")
+        detections = tmp_path / "detections.txt"
+        detections.write_text("0 -1 Car 0 0 0 0 0 10 10 1.6 1.8 4 1e300 1.5 10 0 0.9\n")
+        args = ["track", "--detections", detections, "--calib", calib,
+                "--predictor", "cv", "--out", tmp_path / "out"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 2
+        err = one_line_error(capsys, "track")
+        assert "frame 0, id -1: the calibration takes the box center to a non-finite" in err
 
     def test_non_finite_cloud_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         clouds = tmp_path / "velodyne"
@@ -677,6 +779,16 @@ class TestCleanFailures:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{results}: frame {frame}, id {track_id}: box sizes must be positive" in err
 
+    def test_overflowing_volume_one_line_exit_2(self, tmp_path, capsys):
+        labels = tmp_path / "x.txt"
+        labels.write_text("0 1 Car 0 0 0 0 0 10 10 1e300 1e300 1e300 0 1.5 10 0 0.9\n")
+        assert run(["eval", "--gt", labels, "--results", labels, "--out", tmp_path / "e"]) == 2
+        err = one_line_error(capsys, "eval")
+        assert f"{labels}: frame 0, id 1: box sizes must be positive with a finite volume" in err
+        args = ["track", "--detections", labels, "--predictor", "cv", "--out", tmp_path / "t"]
+        assert run(args) == 2
+        assert f"{labels}: frame 0, id 1: box sizes" in one_line_error(capsys, "track")
+
     def test_nonpositive_size_detection_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         detections = tmp_path / "detections.txt"
         frame, _ = write_with_bad_size(sim_dir / "detections.txt", detections, 10, "0")
@@ -686,6 +798,19 @@ class TestCleanFailures:
         assert err.startswith("flowtrack track: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{detections}: frame {frame}, id -1: box sizes must be positive" in err
+
+    def test_oracle_flow_past_the_float_range_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        # Frame 2's true boxes jump by 1e308: finite vectors whose mean is not.
+        gt = tmp_path / "gt.txt"
+        rows = [line.split() for line in (sim_dir / "gt.txt").read_text().splitlines()]
+        for tokens in rows:
+            if tokens[0] == "2":
+                tokens[13] = "1e308"
+        gt.write_text("".join(" ".join(tokens) + "\n" for tokens in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(track_args(sim_dir, tmp_path / "out", **{"--gt": gt})) == 2
+        assert "leaves the float range" in one_line_error(capsys, "track")
 
     def test_nonpositive_size_oracle_gt_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -212,6 +213,15 @@ class TestFlowFiles:
         file_path.write_bytes(FLOW_MAGIC + struct.pack("<I", 1) + payload.tobytes())
         with pytest.raises(FlowDataError, match="finite"):
             read_flow_file(file_path)
+
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        file_path = tmp_path / "f.sfl"
+        payload = b"\x00" * 20 + b"\x01\x00\x80\x7f"
+        file_path.write_bytes(FLOW_MAGIC + struct.pack("<I", 1) + payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FlowDataError, match="finite"):
+                read_flow_file(file_path)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

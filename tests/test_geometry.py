@@ -15,12 +15,10 @@ from conftest import nearby_box, random_box, record_kernel_pairs
 from flowtrack.geometry import (
     CLIP_TOL,
     Box3D,
-    corners_bev,
     footprints,
     iou3d,
     iou_matrices,
     iou_matrix,
-    iou_pairs,
     points_in_box,
     points_in_boxes,
     wrap_angle,
@@ -80,10 +78,10 @@ class TestBox3D:
         assert np.allclose(box.center, [1, 2, 3])
 
 
-class TestCornersBev:
+class TestFootprints:
     @staticmethod
     def _corner_set(box):
-        return {(round(x, 9), round(y, 9)) for x, y in corners_bev(box)}
+        return {(round(x, 9), round(y, 9)) for x, y in footprints([box])[0]}
 
     def test_axis_aligned_unit_case(self):
         box = Box3D(x=0, y=0, z=0, l=2, w=2, h=1, theta=0)
@@ -99,7 +97,7 @@ class TestCornersBev:
 
     def test_counter_clockwise_order(self, rng):
         for _ in range(50):
-            corners = corners_bev(random_box(rng))
+            corners = footprints([random_box(rng)])[0]
             area = 0.0
             for i in range(4):
                 x1, y1 = corners[i]
@@ -265,7 +263,7 @@ class TestIouMatrix:
         a, b = corner_to_corner(0.0)
         diagonal = Box3D(x=3.0, y=4.0, z=0.0, l=3.0, w=4.0, h=1.0, theta=0.0)
         assert math.hypot(b.x - a.x, b.y - a.y) == 5.0
-        # Both pairs sit exactly on iou3d's own cut, so the kernel decides them.
+        # Both pairs sit exactly on the kernel's own cut, so the kernel decides them.
         assert self.assert_matches_loop([a], [b, diagonal]) == 2
 
     @given(st.floats(min_value=0.0, max_value=1e-3))
@@ -302,17 +300,21 @@ boxes = st.builds(
 
 
 def assert_kernel_matches_referee(a_boxes, b_boxes):
-    got = iou_pairs(a_boxes, b_boxes)
+    """The diagonal of ``iou_matrix(a_boxes, b_boxes)``, each cell the
+    referee's bits; the whole matrix transposes exactly with its inputs."""
+    matrix = iou_matrix(a_boxes, b_boxes)
+    got = np.diagonal(matrix)
     want = np.array([iou3d_reference(a, b) for a, b in zip(a_boxes, b_boxes)], dtype=float)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # The canonical pair order makes the batch exactly symmetric too.
-    assert iou_pairs(b_boxes, a_boxes).tobytes() == want.tobytes()
+    # The canonical pair order makes the kernel exactly symmetric too.
+    assert iou_matrix(b_boxes, a_boxes).tobytes() == np.ascontiguousarray(matrix.T).tobytes()
     return got
 
 
-class TestIouPairs:
-    """The batched kernel against the one-pair-at-a-time referee, bit for bit."""
+class TestIouKernel:
+    """The batched kernel, through ``iou_matrix``, against the
+    one-pair-at-a-time referee, bit for bit."""
 
     @KERNEL
     @given(st.integers(0, 2**32 - 1))
@@ -341,11 +343,9 @@ class TestIouPairs:
         assert ious[0] == 1.0 and ious[2] == 1.0
         assert ious[1] == pytest.approx(inner.volume / outer.volume, rel=1e-9)
 
-    def test_empty_and_unpaired(self):
-        box = Box3D(x=0, y=0, z=0, l=4, w=2, h=1.5, theta=0.3)
-        assert iou_pairs([], []).shape == (0,)
-        with pytest.raises(ValueError):
-            iou_pairs([box], [])
+    def test_empty_inputs(self):
+        assert assert_kernel_matches_referee([], []).shape == (0,)
+        assert iou_matrices([]) == []
 
     @KERNEL
     @given(st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-1e-12, 1e-12)))
@@ -394,11 +394,11 @@ class TestIouPairs:
         )
         assert ious.tolist() == [0.0, 0.0]
 
-    def test_iou3d_is_the_one_pair_case(self, rng):
+    def test_iou3d_is_the_one_cell_case(self, rng):
         for _ in range(50):
             a = random_box(rng)
             b = nearby_box(rng, a)
-            assert iou3d(a, b) == iou3d_reference(a, b)
+            assert iou3d(a, b) == iou3d_reference(a, b) == iou_matrix([a], [b])[0, 0]
 
     @KERNEL
     @given(st.integers(0, 2**32 - 1))
@@ -431,7 +431,7 @@ class TestExplicitArithmeticOrder:
         sample = [random_box(rng) for _ in range(200)]
         batch = footprints(sample)
         for box, corners in zip(sample, batch):
-            assert corners_bev(box).tobytes() == corners_reference(box).tobytes()
+            assert footprints([box])[0].tobytes() == corners_reference(box).tobytes()
             assert corners.tobytes() == corners_reference(box).tobytes()
         assert footprints([]).shape == (0, 4, 2)
 
@@ -548,7 +548,7 @@ def scattered_boxes_and_points(rng, scale: float, size: float, count: int):
     points[:, 2] = rng.uniform(-3.0, 3.0, size=len(points))
     near = []
     for box in boxes:
-        corners = corners_bev(box)
+        corners = footprints([box])[0]
         for i in range(4):
             for t in (0.0, 0.5, 1.0):
                 x, y = corners[i] + t * (corners[(i + 1) % 4] - corners[i])
@@ -583,7 +583,7 @@ class TestPointsInBoxes:
         # edge has length zero, and the loop's edge tests hold for every
         # point: the kernel must not confine such a box to its x-window.
         box = Box3D(x=1e5, y=1e5, z=0.0, l=1e-14, w=1e-14, h=1.0, theta=0.3)
-        assert np.unique(corners_bev(box), axis=0).shape == (1, 2)
+        assert np.unique(footprints([box])[0], axis=0).shape == (1, 2)
         points = np.array(
             [[0.0, 0.0, 0.0], [1e5, 1e5, 0.0], [1e5 + 1.0, 3.0, 0.2], [0.0, 0.0, 5.0]]
         )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +206,18 @@ class TestFrameConversion:
                 0.0, abs=1e-9
             )
 
+    def test_overflowing_center_raises(self):
+        # The calibration scales camera x by 1e-10, so its inverse takes the
+        # second row, finite and far, past the float range.
+        nominal = Calibration.nominal()
+        rect = np.diag([1e-10, 1.0, 1.0, 1.0])
+        calib = Calibration(projection=nominal.projection, rect=rect,
+                            velo_to_cam=nominal.velo_to_cam)
+        rows = [nominal_row(), nominal_row(x=1e300, frame=4, track_id=7)]
+        with pytest.raises(CalibrationError, match=r"frame 4, id 7: .* non-finite"):
+            camera_to_lidar_boxes(rows, calib)
+        assert len(camera_to_lidar_boxes(rows[:1], calib)) == 1
+
     def test_yaw_convention_self_inverse(self):
         for ry in (-3.0, -1.5, 0.0, 0.4, 3.1):
             theta = wrap_angle(-ry - math.pi / 2.0)
@@ -247,6 +261,14 @@ class TestVelodyne:
         path.write_bytes(records.tobytes())
         with pytest.raises(VelodyneFormatError, match=r"000004\.bin: record 1 "):
             read_velodyne(path)
+
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        path = tmp_path / "000002.bin"
+        path.write_bytes(b"\x00" * 20 + b"\x01\x00\x80\x7f" + b"\x00" * 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VelodyneFormatError, match=r"000002\.bin: record 1 "):
+                read_velodyne(path)
 
     def test_non_finite_intensity_kept(self, tmp_path):
         path = tmp_path / "000000.bin"
@@ -303,6 +325,20 @@ class TestCalibrationFiles:
             "".join(f"{k}: {' '.join(str(v) for v in values)}\n" for k, values in rows.items())
         )
         with pytest.raises(CalibrationError, match=rf"'{key}' needs \d+ numbers, got 3"):
+            read_calib(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("Tr_velo_to_cam: nan 0 0 0 0 1 0 0 0 0 1 0", "calibration entries must be finite"),
+        ("Tr_velo_to_cam: 0 0 0 0 0 0 0 0 0 0 0 0",
+         "sensor-to-camera transform is not invertible"),
+        ("P2: 0 0 600 0 0 600 200 0 0 0 1 0", "degenerate projection: fx=0.0 fy=600.0"),
+    ])
+    def test_invalid_values_named_with_the_file(self, tmp_path, row, message):
+        path = tmp_path / "calib.txt"
+        write_calib(path, Calibration.nominal())
+        with path.open("a") as handle:
+            handle.write(row + "\n")
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: {message}")):
             read_calib(path)
 
     def test_unrelated_keys_ignored(self, tmp_path):

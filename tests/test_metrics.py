@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flowtrack.metrics as metrics
-from flowtrack.geometry import Box3D, iou3d, wrap_angle
+from flowtrack.geometry import Box3D, wrap_angle
 from flowtrack.metrics import (
     EvalConfig,
     EvaluationInputError,
@@ -26,7 +26,9 @@ from flowtrack.metrics import (
 )
 
 from conftest import record_kernel_pairs
-from oracles import best_assignment_bruteforce, recall_sweep_reference, reference_counts
+from oracles import (
+    best_assignment_bruteforce, iou3d_reference, recall_sweep_reference, reference_counts,
+)
 
 
 def tb(track_id: int, x: float, y: float = 0.0, score: float | None = None) -> TrackedBox:
@@ -60,7 +62,7 @@ class TestMatchFrame:
         gt = [tb(1, 0.0), tb(2, 2.0)]
         pred = [tb(11, 0.8), tb(12, 2.4)]
         matrix = np.array(
-            [[iou3d(g.box, p.box) for p in pred] for g in gt]
+            [[iou3d_reference(g.box, p.box) for p in pred] for g in gt]
         )
         assert matrix[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert matrix[0, 1] == pytest.approx(0.25, abs=1e-12)
@@ -317,7 +319,7 @@ class TestSmotaValue:
 
 
 def amota_fixture() -> tuple[dict, dict]:
-    """Single frame, ten isolated objects, two score bands.
+    """One sequence of a single frame, ten isolated objects, two score bands.
 
     Threshold 0.9 keeps 5 true and 1 false prediction (MOTA 0.4 at recall
     0.5); threshold 0.5 keeps 10 true and 4 false (MOTA 0.6 at recall 1).
@@ -331,7 +333,7 @@ def amota_fixture() -> tuple[dict, dict]:
         pred_boxes.append(tb(100 + i, 30.0 * i, score=0.5))
     for k in range(3):
         pred_boxes.append(tb(201 + k, -600.0 - 100.0 * k, score=0.5))
-    return gt, {0: pred_boxes}
+    return {"": gt}, {"": {0: pred_boxes}}
 
 
 class TestRecallSweep:
@@ -371,7 +373,7 @@ class TestRecallSweep:
         gt = {0: [tb(i, 30.0 * i) for i in range(10)]}
         pred = {0: [tb(100 + i, 30.0 * i, score=0.9) for i in range(5)]
                 + [tb(200 + k, -500.0 - 100.0 * k, score=0.9) for k in range(9)]}
-        report = recall_sweep(gt, pred, EvalConfig(num_recall_steps=4))
+        report = recall_sweep({"": gt}, {"": pred}, EvalConfig(num_recall_steps=4))
         assert len(report.rows) == 4
         assert [r.threshold for r in report.rows] == [0.9] * 4
         for row in report.rows:
@@ -392,11 +394,11 @@ class TestRecallSweep:
         gt = {0: [tb(1, 0.0)]}
         pred = {0: [tb(10, 0.0)]}
         with pytest.raises(EvaluationInputError, match="score"):
-            recall_sweep(gt, pred, EvalConfig())
+            recall_sweep({"": gt}, {"": pred}, EvalConfig())
 
     def test_empty_results_zero_rows(self):
         gt = {0: [tb(1, 0.0)], 1: [tb(1, 0.5)]}
-        report = recall_sweep(gt, {0: [], 1: []}, EvalConfig(num_recall_steps=4))
+        report = recall_sweep({"": gt}, {"": {0: [], 1: []}}, EvalConfig(num_recall_steps=4))
         assert len(report.rows) == 4
         for row in report.rows:
             assert row.mota == 0.0
@@ -404,12 +406,11 @@ class TestRecallSweep:
         assert report.samota == 0.0
         assert report.amota == 0.0
 
-    def test_named_sequences_match_flat(self):
-        gt, pred = amota_fixture()
-        cfg = EvalConfig(num_recall_steps=2)
-        flat = recall_sweep(gt, pred, cfg)
-        named = recall_sweep({"seq": gt}, {"seq": pred}, cfg)
-        assert flat.to_dict() == named.to_dict()
+    def test_no_ground_truth_sequence_rejected(self):
+        with pytest.raises(EvaluationInputError, match="ground truth holds no boxes"):
+            recall_sweep({}, {}, EvalConfig())
+        with pytest.raises(EvaluationInputError, match="ground truth holds no boxes"):
+            recall_sweep({"": {}}, {}, EvalConfig())
 
 
 def crowded_scored_scenario(rng: np.random.Generator) -> tuple[dict, dict]:

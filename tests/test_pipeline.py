@@ -23,7 +23,7 @@ import flowtrack.tracker as tracker
 from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
 from flowtrack.geometry import Box3D
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
-from flowtrack.preprocess import PointCloud
+from flowtrack.preprocess import Frustum, PointCloud
 from flowtrack.sim import NoiseSpec, demo_scenario, generate
 from flowtrack.tracker import Detection, TrackerConfig
 from oracles import points_in_boxes_reference, preprocessed_flows_reference
@@ -68,7 +68,7 @@ class TestPipelinedChain:
         on_disk = tmp_path / "velodyne"
         for frame, cloud in clouds.items():
             write_velodyne(on_disk / f"{frame:06d}.bin", cloud)
-        frustum = scenario.sensor.frustum()
+        frustum = Frustum(scenario.sensor.calibration())
         span = range(48, 50 + len(frames))
         previous = sys.getswitchinterval()
         try:
@@ -113,7 +113,7 @@ class TestPipelinedChain:
     def test_no_thread_left_running(self, scene, monkeypatch):
         scenario, frames = scene
         clouds = {f.index: f.cloud for f in frames}
-        frustum = scenario.sensor.frustum()
+        frustum = Frustum(scenario.sensor.calibration())
         detections = {f.index: f.detections for f in frames}
         before = set(threading.enumerate())
 
@@ -187,7 +187,7 @@ class TestAttribution:
         def tracked():
             return cli.run_tracking(
                 detections, clouds, NearestNeighborFlowEstimator(), TrackerConfig(),
-                frustum=scenario.sensor.frustum(), num_points=NUM_POINTS,
+                frustum=Frustum(scenario.sensor.calibration()), num_points=NUM_POINTS,
             )
 
         kernel = tracked()
@@ -228,7 +228,8 @@ class TestFlowWhereRead:
         monkeypatch.setattr(tracker, "compute_offset", spy)
         cli.run_tracking(
             {f.index: f.detections for f in frames}, {f.index: f.cloud for f in frames},
-            BothWays(), TrackerConfig(), frustum=scenario.sensor.frustum(), num_points=NUM_POINTS,
+            BothWays(), TrackerConfig(), frustum=Frustum(scenario.sensor.calibration()),
+            num_points=NUM_POINTS,
         )
         assert sum(mean is not None for (mean, _), _ in offsets) > 10
         for (mean, count), (mean_all, count_all) in offsets:
@@ -260,7 +261,7 @@ class TestFlowWhereRead:
         # missed frame, and frames 8 and 9 start without a live one.
         detections = {f.index: [] if 5 <= f.index <= 8 else f.detections for f in frames}
         cli.run_tracking(detections, {f.index: f.cloud for f in frames}, Spy(), TrackerConfig(),
-                         frustum=scenario.sensor.frustum(), num_points=NUM_POINTS)
+                         frustum=Frustum(scenario.sensor.calibration()), num_points=NUM_POINTS)
         # The calls before each step belong to its frame.
         per_frame, calls = [], []
         for event in events:

@@ -83,6 +83,42 @@ class TestCalibration:
         assert depth[0] == pytest.approx(-5.0)
         assert np.isnan(uv[0]).all()
 
+    def test_degenerate_calibration_rejected(self):
+        calib = Calibration.nominal()
+        for fx, fy in ((0.0, 0.0), (0.0, 600.0), (600.0, 0.0)):
+            projection = calib.projection.copy()
+            projection[0, 0], projection[1, 1] = fx, fy
+            with pytest.raises(CalibrationError, match="degenerate projection"):
+                Calibration(projection=projection, rect=calib.rect, velo_to_cam=calib.velo_to_cam)
+        with pytest.raises(CalibrationError, match="degenerate projection"):
+            Calibration.nominal(focal=0.0)
+
+    def test_singular_transform_rejected(self):
+        calib = Calibration.nominal()
+        for scale in (0.0, 1e-5):
+            with pytest.raises(CalibrationError, match="not invertible"):
+                Calibration(projection=calib.projection, rect=calib.rect,
+                            velo_to_cam=calib.velo_to_cam * scale)
+
+    @pytest.mark.parametrize("name", ["projection", "rect", "velo_to_cam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, name, value):
+        calib = Calibration.nominal()
+        fields = {"projection": calib.projection, "rect": calib.rect,
+                  "velo_to_cam": calib.velo_to_cam}
+        fields[name] = fields[name].copy()
+        fields[name][1, 3] = value
+        with pytest.raises(CalibrationError, match="must be finite"):
+            Calibration(**fields)
+
+    def test_overflowing_composition_rejected(self):
+        calib = Calibration.nominal()
+        rect = calib.rect.copy()
+        rect[2, 0] = 1e300
+        with pytest.raises(CalibrationError, match="must be finite"):
+            Calibration(projection=calib.projection, rect=rect,
+                        velo_to_cam=calib.velo_to_cam * 1e10)
+
 
 def nominal_frustum(margin_deg=0.0) -> Frustum:
     return Frustum(Calibration.nominal(), margin_deg)
@@ -152,29 +188,6 @@ class TestFilterFov:
         kept = filter_fov(cloud, nominal_frustum(0.0))
         assert kept.labels.tolist() == [3, 5]
         assert kept.features.tolist() == [[0.5], [0.7]]
-
-    def test_degenerate_calibration_rejected(self):
-        calib = Calibration.nominal()
-        broken = Calibration(
-            projection=np.zeros((3, 4)),
-            rect=calib.rect,
-            velo_to_cam=calib.velo_to_cam,
-        )
-        frustum = Frustum(broken)
-        with pytest.raises(CalibrationError):
-            filter_fov(make_cloud([[10, 0, 0]]), frustum)
-
-    def test_singular_transform_raises_on_inversion(self):
-        calib = Calibration.nominal()
-        singular = Calibration(
-            projection=calib.projection, rect=calib.rect, velo_to_cam=np.zeros((4, 4))
-        )
-        assert singular.lidar_to_camera(np.ones((2, 3))).tolist() == [[0.0] * 3] * 2
-        with pytest.raises(CalibrationError, match="not invertible"):
-            singular.camera_to_lidar(np.ones((2, 3)))
-        frustum = Frustum(singular)
-        with pytest.raises(CalibrationError):
-            filter_fov(make_cloud([[10, 0, 0]]), frustum)
 
 
 class TestFitGround:

@@ -10,7 +10,7 @@ import pytest
 
 from flowtrack.flow import motions_from_boxes
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
-from flowtrack.preprocess import UNLABELED, PointCloud, filter_fov
+from flowtrack.preprocess import UNLABELED, Frustum, PointCloud, filter_fov
 from flowtrack.tracker import SettingsError, UsageError
 from flowtrack.sim import (
     FrameData,
@@ -322,7 +322,7 @@ class TestDecimate:
 class TestDemoScenario:
     def test_objects_stay_inside_frustum(self):
         scenario = demo_scenario()
-        frustum = scenario.sensor.frustum()
+        frustum = Frustum(scenario.sensor.calibration())
         for frame in range(scenario.frames):
             centers = np.array(
                 [spec.box_at(frame).center for spec in scenario.objects]
@@ -399,7 +399,6 @@ class TestScenarioFiles:
             b"\n[ground]\nz = -1.73\nx_range = 0.0 40.5\ny_range = -25.0 25.0\n"
             b"num_points = 500\nnoise_sigma = 0.0\n"
             b"\n[sensor]\nfocal = 600.0\nimage_width = 1200\nimage_height = 400\n"
-            b"margin_deg = 10.0\n"
             b"\n[noise]\npos_sigma = 0.1\nyaw_sigma = 0.0\nfp_rate = 0.25\nfn_rate = 0.0\n"
             b"score_range = 0.5 1.0\nfp_score_range = 0.1 0.5\n"
             b"\n[object]\nid = 4\ncategory = Pedestrian\ndims = 0.8 0.6 1.75\n"
@@ -414,6 +413,7 @@ class TestScenarioFiles:
         ("[object]\nwaypoint = 0 1 2 3\n", "bad.txt:2: waypoint: expected 5 numbers"),
         ("[object]\nwaypoint = 2.5 1 2 3 4\n", "bad.txt:2: waypoint: expected 5 numbers"),
         ("[object]\nspeed = 3\n", "bad.txt:2: unknown key 'speed'"),
+        ("[sensor]\nmargin_deg = 3\n", "bad.txt:2: unknown key 'margin_deg'"),
     ])
     def test_malformed_value_names_line_and_key(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flowtrack.flow import FlowField, OracleFlowEstimator
-from flowtrack.geometry import ATTRIBUTION_MARGIN, Box3D, iou3d, points_in_box, wrap_angle
+from flowtrack.geometry import ATTRIBUTION_MARGIN, Box3D, points_in_box, wrap_angle
 from flowtrack.preprocess import PointCloud
 from flowtrack.tracker import (
     Detection,
@@ -25,7 +25,7 @@ from flowtrack.tracker import (
     compute_offset,
     predict,
 )
-from oracles import hungarian_reference
+from oracles import hungarian_reference, iou3d_reference
 
 
 def box_at(x: float, y: float = 0.0, theta: float = 0.0, l: float = 4.0) -> Box3D:
@@ -225,7 +225,7 @@ class TestBuildSimilarity:
         matrix = build_similarity(predicted, detections)
         for i, p in enumerate(predicted):
             for j, d in enumerate(detections):
-                assert matrix[i, j] == iou3d(p, d.box)
+                assert matrix[i, j] == iou3d_reference(p, d.box)
 
     def test_cross_category_zeroed(self):
         detection = det_at(0.0, category="Pedestrian")
