@@ -55,7 +55,7 @@ from .metrics import EvalConfig, EvaluationInputError, MetricsReport, TrackedBox
 from .preprocess import (
     Calibration, CalibrationError, Frustum, PointCloud, fit_ground, sample_points, filter_fov,
 )
-from .sim import FrameData, demo_scenario, generate, read_scenario, select_frames
+from .sim import SCENARIO_LIMIT, FrameData, demo_scenario, generate, read_scenario, select_frames
 from .tracker import (
     Detection,
     EmittedTrack,
@@ -122,12 +122,16 @@ def preprocess_frame(
 
 
 def _sized(row: LabelRow, path: Path) -> LabelRow:
-    """``row``, checked to describe a box: its sizes must be positive and
-    their product, the volume, finite."""
-    if min(row.h, row.w, row.l) <= 0 or not math.isfinite(row.h * row.w * row.l):
+    """``row``, checked to describe a box: its sizes must be positive, and
+    its sizes and center coordinates at most ``SCENARIO_LIMIT`` in
+    magnitude, the bound that keeps every number derived from them finite."""
+    limit = SCENARIO_LIMIT
+    if not (0 < row.h <= limit and 0 < row.w <= limit and 0 < row.l <= limit
+            and abs(row.x) <= limit and abs(row.y) <= limit and abs(row.z) <= limit):
         raise LabelFormatError(
-            f"{path}: frame {row.frame}, id {row.track_id}: box sizes must be positive "
-            f"with a finite volume, got h={row.h} w={row.w} l={row.l}"
+            f"{path}: frame {row.frame}, id {row.track_id}: box sizes must be positive, and "
+            f"sizes and center at most {limit:g} m in magnitude; got h={row.h} "
+            f"w={row.w} l={row.l} x={row.x} y={row.y} z={row.z}"
         )
     return row
 

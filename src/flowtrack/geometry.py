@@ -141,17 +141,20 @@ def _shoelace(xs: np.ndarray, ys: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Area of each polygon whose first ``count`` CCW vertices fill a row of
     ``xs`` and ``ys``; 0.0 below three vertices.
 
-    Both shoelace sums run sequentially in vertex order (padding adds 0.0),
-    an order a scalar loop can reproduce exactly.
+    Each shoelace sum is one ``accumulate`` along the row from a leading 0.0
+    (padding adds 0.0): vertex order, the order a scalar loop reproduces
+    exactly.
     """
-    pair = np.arange(len(xs))
-    forward = np.zeros(len(xs))
-    backward = np.zeros(len(xs))
-    for k in range(xs.shape[1]):
-        after = np.where(k + 1 < count, k + 1, 0)
-        used = k < count
-        forward += np.where(used, xs[:, k] * ys[pair, after], 0.0)
-        backward += np.where(used, ys[:, k] * xs[pair, after], 0.0)
+    points = np.stack([xs, ys])
+    column = np.arange(xs.shape[1])
+    # Vertex k's successor, the row wrapping at its count, coordinates swapped.
+    swapped = points[::-1]
+    rolled = np.concatenate([swapped[:, :, 1:], swapped[:, :, :1]], axis=2)
+    after = np.where(column + 1 < count[:, None], rolled, swapped[:, :, :1])
+    # x_k * y_after and y_k * x_after of every vertex k.
+    terms = np.zeros((2, len(xs), len(column) + 1))
+    terms[:, :, 1:] = np.where(column < count[:, None], points * after, 0.0)
+    forward, backward = np.add.accumulate(terms, axis=2)[:, :, -1]
     return np.where(count >= 3, np.maximum(0.5 * (forward - backward), 0.0), 0.0)
 
 
@@ -169,36 +172,42 @@ def _clip_polygons(
     area.  Returns the clipped vertices, zero-padded to the widest result,
     and each row's vertex count.
     """
-    rows = len(xs)
-    pair = np.arange(rows)[:, None]
-    count = np.full(rows, xs.shape[1])
-    corners = clip_xs.shape[1]
-    for i in range(corners):
-        x1, y1 = clip_xs[:, i, None], clip_ys[:, i, None]
-        ex = clip_xs[:, (i + 1) % corners, None] - x1
-        ey = clip_ys[:, (i + 1) % corners, None] - y1
-        column = np.arange(xs.shape[1])
-        width = 2 * len(column)
-        valid = column < count[:, None]
-        after = np.where(column + 1 < count[:, None], column + 1, 0)
-        rel_x, rel_y = xs - x1, ys - y1
-        inside = (ex * rel_y - ey * rel_x >= 0.0) & valid
-        dx, dy = xs[pair, after] - xs, ys[pair, after] - ys
-        den = ex * dy - ey * dx
-        crossing = valid & (inside != inside[pair, after]) & (np.abs(den) >= CLIP_TOL)
-        with np.errstate(all="ignore"):
-            t = (ey * rel_x - ex * rel_y) / den
-            # Each vertex emits itself if inside, then its edge's crossing.
-            new_xs = np.stack([xs, xs + t * dx], axis=2).reshape(rows, width)
-            new_ys = np.stack([ys, ys + t * dy], axis=2).reshape(rows, width)
-        emit = np.stack([inside, crossing], axis=2).reshape(rows, width)
+    rows, width = xs.shape
+    count = np.full(rows, width)
+    valid = np.ones(xs.shape, dtype=bool)
+    # Both polygons closed: each row's vertex 0 again after its last one.
+    clip = np.stack([clip_xs, clip_ys])[:, :, [*range(clip_xs.shape[1]), 0]]
+    closed = np.stack([xs, ys])[:, :, [*range(width), 0]]
+    # Each clip edge's (ey, ex): times an (x, y) pair, one product gives both
+    # terms of a cross product.
+    swapped_edges = np.diff(clip, axis=2)[::-1]
+    for i in range(swapped_edges.shape[2]):
+        edge = swapped_edges[:, :, i, None]
+        ey_rel_x, ex_rel_y = edge * (closed - clip[:, :, i, None])
+        side = ex_rel_y - ey_rel_x >= 0.0
+        points = closed[:, :, :-1]
+        step = closed[:, :, 1:] - points
+        ey_dx, ex_dy = edge * step
+        den = ex_dy - ey_dx
+        solid = np.abs(den) >= CLIP_TOL
+        t = np.divide(ey_rel_x[:, :-1] - ex_rel_y[:, :-1], den, out=np.zeros_like(den), where=solid)
+        # Each vertex emits itself if inside, then its edge's crossing.  A
+        # padding column repeats vertex 0, so its edge has zero length and
+        # never crosses.
+        emitted = np.empty((2, rows, 2 * points.shape[2]))
+        emitted[:, :, 0::2] = points
+        emitted[:, :, 1::2] = points + t * step
+        emit = np.empty((rows, emitted.shape[2]), dtype=bool)
+        emit[:, 0::2] = side[:, :-1] & valid
+        emit[:, 1::2] = (side[:, :-1] != side[:, 1:]) & solid
         count = emit.sum(axis=1)
-        p, k = np.nonzero(emit)
-        slot = (np.cumsum(emit, axis=1) - 1)[p, k]
-        xs = np.zeros((rows, count.max(initial=0)))
-        ys = np.zeros_like(xs)
-        xs[p, slot] = new_xs[p, k]
-        ys[p, slot] = new_ys[p, k]
+        # Boolean masks walk each row in order, so the vertex order holds.
+        kept = np.arange(count.max(initial=0) + 1) < count[:, None]
+        compact = np.zeros((2, *kept.shape))
+        compact[0][kept], compact[1][kept] = emitted[0][emit], emitted[1][emit]
+        closed = np.where(kept, compact, compact[:, :, :1])
+        valid = kept[:, :-1]
+    xs, ys = np.where(valid, closed[:, :, :-1], 0.0)
     return xs, ys, count
 
 
@@ -220,9 +229,7 @@ def _field_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pair clipped in one batched pass.  Identical boxes give exactly 1.0."""
     # Canonical order: the pair's lexicographically smaller row of fields
     # goes first, which makes the result exactly symmetric.
-    swap = np.zeros(len(a), dtype=bool)
-    for k in reversed(range(a.shape[1])):
-        swap = (a[:, k] > b[:, k]) | ((a[:, k] == b[:, k]) & swap)
+    swap = (a > b)[np.arange(len(a)), (a != b).argmax(axis=1)]
     a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
 
     a_bottom, a_top = a[:, 2] - a[:, 5] / 2.0, a[:, 2] + a[:, 5] / 2.0
@@ -234,15 +241,18 @@ def _field_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     near = (dz > 0.0) & (_hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= reach)
 
     ious = np.zeros(len(a))
-    a, b, dz = a[near], b[near], dz[near]
-    (a_xs, a_ys), (b_xs, b_ys) = _footprint_xy(a), _footprint_xy(b)
-    inter_area = _shoelace(*_clip_polygons(a_xs, a_ys, b_xs, b_ys))
-    four = np.full(len(a), 4)
-    inter_volume = inter_area * dz
-    volume_a = _shoelace(a_xs, a_ys, four) * (a_top[near] - a_bottom[near])
-    volume_b = _shoelace(b_xs, b_ys, four) * (b_top[near] - b_bottom[near])
-    iou = np.minimum(np.maximum(inter_volume / (volume_a + volume_b - inter_volume), 0.0), 1.0)
-    ious[near] = np.where(inter_area > 0.0, iou, 0.0)
+    pairs = np.count_nonzero(near)
+    # Both boxes of every near pair: a's rows, then b's.
+    xs, ys = _footprint_xy(np.concatenate([a[near], b[near]]))
+    height = np.concatenate([a_top[near] - a_bottom[near], b_top[near] - b_bottom[near]])
+    inter_area = _shoelace(*_clip_polygons(xs[:pairs], ys[:pairs], xs[pairs:], ys[pairs:]))
+    inter_volume = inter_area * dz[near]
+    volume = _shoelace(xs, ys, np.full(2 * pairs, 4)) * height
+    union = volume[:pairs] + volume[pairs:] - inter_volume
+    # A union of 0.0 (volumes that underflow, or vanish in rounding next to
+    # a far center) scores 0.0 rather than dividing by it.
+    iou = np.divide(inter_volume, union, out=np.zeros_like(union), where=union > 0.0)
+    ious[near] = np.where(inter_area > 0.0, np.minimum(np.maximum(iou, 0.0), 1.0), 0.0)
     return ious
 
 
@@ -265,8 +275,9 @@ def _candidates(
     reach = np.add.outer(np.hypot(a[:, 3], a[:, 4]) / 2.0, np.hypot(b[:, 3], b[:, 4]) / 2.0)
     candidate = (dz > -PREFILTER_SLACK) & (distance <= reach + PREFILTER_SLACK)
     if categories is not None:
-        row_categories, col_categories = (np.asarray(c, dtype=object) for c in categories)
-        candidate &= np.equal.outer(row_categories, col_categories)
+        # Integer codes compare in one call; objects compare one pair at a time.
+        codes = {c: k for k, c in enumerate({*categories[0], *categories[1]})}
+        candidate &= np.equal.outer(*([codes[c] for c in side] for side in categories))
     ii, jj = np.nonzero(candidate)
     return ii, jj, a[ii], b[jj]
 

@@ -13,6 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+# Largest magnitude of a calibration entry: beyond it a finite calibration
+# can take a point or a box past the float range.
+CALIBRATION_LIMIT = 1e6
+
 # Per-point label values.  Non-negative labels are instance ids.
 UNLABELED = -1
 GROUND = -2
@@ -100,8 +104,9 @@ def _affine(points: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 @dataclass
 class Calibration:
     """Sensor-to-image calibration, valid once built: construction raises
-    :class:`CalibrationError` for a non-finite entry (of the composed
-    transform too), a zero focal length or a singular transform.
+    :class:`CalibrationError` for an entry that is not finite or exceeds
+    ``CALIBRATION_LIMIT`` in magnitude, a zero focal length or a singular
+    transform.
 
     Attributes
     ----------
@@ -131,9 +136,11 @@ class Calibration:
         with np.errstate(all="ignore"):
             self.velo_to_cam_rect = self.rect @ self.velo_to_cam
             det = np.linalg.det(self.velo_to_cam_rect)
-        matrices = (self.projection, self.rect, self.velo_to_cam, self.velo_to_cam_rect)
-        if not all(np.isfinite(m).all() for m in matrices):
-            raise CalibrationError("calibration entries must be finite")
+        # Entries within the limit keep the composed transform finite too.
+        matrices = (self.projection, self.rect, self.velo_to_cam)
+        if not all((np.abs(m) <= CALIBRATION_LIMIT).all() for m in matrices):
+            raise CalibrationError("calibration entries must be finite and at most "
+                                   f"{CALIBRATION_LIMIT:g} in magnitude")
         fx, fy = self.projection[0, 0], self.projection[1, 1]
         if fx == 0.0 or fy == 0.0:
             raise CalibrationError(f"degenerate projection: fx={fx} fy={fy}")

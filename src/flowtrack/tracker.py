@@ -396,6 +396,10 @@ class Tracker:
         list of EmittedTrack
             Reported tracks for this frame.
         """
+        if not self.tracklets and not detections:
+            # An idle frame: nothing to predict, match or give birth to.
+            self.frames_seen += 1
+            return []
         translations: list[np.ndarray | None] = [None] * len(self.tracklets)
         if flow is not None and self.tracklets:
             if members is None:

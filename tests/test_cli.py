@@ -128,6 +128,26 @@ class TestPipeline:
         assert "sAMOTA" in captured
         assert "100.00" in captured
 
+    def test_idle_frames_build_no_similarity(self, tmp_path, monkeypatch):
+        # Every frame from 0 to 5,000 is stepped, but only a frame with a live
+        # tracklet or a detection reaches the association.
+        row = "-1 Car 0 0 0 0 0 10 10 1.5 1.6 3.9 0 1.5 10 0 0.9"
+        detections = tmp_path / "detections.txt"
+        detections.write_text(f"0 {row}\n5000 {row}\n")
+        sizes = []
+        original = tracker.build_similarity
+
+        def counted(predicted, detections, **kwargs):
+            sizes.append((len(predicted), len(detections)))
+            return original(predicted, detections, **kwargs)
+
+        monkeypatch.setattr(tracker, "build_similarity", counted)
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "o"]
+        assert run(args) == 0
+        # Frame 0's detection, frame 1's tracklet (unconfirmed, it ends on
+        # that miss) and frame 5,000's detection.
+        assert sizes == [(0, 1), (1, 0), (0, 1)]
+
     def test_one_read_and_one_conversion_per_label_file(self, sim_dir, tmp_path, monkeypatch):
         calls = []
 
@@ -658,8 +678,8 @@ class TestEvalCommand:
 
 
 def write_with_bad_size(source: Path, target: Path, column: int, value: str) -> tuple[int, int]:
-    """Copy a label file with one size column (10 h, 11 w, 12 l) of its
-    third row replaced; returns that row's frame and track id."""
+    """Copy a label file with one box column (10 h, 11 w, 12 l, 13 x, 14 y,
+    15 z) of its third row replaced; returns that row's frame and track id."""
     lines = source.read_text().splitlines()
     tokens = lines[2].split()
     tokens[column] = value
@@ -709,8 +729,12 @@ class TestCleanFailures:
         ("Tr_velo_to_cam", 3, "nan", "calibration entries must be finite"),
         ("P2", 0, "0", "degenerate projection"),
         ("R0_rect", 0, "0", "not invertible"),
-        # Invertible on paper, but its determinant rounds to zero.
-        ("R0_rect", 2, "1e308", "not invertible"),
+        # Invertible on paper, but its determinant is below the floor.
+        ("R0_rect", 0, "1e-13", "not invertible"),
+        # Finite, but a projection or transform this large overflows.
+        ("R0_rect", 2, "1e308", "at most 1e+06 in magnitude"),
+        ("P2", 0, "1e308", "at most 1e+06 in magnitude"),
+        ("R0_rect", 1, "1e300", "at most 1e+06 in magnitude"),
     ])
     def test_bad_calibration_values_one_line_exit_2(
         self, sim_dir, tmp_path, capsys, key, index, value, message
@@ -726,19 +750,29 @@ class TestCleanFailures:
         assert not (tmp_path / "out" / "results.txt").exists()
 
     def test_overflowing_conversion_one_line_exit_2(self, sim_dir, tmp_path, capsys):
-        # A valid calibration that scales camera x by 1e-10, so its inverse
-        # takes a finite, far label row past the float range.
+        # An invertible calibration that scales camera x by 1e-303 and y by
+        # 1e303, whose inverse would take a label row at the largest accepted
+        # x past the float range, is refused before any row is converted
+        # (``camera_to_lidar_boxes`` still checks its own input).
         calib = write_calib_value(sim_dir / "calib.txt", tmp_path / "calib.txt", "R0_rect", 0,
-                                  "1e-10")
+                                  "1e-303")
+        calib = write_calib_value(calib, calib, "R0_rect", 4, "1e303")
         detections = tmp_path / "detections.txt"
-        detections.write_text("0 -1 Car 0 0 0 0 0 10 10 1.6 1.8 4 1e300 1.5 10 0 0.9\n")
+        detections.write_text("0 -1 Car 0 0 0 0 0 10 10 1.6 1.8 4 1e6 1.5 10 0 0.9\n")
         args = ["track", "--detections", detections, "--calib", calib,
                 "--predictor", "cv", "--out", tmp_path / "out"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(args) == 2
         err = one_line_error(capsys, "track")
-        assert "frame 0, id -1: the calibration takes the box center to a non-finite" in err
+        assert f"{calib}: calibration entries must be finite and at most 1e+06" in err
+        # At the limits, the same far row converts and tracks without a warning.
+        calib = write_calib_value(calib, calib, "R0_rect", 0, "1e-6")
+        calib = write_calib_value(calib, calib, "R0_rect", 4, "1e6")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 0
+        assert capsys.readouterr().err == ""
 
     def test_non_finite_cloud_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         clouds = tmp_path / "velodyne"
@@ -784,10 +818,60 @@ class TestCleanFailures:
         labels.write_text("0 1 Car 0 0 0 0 0 10 10 1e300 1e300 1e300 0 1.5 10 0 0.9\n")
         assert run(["eval", "--gt", labels, "--results", labels, "--out", tmp_path / "e"]) == 2
         err = one_line_error(capsys, "eval")
-        assert f"{labels}: frame 0, id 1: box sizes must be positive with a finite volume" in err
+        assert f"{labels}: frame 0, id 1: box sizes must be positive, and sizes and center " \
+            "at most 1e+06 m in magnitude; got h=1e+300" in err
         args = ["track", "--detections", labels, "--predictor", "cv", "--out", tmp_path / "t"]
         assert run(args) == 2
         assert f"{labels}: frame 0, id 1: box sizes" in one_line_error(capsys, "track")
+
+    def test_huge_width_result_row_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        # The volume is finite, but the IoU kernel would overflow on the box.
+        results = tmp_path / "results.txt"
+        results.write_text("0 1 Car 0 0 0 0 0 10 10 1.5 1e300 3.9 0 1.5 10 0 0.9\n")
+        args = ["eval", "--gt", sim_dir / "gt.txt", "--results", results, "--out", tmp_path / "e"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 2
+        err = one_line_error(capsys, "eval")
+        assert f"{results}: frame 0, id 1: box sizes must be positive, and sizes and center " \
+            "at most 1e+06 m in magnitude; got h=1.5 w=1e+300 l=3.9" in err
+
+    def test_far_detection_one_line_exit_2(self, tmp_path, capsys):
+        # Its result row would overflow on the way back to the camera frame.
+        detections = tmp_path / "detections.txt"
+        detections.write_text("0 -1 Car 0 0 0 0 0 10 10 1.5 1.6 3.9 1e308 1.5 10 0 0.9\n")
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "t"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 2
+        err = one_line_error(capsys, "track")
+        assert f"{detections}: frame 0, id -1: box sizes must be positive, and sizes and " \
+            "center at most 1e+06 m in magnitude; got h=1.5 w=1.6 l=3.9 x=1e+308" in err
+        assert not (tmp_path / "t" / "results.txt").exists()
+
+    @pytest.mark.parametrize("column", [10, 11, 12, 13, 14, 15])
+    def test_sizes_and_center_bounded(self, sim_dir, tmp_path, column):
+        # Each of h, w, l, x, y and z: accepted at the bound, rejected past it.
+        detections = tmp_path / "detections.txt"
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "o"]
+        write_with_bad_size(sim_dir / "detections.txt", detections, column, "1e6")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 0
+        past = "1.000001e6" if column < 13 else "-1.000001e6"
+        write_with_bad_size(sim_dir / "detections.txt", detections, column, past)
+        assert run(args) == 2
+
+    def test_vanishing_boxes_track_silently(self, tmp_path, capsys):
+        # Sizes of 1e-120 m: the IoU of two such boxes has no volume to divide by.
+        row = "-1 Car 0 0 0 0 0 10 10 1e-120 1e-120 1e-120 0 0 0 0 0.9"
+        detections = tmp_path / "detections.txt"
+        detections.write_text(f"0 {row}\n1 {row}\n")
+        args = ["track", "--detections", detections, "--predictor", "cv", "--out", tmp_path / "o"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args) == 0
+        assert capsys.readouterr().err == ""
 
     def test_nonpositive_size_detection_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         detections = tmp_path / "detections.txt"
@@ -810,7 +894,23 @@ class TestCleanFailures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(track_args(sim_dir, tmp_path / "out", **{"--gt": gt})) == 2
-        assert "leaves the float range" in one_line_error(capsys, "track")
+        err = one_line_error(capsys, "track")
+        assert f"{gt}: frame 2, id " in err and "at most 1e+06 m in magnitude" in err
+        # Past the label reader, the predictor reports such a jump itself.
+        calib = cli.read_calib(sim_dir / "calib.txt")
+        detections = {
+            frame: [cli.Detection(box, row.score, row.category) for row, box in pairs]
+            for frame, pairs in cli.read_boxes(sim_dir / "detections.txt", calib, "Car").items()
+        }
+        estimator = cli.OracleFlowEstimator({
+            frame: {row.track_id: replace(box, y=-1e308) if frame == 2 else box
+                    for row, box in pairs}
+            for frame, pairs in cli.read_boxes(sim_dir / "gt.txt", calib, "Car").items()
+        })
+        with warnings.catch_warnings(), pytest.raises(FlowDataError, match="leaves the float"):
+            warnings.simplefilter("error")
+            run_tracking(detections, cli.CloudFiles(sim_dir / "velodyne"), estimator,
+                         TrackerConfig(), frustum=cli.Frustum(calib), num_points=2000)
 
     def test_nonpositive_size_oracle_gt_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         gt = tmp_path / "gt.txt"

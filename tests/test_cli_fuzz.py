@@ -1,6 +1,6 @@
 """Fuzz test over ``main()``: drawn arguments and damaged input files end in
-exit status 0, or in exit status 2 with one error line, never in a
-traceback.
+exit status 0 with nothing on standard error, or in exit status 2 with one
+error line, never in a traceback.
 
 Every subcommand runs on one tiny scene written once per module.  A run
 draws in-range flags, then at most one bad flag value and at most one
@@ -240,6 +240,9 @@ def test_main_exits_0_or_2_with_one_error_line(scene, invocation):
     code, parser_exit, err, caught = run_main(argv)
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        # A run that succeeds prints nothing on standard error and warns of nothing.
+        assert err == "" and not caught, (argv, err, [str(w.message) for w in caught])
     if code == 2:
         assert err.splitlines()[-1].startswith(f"flowtrack {argv[0]}: error: "), (argv, err)
         if not parser_exit:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from oracles import (
     corners_reference,
     iou3d_reference,
     mc_iou3d,
+    polygon_area_reference,
     points_in_box_reference,
     points_in_boxes_reference,
     wrap_reference,
@@ -447,6 +450,79 @@ class TestExplicitArithmeticOrder:
                 iou3d_reference(a, b, blas=True), rel=0, abs=1e-12
             )
 
+
+def shoelace_rows(rows: list[np.ndarray], width: int) -> tuple[np.ndarray, ...]:
+    """Polygons of shape (n, 2) as the kernel's zero-padded ``xs``, ``ys``
+    and ``count``."""
+    xs, ys = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    for row, polygon in enumerate(rows):
+        xs[row, :len(polygon)], ys[row, :len(polygon)] = polygon[:, 0], polygon[:, 1]
+    return xs, ys, np.array([len(polygon) for polygon in rows], dtype=int)
+
+
+class TestKernelParts:
+    """The shoelace sums and the canonical pair order, bit for bit against
+    one-at-a-time loops."""
+
+    def assert_shoelace_matches_loop(self, polygons, width):
+        areas = geometry._shoelace(*shoelace_rows(polygons, width))
+        want = np.array([polygon_area_reference(p) for p in polygons], dtype=float)
+        assert areas.tobytes() == want.tobytes()
+        return areas
+
+    @KERNEL
+    @given(st.integers(0, 2**32 - 1))
+    def test_shoelace_matches_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        polygons = []
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            angles = np.sort(rng.uniform(-math.pi, math.pi, n))
+            radius = rng.uniform(0.1, 5.0, n)
+            center = rng.uniform(-1e3, 1e3, 2)
+            polygons.append(np.stack([radius * np.cos(angles), radius * np.sin(angles)], 1) + center)
+        # Rows padded to the widest and beyond.
+        self.assert_shoelace_matches_loop(polygons, 8)
+        self.assert_shoelace_matches_loop(polygons, 11)
+
+    def test_shoelace_degenerate_rows(self):
+        polygons = [
+            # Collinear: both sums cancel.
+            np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+            np.array([[1.5, -2.0], [1.5, 0.5], [1.5, 7.0]]),
+            # First term x_0 * y_1 is -0.0.
+            np.array([[0.0, 1.0], [1.0, -2.0], [3.0, 0.5]]),
+            np.array([[0.0, -1.0], [0.0, -2.0], [-0.0, -3.0], [0.0, -4.0]]),
+            # Fewer than three vertices: no area.
+            np.array([[0.0, 0.0], [1.0, 0.0]]),
+            np.empty((0, 2)),
+        ]
+        areas = self.assert_shoelace_matches_loop(polygons, 4)
+        assert areas.tolist() == [0.0, 0.0, areas[2], 0.0, 0.0, 0.0]
+        assert areas[2] > 0.0
+        # Every zero is +0.0.
+        assert not np.signbit(areas).any()
+
+    def test_vanishing_volumes_score_zero(self):
+        # Footprints of 1e-240 m2 whose volumes underflow to 0.0: no union to
+        # divide by, so 0.0 and no warning, where a NaN came out before.
+        tiny = Box3D(x=0.0, y=0.0, z=0.0, l=1e-120, w=1e-120, h=1e-120, theta=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert iou_matrix([tiny], [tiny, tiny.translated(0.0, 0.0, 5e-121)]).tolist() == [
+                [0.0, 0.0]
+            ]
+
+    @KERNEL
+    @given(boxes, st.floats(-math.pi, math.pi), st.floats(0.5, 5.0))
+    def test_field_ious_both_orders_on_tied_leading_fields(self, box, theta, h):
+        others = [box, replace(box, theta=theta), replace(box, h=h)]
+        a, b = geometry._box_fields([box] * len(others)), geometry._box_fields(others)
+        forward, backward = geometry._field_ious(a, b), geometry._field_ious(b, a)
+        assert forward.tobytes() == backward.tobytes()
+        want = np.array([iou3d_reference(box, other) for other in others], dtype=float)
+        assert forward.tobytes() == want.tobytes()
+        assert forward[0] == 1.0
 
 class TestPointsInBox:
     def test_center_included(self, rng):
