@@ -15,7 +15,6 @@ from .preprocess import (
     UNLABELED,
     Calibration,
     CalibrationError,
-    Frustum,
     GroundFit,
     PointCloud,
     filter_fov,
@@ -65,7 +64,6 @@ __all__ = [
     "UNLABELED",
     "Calibration",
     "CalibrationError",
-    "Frustum",
     "GroundFit",
     "PointCloud",
     "filter_fov",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shutil
 import sys
 import time
@@ -38,10 +37,12 @@ from .flow import (
 )
 from .geometry import Box3D
 from .kitti_io import (
+    MAX_FRAME,
     LabelFormatError,
     LabelRow,
     VelodyneFormatError,
     camera_to_lidar_boxes,
+    frame_index,
     read_calib,
     read_labels,
     read_velodyne,
@@ -53,7 +54,7 @@ from .kitti_io import (
 )
 from .metrics import EvalConfig, EvaluationInputError, MetricsReport, TrackedBox, recall_sweep
 from .preprocess import (
-    Calibration, CalibrationError, Frustum, PointCloud, fit_ground, sample_points, filter_fov,
+    Calibration, CalibrationError, PointCloud, fit_ground, sample_points, filter_fov,
 )
 from .sim import SCENARIO_LIMIT, FrameData, demo_scenario, generate, read_scenario, select_frames
 from .tracker import (
@@ -66,7 +67,8 @@ from .tracker import (
     setting_fields,
 )
 
-DEFAULT_NUM_POINTS = 6000
+# Points :func:`preprocess_frame` samples from each frame's cloud.
+SAMPLE_SIZE = 6000
 
 # Threads that read and preprocess upcoming clouds, and how many frames ahead
 # of the tracked one they may be.  On stream-nn (2-CPU host, in-process, five
@@ -102,23 +104,19 @@ def write_manifest(
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def preprocess_frame(
-    cloud: PointCloud,
-    frustum: Frustum | None,
-    num_points: int,
-    seed: int,
-    frame_index: int,
-) -> PointCloud:
-    """Standard per-frame chain: frustum crop, ground labeling, sampling.
+def preprocess_frame(cloud: PointCloud, calib: Calibration | None, frame: int) -> PointCloud:
+    """Standard per-frame chain: crop to ``calib``'s field of view (no crop
+    for ``None``), ground labeling, sampling of ``SAMPLE_SIZE`` points.
 
-    The random draws are keyed by ``(seed, frame_index)`` so every frame is
-    reproducible independently of processing order.
+    The random draws are keyed by ``(0, frame, 0)`` for the ground fit and
+    ``(0, frame, 1)`` for the sample, so every frame is reproducible
+    independently of processing order.
     """
-    if frustum is not None:
-        cloud = filter_fov(cloud, frustum)
+    if calib is not None:
+        cloud = filter_fov(cloud, calib)
     if len(cloud) >= 3:
-        cloud, _ = fit_ground(cloud, seed=(seed, frame_index, 0))
-    return sample_points(cloud, num_points, seed=(seed, frame_index, 1))
+        cloud, _ = fit_ground(cloud, seed=(0, frame, 0))
+    return sample_points(cloud, SAMPLE_SIZE, seed=(0, frame, 1))
 
 
 def _sized(row: LabelRow, path: Path) -> LabelRow:
@@ -156,10 +154,24 @@ def read_boxes(
 
 
 class CloudFiles(Mapping[int, PointCloud]):
-    """A directory's ``<frame>.bin`` clouds by frame index, read on lookup."""
+    """A directory's ``<frame>.bin`` clouds by frame index, read on lookup.
+
+    Each stem must be a frame index by :func:`frame_index`, one file per
+    frame; otherwise :class:`VelodyneFormatError` names the offending file
+    or files.
+    """
 
     def __init__(self, directory: Path) -> None:
-        self.paths = {int(path.stem): path for path in sorted(Path(directory).glob("*.bin"))}
+        self.paths: dict[int, Path] = {}
+        for path in sorted(Path(directory).glob("*.bin")):
+            frame = frame_index(path.stem)
+            if frame is None:
+                raise VelodyneFormatError(f"{path}: a cloud file is named by its frame "
+                                          f"index, in ASCII digits from 0 to {MAX_FRAME}")
+            if frame in self.paths:
+                raise VelodyneFormatError(f"{self.paths[frame]} and {path.name} are both "
+                                          f"the cloud of frame {frame}")
+            self.paths[frame] = path
 
     def __getitem__(self, frame: int) -> PointCloud:
         return read_velodyne(self.paths[frame])
@@ -172,34 +184,29 @@ class CloudFiles(Mapping[int, PointCloud]):
 
 
 def _preprocessed(
-    clouds_by_frame: Mapping[int, PointCloud],
-    frame: int,
-    frustum: Frustum | None,
-    num_points: int,
-    seed: int,
+    clouds_by_frame: Mapping[int, PointCloud], frame: int, calib: Calibration | None
 ) -> PointCloud | None:
     """:func:`preprocess_frame` of the frame's cloud; ``None`` without one,
     or when no point is left of it."""
     cloud = clouds_by_frame.get(frame)
     if cloud is None:
         return None
-    sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+    sampled = preprocess_frame(cloud, calib, frame)
     return sampled if len(sampled) else None
 
 
 def preprocessed_flows(
     clouds_by_frame: Mapping[int, PointCloud],
     frames: Iterable[int],
-    frustum: Frustum | None,
-    num_points: int,
-    seed: int,
+    calib: Calibration | None,
 ) -> Iterator[tuple[int, PointCloud | None, PointCloud | None]]:
     """The preprocessing half of the preprocess -> flow chain that ``track``
     and ``sim --write-flow`` share; the caller estimates the flow.
 
     Yields ``(k, prev, curr)`` for each frame ``k``: ``curr`` is the cloud of
-    frame ``k`` preprocessed with draws keyed by ``(seed, k)``, ``prev`` the
-    ``curr`` of the frame before, when that frame was among ``frames``.
+    frame ``k`` preprocessed by :func:`preprocess_frame` with ``calib``,
+    ``prev`` the ``curr`` of the frame before, when that frame was among
+    ``frames``.
     Either is ``None`` when its cloud is missing or empty after
     preprocessing.
 
@@ -212,8 +219,6 @@ def preprocessed_flows(
     Closing the generator, or an error, stops the threads before it
     returns.  With no clouds at all no thread is started.
     """
-    if num_points < 1:
-        raise UsageError(f"--num-points must be at least 1, got {num_points}")
     if not clouds_by_frame:
         for frame in frames:
             yield frame, None, None
@@ -227,7 +232,7 @@ def preprocessed_flows(
     pool = ThreadPoolExecutor(PREPROCESS_WORKERS, thread_name_prefix="flowtrack-preprocess")
 
     def submitted(frame):
-        return frame, pool.submit(_preprocessed, clouds_by_frame, frame, frustum, num_points, seed)
+        return frame, pool.submit(_preprocessed, clouds_by_frame, frame, calib)
 
     try:
         pending = deque(map(submitted, islice(upcoming, PREPROCESS_LOOKAHEAD)))
@@ -247,9 +252,7 @@ def run_tracking(
     clouds_by_frame: Mapping[int, PointCloud] | None,
     flow_estimator: FlowEstimator | None,
     tracker_config: TrackerConfig,
-    frustum: Frustum | None = None,
-    num_points: int = DEFAULT_NUM_POINTS,
-    seed: int = 0,
+    calib: Calibration | None = None,
 ) -> dict[int, list[EmittedTrack]]:
     """Run the tracker over a sequence given as mappings by frame index.
 
@@ -258,7 +261,8 @@ def run_tracking(
     warm-up starts at the first frame that has input.  Clouds are looked up
     only when a ``flow_estimator`` is given, once per frame, in frame order
     (so without one a :class:`CloudFiles` reads none and no thread starts).
-    Clouds are preprocessed ahead on background threads by
+    Clouds are preprocessed ahead, cropped to ``calib``'s field of view
+    unless it is ``None``, on background threads by
     :func:`preprocessed_flows` while this thread estimates flow and steps
     the tracker; the threads are stopped before this returns or raises.
 
@@ -278,9 +282,7 @@ def run_tracking(
     clouds = (clouds_by_frame or {}) if flow_estimator is not None else {}
     tracker = Tracker(config=tracker_config)
     results = {}
-    with closing(preprocessed_flows(
-        clouds, range(min(frames), max(frames) + 1), frustum, num_points, seed
-    )) as chain:
+    with closing(preprocessed_flows(clouds, range(min(frames), max(frames) + 1), calib)) as chain:
         for frame, prev, curr in chain:
             flow = members = None
             if prev is not None and curr is not None and tracker.tracklets:
@@ -303,10 +305,7 @@ def run_tracking_files(
     predictor: str = "flow",
     config: TrackerConfig | None = None,
     category: str = "Car",
-    num_points: int = DEFAULT_NUM_POINTS,
     nn_max_distance: float = NN_MAX_MATCH_DISTANCE,
-    fov_margin_deg: float = 10.0,
-    seed: int = 0,
 ) -> Path:
     """File-based tracking pipeline; returns the result file path.
 
@@ -314,17 +313,13 @@ def run_tracking_files(
     ``"nn"`` or ``"file"``) and needs a ``clouds_dir`` that holds clouds;
     ``"cv"`` estimates none, reads no cloud.  Only detections (and oracle
     ground truth) of ``category`` are read.  With a ``calib_path`` each
-    cloud is first cropped to that camera's :class:`Frustum`, widened by
-    ``fov_margin_deg``.
+    cloud is first cropped to that camera's field of view by
+    :func:`filter_fov`.
     """
     if predictor not in ("flow", "cv"):
         raise UsageError(f"unknown predictor {predictor!r}")
     if flow_source not in ("oracle", "nn", "file"):
         raise UsageError(f"unknown flow source {flow_source!r}")
-    if not 0.0 <= fov_margin_deg < math.inf:
-        raise UsageError(f"--fov-margin must be finite and at least 0, got {fov_margin_deg}")
-    if seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {seed}")
     if predictor == "flow" and clouds_dir is None:
         raise UsageError("--predictor flow needs --clouds")
     if clouds_dir is not None and not Path(clouds_dir).is_dir():
@@ -333,7 +328,6 @@ def run_tracking_files(
     if predictor == "flow" and not clouds_by_frame:
         raise UsageError(f"--clouds {clouds_dir}: no .bin cloud to estimate flow from")
     calib = read_calib(calib_path) if calib_path else Calibration.nominal()
-    frustum = Frustum(calib, fov_margin_deg) if calib_path and clouds_dir else None
 
     detections_by_frame = {
         frame: [
@@ -366,9 +360,7 @@ def run_tracking_files(
         clouds_by_frame,
         flow_estimator,
         config if config is not None else TrackerConfig(),
-        frustum=frustum,
-        num_points=num_points,
-        seed=seed,
+        calib=calib if calib_path else None,
     )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -449,17 +441,14 @@ def write_scenario_outputs(
     out_dir: Path,
     calib: Calibration,
     write_flow: bool = False,
-    num_points: int = DEFAULT_NUM_POINTS,
-    seed: int = 0,
 ) -> None:
     """Write a generated scenario in the on-disk layout ``track`` consumes.
 
     Layout: ``calib.txt``, ``velodyne/<frame>.bin``, ``gt.txt``,
     ``detections.txt`` and optionally ``flow/<frame>.sfl``.  Flow files are
     computed by :func:`preprocessed_flows` on the clouds as re-read from
-    disk and cropped to ``Frustum(calib)``, so a ``track`` run with the
-    default ``--fov-margin`` and the same ``num_points`` and ``seed`` sees
-    bit-identical sources.
+    disk and cropped to ``calib``'s field of view, so a ``track`` run with
+    the same calibration sees bit-identical sources.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -484,8 +473,7 @@ def write_scenario_outputs(
         }
         estimator = OracleFlowEstimator(boxes_by_frame)
         with closing(preprocessed_flows(
-            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], Frustum(calib),
-            num_points, seed,
+            CloudFiles(out_dir / "velodyne"), [f.index for f in frames], calib
         )) as chain:
             for frame, prev, curr in chain:
                 if prev is not None and curr is not None:
@@ -542,10 +530,7 @@ def _add_track_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--predictor", choices=("flow", "cv"), default="flow")
     p.add_argument("--config", type=Path, help="key-value configuration file")
     p.add_argument("--category", default="Car", help="category to track")
-    p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--nn-max-dist", type=float, default=NN_MAX_MATCH_DISTANCE)
-    p.add_argument("--fov-margin", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
@@ -569,7 +554,6 @@ def _add_sim_parser(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--objects", type=int, help="demo scenario object count (default 5)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--write-flow", action="store_true", help="also write exact flow fields")
-    p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--out", type=Path, required=True)
 
 
@@ -597,10 +581,7 @@ def _run_command(args: argparse.Namespace, arg_record: dict) -> None:
             predictor=args.predictor,
             config=config,
             category=args.category,
-            num_points=args.num_points,
             nn_max_distance=args.nn_max_dist,
-            fov_margin_deg=args.fov_margin,
-            seed=args.seed,
         )
         print(f"results written to {result_path}")
     elif args.command == "eval":
@@ -629,7 +610,7 @@ def _run_command(args: argparse.Namespace, arg_record: dict) -> None:
             scenario.seed = args.seed
         write_scenario_outputs(
             generate(scenario), args.out, scenario.sensor.calibration(),
-            write_flow=args.write_flow, num_points=args.num_points,
+            write_flow=args.write_flow,
         )
         print(f"scenario written to {args.out}")
     elif args.command == "decimate":

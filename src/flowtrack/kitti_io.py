@@ -27,6 +27,21 @@ from .preprocess import Calibration, CalibrationError, PointCloud, UNLABELED
 from .tracker import EmittedTrack
 
 
+# Largest frame index, the six digits every writer pads frame indices to.
+MAX_FRAME = 999_999
+
+
+def frame_index(text: str) -> int | None:
+    """``text`` as a frame index: ASCII digits of value at most
+    ``MAX_FRAME``; ``None`` for anything else (a sign, an underscore, a
+    space, digits of other scripts)."""
+    # At most six digits after leading zeros is at most MAX_FRAME, checked
+    # before ``int`` meets a string of any length.
+    if text.isascii() and text.isdigit() and len(text.lstrip("0")) <= 6:
+        return int(text)
+    return None
+
+
 class LabelFormatError(ValueError):
     """Raised for label rows that fit none of the accepted layouts."""
 
@@ -68,8 +83,12 @@ def _parse_row(tokens: list[str], path: Path, line_number: int) -> LabelRow:
             f"{path}:{line_number}: row has {n} columns; expected 15-18"
         )
     rest = tokens[2:] if n >= 17 else tokens
+    frame = frame_index(tokens[0]) if n >= 17 else 0
+    if frame is None:
+        raise LabelFormatError(f"{path}:{line_number}: frame {tokens[0]!r} is not "
+                               f"a frame index in ASCII digits from 0 to {MAX_FRAME}")
     try:
-        frame, track_id = (int(tokens[0]), int(float(tokens[1]))) if n >= 17 else (0, -1)
+        track_id = int(float(tokens[1])) if n >= 17 else -1
         numbers = list(map(float, rest[1:]))
         if not all(map(math.isfinite, numbers)):
             bad = next(tok for tok, value in zip(rest[1:], numbers) if not math.isfinite(value))
@@ -88,8 +107,9 @@ def read_labels(path: Path) -> dict[int, list[LabelRow]]:
     Raises
     ------
     LabelFormatError
-        For any row with an unaccepted column count, an unparsable field or
-        a non-finite number, naming the line number.
+        For any row with an unaccepted column count, a frame column that
+        :func:`frame_index` rejects, an unparsable field or a non-finite
+        number, naming the line number.
     """
     path = Path(path)
     frames: dict[int, list[LabelRow]] = {}

@@ -17,6 +17,10 @@ import numpy as np
 # can take a point or a box past the float range.
 CALIBRATION_LIMIT = 1e6
 
+# Degrees by which :func:`filter_fov` widens each image edge, so objects
+# about to leave the field of view survive one more frame.
+FOV_MARGIN_DEG = 10.0
+
 # Per-point label values.  Non-negative labels are instance ids.
 UNLABELED = -1
 GROUND = -2
@@ -208,25 +212,6 @@ class Calibration:
 
 
 @dataclass
-class Frustum:
-    """Camera viewing volume used to crop point clouds.
-
-    Attributes
-    ----------
-    calibration : Calibration
-        Projection that decides image membership; the image spans twice
-        its principal point in each direction (see :func:`filter_fov`).
-    margin_deg : float
-        Half-angle widening applied to each image edge, degrees.  Points
-        projecting up to this angle outside the image are still kept, so
-        objects about to leave the field of view survive one more frame.
-    """
-
-    calibration: Calibration
-    margin_deg: float = 10.0
-
-
-@dataclass
 class GroundFit:
     """Outcome of a ground-plane search.
 
@@ -241,19 +226,18 @@ class GroundFit:
     hypotheses: int = 0
 
 
-def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
-    """Keep the points whose projection falls inside the widened image.
+def filter_fov(cloud: PointCloud, calib: Calibration) -> PointCloud:
+    """Keep the points whose projection falls inside the widened image of
+    ``calib``'s camera.
 
     The image spans ``[0, 2 * cx]`` by ``[0, 2 * cy]`` pixels, the principal
-    point at its center, and each edge is widened by ``margin_deg``: a
+    point at its center, and each edge is widened by ``FOV_MARGIN_DEG``: a
     point is kept when its azimuth and elevation from the optical axis are
     at most ``atan2(cx, fx)`` and ``atan2(cy, fy)`` plus the margin in
     magnitude.  Membership is evaluated per point, so the operation is
-    idempotent, and the kept set grows monotonically with ``margin_deg``.  Points at or
-    behind the camera plane are always removed, regardless of margin.  The
-    focal lengths are non-zero, as every :class:`Calibration` checks.
+    idempotent.  Points at or behind the camera plane are always removed.
+    The focal lengths are non-zero, as every :class:`Calibration` checks.
     """
-    calib = frustum.calibration
     fx = calib.projection[0, 0]
     fy = calib.projection[1, 1]
     cx = calib.projection[0, 2]
@@ -262,7 +246,7 @@ def filter_fov(cloud: PointCloud, frustum: Frustum) -> PointCloud:
     uv, depth = calib.project_to_image(cloud.positions)
     keep = depth > 0.0
 
-    margin = math.radians(frustum.margin_deg)
+    margin = math.radians(FOV_MARGIN_DEG)
     az = np.arctan2(uv[:, 0] - cx, fx)
     el = np.arctan2(uv[:, 1] - cy, fy)
     with np.errstate(invalid="ignore"):

@@ -18,6 +18,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from .geometry import Box3D, wrap_angle
+from .kitti_io import MAX_FRAME
 from .preprocess import UNLABELED, Calibration, PointCloud
 from .tracker import (
     Detection, SettingLine, SettingsError, UsageError, build_settings, format_settings,
@@ -259,15 +260,19 @@ def generate(scenario: Scenario) -> list[FrameData]:
     Raises
     ------
     SettingsError
-        For a scenario without frames, with a negative seed or point count,
-        with a float setting, object size or waypoint pose beyond
-        ``SCENARIO_LIMIT`` in magnitude (or not finite), with a descending
-        range, with an object size that is not positive, with duplicate
-        object ids, or with an object whose waypoints do not cover every
-        frame.
+        For a scenario without frames or with more than ``MAX_FRAME + 1``
+        (no file holds a frame index past ``MAX_FRAME``), with a negative
+        seed or point count, with a float setting, object size or waypoint
+        pose beyond ``SCENARIO_LIMIT`` in magnitude (or not finite), with a
+        descending range, with an object size that is not positive, with
+        duplicate object ids, or with an object whose waypoints do not
+        cover every frame.
     """
     if scenario.frames < 1:
         raise SettingsError(f"scenario needs at least one frame, got {scenario.frames}")
+    if scenario.frames > MAX_FRAME + 1:
+        raise SettingsError(f"a scenario has at most {MAX_FRAME + 1} frames, indexed 0 to "
+                            f"{MAX_FRAME}, got {scenario.frames}")
     if scenario.seed < 0:
         raise SettingsError(f"the scenario seed must be at least 0, got {scenario.seed}")
     if min(scenario.points_per_object, scenario.ground.num_points) < 0:

@@ -27,9 +27,9 @@ T = TypeVar("T")
 
 class UsageError(ValueError):
     """Raised for run arguments outside their range, or missing the input
-    another argument needs: a decimation stride below 1, a negative seed,
-    an input directory that does not exist, a flow source without its
-    ground truth or flow files."""
+    another argument needs: a decimation stride below 1, an input
+    directory that does not exist, a flow source without its ground truth
+    or flow files."""
 
 
 @dataclass

@@ -37,7 +37,7 @@ from flowtrack.metrics import (
     evaluate_sequences,
     smota_value,
 )
-from flowtrack.preprocess import GROUND, UNLABELED, Calibration, Frustum, GroundFit, PointCloud
+from flowtrack.preprocess import GROUND, UNLABELED, Calibration, GroundFit, PointCloud
 from flowtrack.tracker import EmittedTrack
 
 
@@ -95,9 +95,7 @@ def points_in_boxes_reference(
 def preprocessed_flows_reference(
     clouds_by_frame: Mapping[int, PointCloud],
     frames: Iterable[int],
-    frustum: Frustum | None,
-    num_points: int,
-    seed: int,
+    calib: Calibration | None,
 ) -> Iterator[tuple[int, PointCloud | None, PointCloud | None]]:
     """The preprocessing of the preprocess -> flow chain as one sequential
     loop on the caller's thread: each frame read and preprocessed, then
@@ -106,7 +104,7 @@ def preprocessed_flows_reference(
     for frame in frames:
         sampled = None
         if (cloud := clouds_by_frame.get(frame)) is not None:
-            sampled = preprocess_frame(cloud, frustum, num_points, seed, frame)
+            sampled = preprocess_frame(cloud, calib, frame)
             sampled = sampled if len(sampled) else None
         yield frame, prev_sampled, sampled
         prev_sampled = sampled

@@ -99,14 +99,7 @@ def test_criterion_2_perfect_pipeline_closure():
     estimator = OracleFlowEstimator(
         {f.index: {g.obj_id: g.box for g in f.gt} for f in frames}
     )
-    results = run_tracking(
-        detections,
-        clouds,
-        estimator,
-        TrackerConfig(),
-        num_points=2000,
-        seed=0,
-    )
+    results = run_tracking(detections, clouds, estimator, TrackerConfig())
     gt = {f.index: [eval_box(g.obj_id, g.box) for g in f.gt] for f in frames}
     pred = {
         frame: [eval_box(t.track_id, t.box, t.confidence) for t in tracks]
@@ -319,8 +312,6 @@ def test_criterion_7_frame_rate_robustness():
         {f.index: f.cloud for f in half},
         OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in half}),
         TrackerConfig(),
-        num_points=200,
-        seed=0,
     )
     cv_half_results = run_tracking(detections_of(half), None, None, TrackerConfig())
     cv_full_results = run_tracking(detections_of(full), None, None, TrackerConfig())

@@ -26,7 +26,7 @@ from flowtrack.sim import NoiseSpec, demo_scenario, generate, write_scenario
 from flowtrack.tracker import TrackerConfig, UsageError
 from oracles import iou3d_reference
 
-SIM_ARGS = ["--frames", "12", "--objects", "3", "--num-points", "2000"]
+SIM_ARGS = ["--frames", "12", "--objects", "3"]
 
 
 def run(args: list) -> int:
@@ -55,7 +55,6 @@ def track_args(sim_dir, out, **overrides):
         "--calib": sim_dir / "calib.txt",
         "--gt": sim_dir / "gt.txt",
         "--flow-source": "oracle",
-        "--num-points": "2000",
         "--out": out,
     }
     args.update(overrides)
@@ -196,7 +195,7 @@ class TestDeterminism:
         path = tmp_path / "demo.scn"
         write_scenario(path, scenario)
         out = tmp_path / "from_file"
-        run(["sim", "--scenario", path, "--num-points", "2000", "--out", out])
+        run(["sim", "--scenario", path, "--out", out])
         assert (out / "gt.txt").read_bytes() == (sim_dir / "gt.txt").read_bytes()
 
 
@@ -221,7 +220,7 @@ class TestFlowSources:
             cli.run_tracking_files(
                 detections_path=sim_dir / "detections.txt", clouds_dir=sim_dir / "velodyne",
                 calib_path=sim_dir / "calib.txt", out_dir=tmp_path / "out",
-                flow_source="file", flow_dir=flow_dir, num_points=2000,
+                flow_source="file", flow_dir=flow_dir,
             )
         # The command reports the same error in one line, with status 2.
         assert run(args) == 2
@@ -348,8 +347,7 @@ class TestFlowSources:
             frame: {row.track_id: box for row, box in pairs}
             for frame, pairs in cli.read_boxes(sim_dir / "gt.txt", calib, "Car").items()
         })
-        results = run_tracking(detections, eager, estimator, TrackerConfig(),
-                               frustum=cli.Frustum(calib), num_points=2000)
+        results = run_tracking(detections, eager, estimator, TrackerConfig(), calib=calib)
         cli.write_results(tmp_path / "eager.txt", results, calib)
         assert (tmp_path / "eager.txt").read_bytes() == (tracked_dir / "results.txt").read_bytes()
         assert (tmp_path / "lazy" / "results.txt").read_bytes() == (
@@ -910,7 +908,7 @@ class TestCleanFailures:
         with warnings.catch_warnings(), pytest.raises(FlowDataError, match="leaves the float"):
             warnings.simplefilter("error")
             run_tracking(detections, cli.CloudFiles(sim_dir / "velodyne"), estimator,
-                         TrackerConfig(), frustum=cli.Frustum(calib), num_points=2000)
+                         TrackerConfig(), calib=calib)
 
     def test_nonpositive_size_oracle_gt_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
@@ -944,7 +942,6 @@ class TestCleanFailures:
                     "--out", tmp_path / "t"]) == 0
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--num-points", "0", "--num-points must be at least 1, got 0"),
         ("--nn-max-dist", "0", "--nn-max-dist must be positive, got 0.0"),
     ])
     def test_nonpositive_nn_flow_flag_one_line_exit_2(
@@ -953,12 +950,6 @@ class TestCleanFailures:
         args = track_args(sim_dir, tmp_path / "out", **{"--flow-source": "nn", flag: value})
         assert run(args) == 2
         assert message in one_line_error(capsys, "track")
-        assert not (tmp_path / "out" / "results.txt").exists()
-
-    @pytest.mark.parametrize("value", ["nan", "-80", "inf"])
-    def test_bad_fov_margin_one_line_exit_2(self, sim_dir, tmp_path, capsys, value):
-        assert run(track_args(sim_dir, tmp_path / "out", **{"--fov-margin": value})) == 2
-        assert "--fov-margin must be finite and at least 0" in one_line_error(capsys, "track")
         assert not (tmp_path / "out" / "results.txt").exists()
 
     def test_flow_predictor_without_clouds_one_line_exit_2(self, sim_dir, tmp_path, capsys):
@@ -972,13 +963,6 @@ class TestCleanFailures:
                                                            "--predictor": "cv"})) == 0
 
     @pytest.mark.parametrize("predictor", ["flow", "cv"])
-    def test_negative_track_seed_one_line_exit_2(self, sim_dir, tmp_path, capsys, predictor):
-        args = track_args(sim_dir, tmp_path / "out", **{"--seed": "-3", "--predictor": predictor})
-        assert run(args) == 2
-        assert "--seed must be at least 0, got -3" in one_line_error(capsys, "track")
-        assert not (tmp_path / "out" / "results.txt").exists()
-
-    @pytest.mark.parametrize("predictor", ["flow", "cv"])
     def test_missing_clouds_directory_one_line_exit_2(self, sim_dir, tmp_path, capsys, predictor):
         missing = tmp_path / "nope_dir"
         args = track_args(sim_dir, tmp_path / "out", **{"--clouds": missing,
@@ -986,11 +970,6 @@ class TestCleanFailures:
         assert run(args) == 2
         assert f"--clouds {missing}: no such directory" in one_line_error(capsys, "track")
         assert not (tmp_path / "out" / "results.txt").exists()
-
-    def test_zero_flow_points_in_sim_one_line_exit_2(self, tmp_path, capsys):
-        args = ["sim", "--frames", "3", "--write-flow", "--num-points", "0", "--out", tmp_path]
-        assert run(args) == 2
-        assert "--num-points must be at least 1, got 0" in one_line_error(capsys, "sim")
 
     @pytest.mark.parametrize("flag", ["--detections", "--config", "--scenario"])
     def test_missing_input_file_one_line_exit_2(self, sim_dir, tmp_path, capsys, flag):
@@ -1011,6 +990,87 @@ class TestCleanFailures:
             args = ["decimate", "--in", sim_dir, "--stride", "2"]
         with pytest.raises(SystemExit):
             run([*args, "--seed", "3", "--out", tmp_path / "out"])
+
+    @pytest.mark.parametrize("command, flag", [
+        ("track", "--fov-margin"), ("track", "--num-points"), ("track", "--seed"),
+        ("sim", "--num-points"),
+    ])
+    def test_preprocessing_flags_removed(self, sim_dir, tmp_path, command, flag):
+        # The crop margin, the sample size and the draws are fixed, so a
+        # flow file fits its cloud whenever both come from one calibration.
+        args = track_args(sim_dir, tmp_path / "out") if command == "track" else [
+            "sim", "--frames", "3", "--out", tmp_path / "out"]
+        with pytest.raises(SystemExit):
+            run([*args, flag, "10"])
+        assert not (tmp_path / "out").exists()
+
+
+def scene_copy(sim_dir: Path, tmp_path: Path) -> Path:
+    scene = tmp_path / "scene"
+    shutil.copytree(sim_dir, scene)
+    return scene
+
+
+class TestFrameIndices:
+    """A frame index, in a cloud file name or a label row, is ASCII digits
+    of value at most 999999; each frame has at most one cloud file."""
+
+    @pytest.mark.parametrize("name", ["foo.bin", "-000005.bin", "1_0.bin", "+7.bin",
+                                      "1000000.bin", "\u0663.bin", " 3.bin"])
+    @pytest.mark.parametrize("command", ["track", "decimate"])
+    def test_cloud_name_not_a_frame_index_one_line_exit_2(
+        self, sim_dir, tmp_path, capsys, command, name
+    ):
+        scene = scene_copy(sim_dir, tmp_path)
+        stray = scene / "velodyne" / name
+        shutil.copyfile(scene / "velodyne" / "000003.bin", stray)
+        if command == "track":
+            args = track_args(scene, tmp_path / "out")
+        else:
+            args = ["decimate", "--in", scene, "--stride", "1", "--out", tmp_path / "out"]
+        assert run(args) == 2
+        err = one_line_error(capsys, command)
+        assert f"{stray}: a cloud file is named by its frame index" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["track", "decimate"])
+    def test_two_files_for_one_frame_one_line_exit_2(self, sim_dir, tmp_path, capsys, command):
+        scene = scene_copy(sim_dir, tmp_path)
+        shutil.copyfile(scene / "velodyne" / "000003.bin", scene / "velodyne" / "1.bin")
+        if command == "track":
+            args = track_args(scene, tmp_path / "out", **{"--predictor": "cv"})
+        else:
+            args = ["decimate", "--in", scene, "--stride", "1", "--out", tmp_path / "out"]
+        assert run(args) == 2
+        err = one_line_error(capsys, command)
+        assert "000001.bin and 1.bin are both the cloud of frame 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("frame", ["-4", "+7", "1_0", "1000000"])
+    @pytest.mark.parametrize("command", ["track", "eval"])
+    def test_label_frame_not_an_index_one_line_exit_2(
+        self, sim_dir, tracked_dir, tmp_path, capsys, command, frame
+    ):
+        name = "detections.txt" if command == "track" else "gt.txt"
+        labels = tmp_path / name
+        row = (sim_dir / name).read_text().splitlines()[-1].split(" ", 1)[1]
+        labels.write_text((sim_dir / name).read_text() + f"{frame} {row}\n")
+        if command == "track":
+            args = track_args(sim_dir, tmp_path / "out", **{"--detections": labels,
+                                                            "--predictor": "cv"})
+        else:
+            args = ["eval", "--gt", labels, "--results", tracked_dir / "results.txt",
+                    "--out", tmp_path / "out"]
+        lines = len(labels.read_text().splitlines())
+        assert run(args) == 2
+        err = one_line_error(capsys, command)
+        assert f"{labels}:{lines}: frame {frame!r} is not a frame index" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sim_past_the_largest_frame_index_one_line_exit_2(self, tmp_path, capsys):
+        assert run(["sim", "--frames", "1000001", "--out", tmp_path / "out"]) == 2
+        assert "at most 1000000 frames" in one_line_error(capsys, "sim")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDecimateCommand:

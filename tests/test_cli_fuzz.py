@@ -6,8 +6,9 @@ Every subcommand runs on one tiny scene written once per module.  A run
 draws in-range flags, then at most one bad flag value and at most one
 damaged input, so that each fault reaches the code behind the others.
 Counts and frame indices stay small: ``track`` steps every frame index
-between the first and the last of its inputs, so the damage never writes a
-digit.
+between the first and the last of its inputs, so the damage writes no
+digit but in a frame index, and the only indices it writes that are read
+are small ones.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ HUGE = ["nan", "inf", "-inf", "1e300", "-1e300", "1e308", "0", "-0.5"]
 HUGE_F32 = [float("nan"), float("inf"), float("-inf"), 3e38, -3e38, 0.0]
 # Bytes written over bytes of an input file: no digit, so no frame index grows.
 DAMAGE = list(b"x-.e \n\t\x00\xff#:=[]")
+# Frame columns written over a label row's: negative, signed, underscored
+# and seven-digit ones.  Only the zero-padded seven digits are an index.
+FRAMES = ["-4", "-0", "+7", "1_0", "1000000", "9999999", "0000003"]
+# Stems of a cloud copied under a name that is no frame index.
+STRAY = ["notes", "foo", "-000005", "1_0", "+1", "1000000", " 3", "3.0"]
 # Values drawn for the one bad flag of a run.
 BAD_VALUES = ["0", "-1", "-7", "abc", "nan", "inf", "-inf", ""]
 
@@ -46,6 +52,10 @@ DAMAGED = st.one_of(
     ),
     st.tuples(st.just("number"), st.integers(0, 1 << 20), st.integers(0, 1 << 20),
               st.integers(0, len(HUGE) - 1)),
+    st.tuples(st.just("frame"), st.integers(0, 1 << 20), st.sampled_from(FRAMES)),
+    # A copy of a cloud under a stray name, or under a second name of its frame.
+    st.tuples(st.just("stray"), st.sampled_from(STRAY)),
+    st.just(("twin",)),
 )
 
 # Input files and directories of the scene, by the name a flag value gives.
@@ -64,10 +74,7 @@ FLAGS = {
         ("--predictor", [None, "flow", "cv"]),
         ("--config", [None, "tracker.cfg"]),
         ("--category", [None, "Car", "Car", "Pedestrian"]),
-        ("--num-points", [None, "1", "50", "300"]),
         ("--nn-max-dist", [None, "0.5", "2"]),
-        ("--fov-margin", [None, "10", "0", "1e300"]),
-        ("--seed", [None, "0", "3"]),
     ],
     "eval": [
         ("--gt", ["gt.txt"]),
@@ -84,7 +91,6 @@ FLAGS = {
         ("--objects", [None, None, None, "0", "1", "2"]),
         ("--seed", [None, "0", "5"]),
         ("--write-flow", [None, True]),
-        ("--num-points", [None, "1", "100"]),
     ],
     "decimate": [
         ("--in", ["scene"]),
@@ -97,7 +103,9 @@ FLAGS = {
 def damage(recipe: tuple, source: Path, target: Path) -> None:
     """Write ``source`` to ``target`` as ``recipe`` damages it.  A number
     replaces a value of a text file (never one of the first three columns
-    of a label row: frame, id and category) or a float32 of a binary one."""
+    of a label row: frame, id and category) or a float32 of a binary one;
+    a frame replaces the first value of a line of a text file.  A stray or
+    twin name leaves a file as it is."""
     kind = recipe[0]
     if kind == "absent":
         return
@@ -128,6 +136,11 @@ def damage(recipe: tuple, source: Path, target: Path) -> None:
                 tokens[first + column % (len(tokens) - first)] = HUGE[pick]
                 lines[row] = " ".join(tokens)
             data = ("\n".join(lines) + "\n").encode()
+    elif kind == "frame" and data and source.suffix not in (".bin", ".sfl"):
+        lines = data.decode().splitlines()
+        row = recipe[1] % len(lines)
+        lines[row] = " ".join([recipe[2], *lines[row].split()[1:]])
+        data = ("\n".join(lines) + "\n").encode()
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_bytes(data)
 
@@ -136,7 +149,9 @@ def write_input(name: str, source: Path, target: Path, fault: tuple | None) -> N
     """Copy input ``name`` from ``source`` to ``target``, damaged by
     ``fault = (recipe, which)`` when given.  In a directory the ``which``-th
     file is damaged (of the scene: its ground truth, detections or
-    calibration); an absent or empty recipe applies to the directory."""
+    calibration); an absent or empty recipe applies to the directory, and a
+    stray or twin name copies the ``which``-th file of the directory (of the
+    scene: of its clouds) under that name."""
     if fault is None:
         if source.is_dir():
             shutil.copytree(source, target, ignore=shutil.ignore_patterns("tracked"))
@@ -152,9 +167,16 @@ def write_input(name: str, source: Path, target: Path, fault: tuple | None) -> N
     target.mkdir()
     if recipe[0] == "empty":
         return
+    shutil.copytree(source, target, dirs_exist_ok=True, ignore=shutil.ignore_patterns("tracked"))
+    if recipe[0] in ("stray", "twin"):
+        folder = target / "velodyne" if name == "scene" else target
+        files = sorted(folder.iterdir())
+        picked = files[which % len(files)]
+        stem = recipe[1] if recipe[0] == "stray" else str(int(picked.stem))
+        shutil.copyfile(picked, folder / f"{stem}{picked.suffix}")
+        return
     files = (["gt.txt", "detections.txt", "calib.txt"] if name == "scene"
              else sorted(p.name for p in source.iterdir()))
-    shutil.copytree(source, target, dirs_exist_ok=True, ignore=shutil.ignore_patterns("tracked"))
     picked = files[which % len(files)]
     (target / picked).unlink()
     damage(recipe, source / picked, target / picked)
@@ -166,11 +188,10 @@ def scene(tmp_path_factory):
     flow, and a counter of runs."""
     root = tmp_path_factory.mktemp("fuzz")
     sim = root / "scene"
-    assert main(["sim", "--frames", "4", "--objects", "2", "--num-points", "300",
-                 "--write-flow", "--out", str(sim)]) == 0
+    assert main(["sim", "--frames", "4", "--objects", "2", "--write-flow", "--out", str(sim)]) == 0
     assert main(["track", "--detections", str(sim / "detections.txt"), "--clouds",
                  str(sim / "velodyne"), "--calib", str(sim / "calib.txt"), "--gt",
-                 str(sim / "gt.txt"), "--num-points", "300", "--out", str(sim / "tracked")]) == 0
+                 str(sim / "gt.txt"), "--out", str(sim / "tracked")]) == 0
     write_scenario(root / "scene.scn", demo_scenario(frames=3, num_objects=1))
     (root / "tracker.cfg").write_text("iou_min = 0.05\nmax_mis = 1\nmin_det = 2\n")
     sources = {name: sim / name for name in FILES}
@@ -233,10 +254,8 @@ def run_main(argv: list[str]) -> tuple[int, bool, str, list]:
     return code, parser_exit, err.getvalue(), caught
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(invocations())
-def test_main_exits_0_or_2_with_one_error_line(scene, invocation):
-    argv = materialize(scene, invocation)
+def assert_exits_0_or_2_with_one_error_line(argv: list[str]) -> int:
+    """The exit status of ``main(argv)``, checked to keep the contract."""
     code, parser_exit, err, caught = run_main(argv)
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
@@ -249,3 +268,40 @@ def test_main_exits_0_or_2_with_one_error_line(scene, invocation):
             # Reported by the program: one line, no warning printed before it.
             assert err.count("\n") == 1, (argv, err)
             assert not caught, (argv, [str(w.message) for w in caught])
+    return code
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_main_exits_0_or_2_with_one_error_line(scene, invocation):
+    assert_exits_0_or_2_with_one_error_line(materialize(scene, invocation))
+
+
+# Every frame-index damage on an input of each command that reads frame
+# indices: label rows of a file or a scene, cloud names of a directory or a
+# scene.  All but the zero-padded frame column exit 2.
+FRAME_INDEX_DAMAGE = [
+    *[(command, flags, {name: (("frame", row, frame), 0)})
+      for command, flags, name, row in [
+          ("track", [("--detections", "detections.txt"), ("--predictor", "cv")],
+           "detections.txt", 3),
+          ("eval", [("--gt", "gt.txt"), ("--results", "results.txt")], "results.txt", 5),
+          ("decimate", [("--in", "scene"), ("--stride", "1")], "scene", 2),
+      ]
+      for frame in FRAMES],
+    *[(command, flags, {name: (recipe, 2)})
+      for command, flags, name in [
+          ("track", [("--detections", "detections.txt"), ("--clouds", "velodyne"),
+                     ("--calib", "calib.txt"), ("--flow-source", "nn")], "velodyne"),
+          ("decimate", [("--in", "scene"), ("--stride", "1")], "scene"),
+      ]
+      for recipe in [*[("stray", stem) for stem in STRAY], ("twin",)]],
+]
+
+
+@pytest.mark.parametrize("invocation", FRAME_INDEX_DAMAGE, ids=lambda invocation: "-".join(
+    [invocation[0], *map(str, next(iter(invocation[2].values()))[0])]))
+def test_frame_index_damage_exits_0_or_2_with_one_error_line(scene, invocation):
+    (recipe, _), = invocation[2].values()
+    code = assert_exits_0_or_2_with_one_error_line(materialize(scene, invocation))
+    assert code == 2 or recipe[-1] == "0000003"

@@ -100,6 +100,21 @@ class TestLabelGrammar:
         with pytest.raises(LabelFormatError, match=r"bad\.txt:1"):
             read_labels(path)
 
+    @pytest.mark.parametrize("frame", ["-4", "+7", "1_0", "1000000", "1000000000", "7.0", "\u0663"])
+    def test_frame_not_an_index_names_line(self, tmp_path, frame):
+        path = tmp_path / "bad.txt"
+        path.write_text(TRACK_PREFIX + DET_ROW + "\n" + f"{frame} 7 " + DET_ROW + "\n")
+        message = rf"bad\.txt:2: frame {re.escape(repr(frame))} is not a frame index in ASCII digits"
+        with pytest.raises(LabelFormatError, match=message):
+            read_labels(path)
+
+    @pytest.mark.parametrize("frame, index", [("0", 0), ("000007", 7), ("999999", 999_999),
+                                              ("0000999999", 999_999)])
+    def test_frame_of_ascii_digits_up_to_999999_read(self, tmp_path, frame, index):
+        path = tmp_path / "trk.txt"
+        path.write_text(f"{frame} 7 " + DET_ROW + "\n")
+        assert list(read_labels(path)) == [index]
+
     def test_empty_file_and_blank_lines(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

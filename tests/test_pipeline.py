@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,19 @@ import flowtrack.tracker as tracker
 from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
 from flowtrack.geometry import Box3D
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
-from flowtrack.preprocess import Frustum, PointCloud
+from flowtrack.preprocess import PointCloud
 from flowtrack.sim import NoiseSpec, demo_scenario, generate
 from flowtrack.tracker import Detection, TrackerConfig
 from oracles import points_in_boxes_reference, preprocessed_flows_reference
 
-NUM_POINTS = 800
-
 
 @pytest.fixture(scope="module")
 def scene():
+    # Dense enough that more than ``cli.SAMPLE_SIZE`` points are left after
+    # the crop and the ground fit, so the sample is drawn.
     scenario = demo_scenario(14, 4, seed=5, noise=NoiseSpec(0.2, 0.05, 0.5, 0.1, (0.5, 1.0)))
+    scenario = replace(scenario, points_per_object=1800,
+                       ground=replace(scenario.ground, num_points=6000))
     return scenario, generate(scenario)
 
 
@@ -68,7 +71,7 @@ class TestPipelinedChain:
         on_disk = tmp_path / "velodyne"
         for frame, cloud in clouds.items():
             write_velodyne(on_disk / f"{frame:06d}.bin", cloud)
-        frustum = Frustum(scenario.sensor.calibration())
+        calib = scenario.sensor.calibration()
         span = range(48, 50 + len(frames))
         previous = sys.getswitchinterval()
         try:
@@ -76,16 +79,16 @@ class TestPipelinedChain:
                 sys.setswitchinterval(switch_interval)
             for source in (clouds, cli.CloudFiles(on_disk)):
                 assert_same_chain(
-                    cli.preprocessed_flows(source, span, frustum, NUM_POINTS, 3),
-                    preprocessed_flows_reference(source, span, frustum, NUM_POINTS, 3),
+                    cli.preprocessed_flows(source, span, calib),
+                    preprocessed_flows_reference(source, span, calib),
                 )
+            assert len(cli.preprocess_frame(clouds[50], calib, 50)) == cli.SAMPLE_SIZE
         finally:
             sys.setswitchinterval(previous)
 
     def test_malformed_cloud_raises_after_the_same_steps(self, tmp_path, monkeypatch):
         scene_dir = tmp_path / "scene"
-        assert cli.main(["sim", "--frames", "12", "--objects", "3", "--num-points",
-                         str(NUM_POINTS), "--out", str(scene_dir)]) == 0
+        assert cli.main(["sim", "--frames", "12", "--objects", "3", "--out", str(scene_dir)]) == 0
         bad = scene_dir / "velodyne" / "000006.bin"
         bad.write_bytes(bad.read_bytes()[:-3])
         steps = []
@@ -100,7 +103,6 @@ class TestPipelinedChain:
                 cli.run_tracking_files(
                     scene_dir / "detections.txt", scene_dir / "velodyne",
                     scene_dir / "calib.txt", tmp_path / "out", flow_source="nn",
-                    num_points=NUM_POINTS,
                 )
             return str(raised.value), len(steps)
 
@@ -113,12 +115,12 @@ class TestPipelinedChain:
     def test_no_thread_left_running(self, scene, monkeypatch):
         scenario, frames = scene
         clouds = {f.index: f.cloud for f in frames}
-        frustum = Frustum(scenario.sensor.calibration())
+        calib = scenario.sensor.calibration()
         detections = {f.index: f.detections for f in frames}
         before = set(threading.enumerate())
 
         cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(), TrackerConfig(),
-                         frustum=frustum, num_points=NUM_POINTS)
+                         calib=calib)
         assert spawned_threads(before) == []
 
         # A tracker that fails on frame 5, while workers preprocess ahead.
@@ -131,12 +133,12 @@ class TestPipelinedChain:
         monkeypatch.setattr(cli, "Tracker", FailsAtFrame5)
         with pytest.raises(RuntimeError, match="frame 5") as raised:
             cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(),
-                             TrackerConfig(), frustum=frustum, num_points=NUM_POINTS)
+                             TrackerConfig(), calib=calib)
         # Stopped by run_tracking itself, not by the collection of a chain
         # that the kept traceback still holds.
         assert raised.traceback and spawned_threads(before) == []
 
-        chain = cli.preprocessed_flows(clouds, range(len(frames)), frustum, NUM_POINTS, 0)
+        chain = cli.preprocessed_flows(clouds, range(len(frames)), calib)
         next(chain)
         next(chain)
         assert spawned_threads(before)
@@ -153,18 +155,16 @@ class TestPipelinedChain:
         assert cli.run_tracking(
             detections, None, NearestNeighborFlowEstimator(), TrackerConfig()
         ) == by_cv
-        chain = cli.preprocessed_flows({}, range(3), None, NUM_POINTS, 0)
+        chain = cli.preprocessed_flows({}, range(3), None)
         assert list(chain) == [(0, None, None), (1, None, None), (2, None, None)]
 
     def test_written_flow_files_match_the_sequential_loop(self, scene, tmp_path):
         scenario, frames = scene
         calib = scenario.sensor.calibration()
-        cli.write_scenario_outputs(frames, tmp_path, calib, write_flow=True,
-                                   num_points=NUM_POINTS, seed=4)
+        cli.write_scenario_outputs(frames, tmp_path, calib, write_flow=True)
         estimator = OracleFlowEstimator({f.index: {g.obj_id: g.box for g in f.gt} for f in frames})
         reference = preprocessed_flows_reference(
-            cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames],
-            cli.Frustum(calib), NUM_POINTS, 4,
+            cli.CloudFiles(tmp_path / "velodyne"), [f.index for f in frames], calib
         )
         written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
         expected = [
@@ -187,7 +187,7 @@ class TestAttribution:
         def tracked():
             return cli.run_tracking(
                 detections, clouds, NearestNeighborFlowEstimator(), TrackerConfig(),
-                frustum=Frustum(scenario.sensor.calibration()), num_points=NUM_POINTS,
+                calib=scenario.sensor.calibration(),
             )
 
         kernel = tracked()
@@ -228,8 +228,7 @@ class TestFlowWhereRead:
         monkeypatch.setattr(tracker, "compute_offset", spy)
         cli.run_tracking(
             {f.index: f.detections for f in frames}, {f.index: f.cloud for f in frames},
-            BothWays(), TrackerConfig(), frustum=Frustum(scenario.sensor.calibration()),
-            num_points=NUM_POINTS,
+            BothWays(), TrackerConfig(), calib=scenario.sensor.calibration(),
         )
         assert sum(mean is not None for (mean, _), _ in offsets) > 10
         for (mean, count), (mean_all, count_all) in offsets:
@@ -261,7 +260,7 @@ class TestFlowWhereRead:
         # missed frame, and frames 8 and 9 start without a live one.
         detections = {f.index: [] if 5 <= f.index <= 8 else f.detections for f in frames}
         cli.run_tracking(detections, {f.index: f.cloud for f in frames}, Spy(), TrackerConfig(),
-                         frustum=Frustum(scenario.sensor.calibration()), num_points=NUM_POINTS)
+                         calib=scenario.sensor.calibration())
         # The calls before each step belong to its frame.
         per_frame, calls = [], []
         for event in events:
@@ -284,8 +283,8 @@ class TestFlowWhereRead:
                       for k in range(6)}
         far = np.random.default_rng(0).uniform(100.0, 110.0, size=(200, 3))
         clouds = {k: PointCloud(positions=far + 0.1 * k) for k in range(6)}
-        assert len(cli.preprocess_frame(clouds[0], None, NUM_POINTS, 0, 0)) > 0
+        assert len(cli.preprocess_frame(clouds[0], None, 0)) > 0
         monkeypatch.setattr(NearestNeighborFlowEstimator, "estimate", None)
         by_flow = cli.run_tracking(detections, clouds, NearestNeighborFlowEstimator(),
-                                   TrackerConfig(), num_points=NUM_POINTS)
+                                   TrackerConfig())
         assert by_flow == cli.run_tracking(detections, None, None, TrackerConfig())

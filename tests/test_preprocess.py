@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtrack.preprocess import (
+    FOV_MARGIN_DEG,
     GROUND,
     UNLABELED,
     Calibration,
     CalibrationError,
-    Frustum,
     GroundFit,
     PointCloud,
     filter_fov,
@@ -120,8 +120,7 @@ class TestCalibration:
                         velo_to_cam=calib.velo_to_cam * 1e10)
 
 
-def nominal_frustum(margin_deg=0.0) -> Frustum:
-    return Frustum(Calibration.nominal(), margin_deg)
+NOMINAL = Calibration.nominal()
 
 
 def azimuth_point(azimuth_deg: float, depth: float = 10.0) -> list[float]:
@@ -130,54 +129,45 @@ def azimuth_point(azimuth_deg: float, depth: float = 10.0) -> list[float]:
 
 
 class TestFilterFov:
-    def test_center_point_kept_with_zero_margin(self):
+    def test_center_point_kept(self):
         cloud = make_cloud([[10.0, 0.0, 0.0]])
-        kept = filter_fov(cloud, nominal_frustum(0.0))
+        kept = filter_fov(cloud, NOMINAL)
         assert len(kept) == 1
 
-    def test_behind_camera_removed_regardless_of_margin(self):
-        cloud = make_cloud([[-10.0, 0.0, 0.0]])
-        assert len(filter_fov(cloud, nominal_frustum(0.0))) == 0
-        assert len(filter_fov(cloud, nominal_frustum(60.0))) == 0
+    def test_behind_camera_removed(self):
+        cloud = make_cloud([[-10.0, 0.0, 0.0], [-1e-3, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        assert len(filter_fov(cloud, NOMINAL)) == 0
 
-    def test_margin_rescues_points_just_outside(self):
-        # Nominal horizontal half field of view is 45 degrees; a point at
-        # azimuth 50 degrees sits 5 degrees outside the left edge.
-        cloud = make_cloud([azimuth_point(50.0)])
-        assert len(filter_fov(cloud, nominal_frustum(0.0))) == 0
-        assert len(filter_fov(cloud, nominal_frustum(10.0))) == 1
+    def test_margin_keeps_points_up_to_ten_degrees_outside(self):
+        # Nominal horizontal half field of view is 45 degrees: azimuth 50
+        # sits 5 degrees outside the left edge, azimuth 56 one degree past
+        # the margin.
+        assert FOV_MARGIN_DEG == 10.0
+        for azimuth, kept in [(50.0, 1), (54.99, 1), (55.01, 0), (56.0, 0)]:
+            for sign in (1.0, -1.0):
+                assert len(filter_fov(make_cloud([azimuth_point(sign * azimuth)]), NOMINAL)) == kept
 
-    @pytest.mark.parametrize("margin_deg", [0.0, 10.0])
-    def test_image_spans_twice_the_principal_point(self, margin_deg):
+    def test_image_spans_twice_the_principal_point(self):
         # A KITTI-like camera: the principal point is off the image center
         # of its 1242 x 375 image, and the crop is symmetric about it.
-        nominal = Calibration.nominal()
         projection = [[721.54, 0.0, 609.56, 0.0], [0.0, 721.54, 172.85, 0.0], [0.0, 0.0, 1.0, 0.0]]
-        calib = Calibration(projection, nominal.rect, nominal.velo_to_cam)
-        frustum = Frustum(calib, margin_deg)
-        half_az = math.degrees(math.atan2(609.56, 721.54)) + margin_deg
-        half_el = math.degrees(math.atan2(172.85, 721.54)) + margin_deg
+        calib = Calibration(projection, NOMINAL.rect, NOMINAL.velo_to_cam)
+        half_az = math.degrees(math.atan2(609.56, 721.54)) + FOV_MARGIN_DEG
+        half_el = math.degrees(math.atan2(172.85, 721.54)) + FOV_MARGIN_DEG
         for azimuth, kept in [(half_az - 0.01, 1), (half_az + 0.01, 0)]:
             for sign in (1.0, -1.0):
-                assert len(filter_fov(make_cloud([azimuth_point(sign * azimuth)]), frustum)) == kept
+                assert len(filter_fov(make_cloud([azimuth_point(sign * azimuth)]), calib)) == kept
         for elevation, kept in [(half_el - 0.01, 1), (half_el + 0.01, 0)]:
             for sign in (1.0, -1.0):
                 e = math.radians(sign * elevation)
                 point = [10.0 * math.cos(e), 0.0, 10.0 * math.sin(e)]
-                assert len(filter_fov(make_cloud([point]), frustum)) == kept
+                assert len(filter_fov(make_cloud([point]), calib)) == kept
 
     def test_idempotent(self, rng):
         cloud = make_cloud(rng.uniform(-30, 30, size=(500, 3)))
-        frustum = nominal_frustum(10.0)
-        once = filter_fov(cloud, frustum)
-        twice = filter_fov(once, frustum)
+        once = filter_fov(cloud, NOMINAL)
+        twice = filter_fov(once, NOMINAL)
         assert np.array_equal(once.positions, twice.positions)
-
-    def test_monotone_in_margin(self, rng):
-        cloud = make_cloud(rng.uniform(-30, 30, size=(500, 3)))
-        narrow = {tuple(p) for p in filter_fov(cloud, nominal_frustum(0.0)).positions}
-        wide = {tuple(p) for p in filter_fov(cloud, nominal_frustum(15.0)).positions}
-        assert narrow <= wide
 
     def test_labels_follow_points(self):
         cloud = make_cloud(
@@ -185,7 +175,7 @@ class TestFilterFov:
             labels=[3, 4, 5],
             features=[[0.5], [0.6], [0.7]],
         )
-        kept = filter_fov(cloud, nominal_frustum(0.0))
+        kept = filter_fov(cloud, NOMINAL)
         assert kept.labels.tolist() == [3, 5]
         assert kept.features.tolist() == [[0.5], [0.7]]
 

@@ -10,7 +10,8 @@ import pytest
 
 from flowtrack.flow import motions_from_boxes
 from flowtrack.geometry import Box3D, iou3d, wrap_angle
-from flowtrack.preprocess import UNLABELED, Frustum, PointCloud, filter_fov
+from flowtrack.preprocess import UNLABELED, PointCloud, filter_fov
+from flowtrack import sim
 from flowtrack.tracker import SettingsError, UsageError
 from flowtrack.sim import (
     FrameData,
@@ -242,6 +243,17 @@ class TestGenerate:
         with pytest.raises(SettingsError, match="at least one frame"):
             generate(Scenario(frames=0, objects=[]))
 
+    def test_frames_past_the_largest_file_index_rejected_before_any_is_built(self, monkeypatch):
+        def built(*_args):
+            raise AssertionError("a frame was built")
+
+        monkeypatch.setattr(sim, "_world_points", built)
+        with pytest.raises(SettingsError, match="at most 1000000 frames, indexed 0 to 999999"):
+            generate(demo_scenario(frames=1_000_001, num_objects=2))
+        # A million frames pass the count; the next check stops this one.
+        with pytest.raises(SettingsError, match="seed must be at least 0"):
+            generate(demo_scenario(frames=1_000_000, num_objects=2, seed=-1))
+
 
 class TestDecimate:
     def scenario_frames(self, frames: int = 10) -> list[FrameData]:
@@ -322,12 +334,12 @@ class TestDecimate:
 class TestDemoScenario:
     def test_objects_stay_inside_frustum(self):
         scenario = demo_scenario()
-        frustum = Frustum(scenario.sensor.calibration())
+        calib = scenario.sensor.calibration()
         for frame in range(scenario.frames):
             centers = np.array(
                 [spec.box_at(frame).center for spec in scenario.objects]
             )
-            kept = filter_fov(PointCloud(positions=centers), frustum)
+            kept = filter_fov(PointCloud(positions=centers), calib)
             assert len(kept) == len(scenario.objects)
 
     def test_boxes_rest_on_ground(self):
