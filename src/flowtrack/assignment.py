@@ -7,8 +7,8 @@ potential-based shortest-augmenting-path formulation.  Its scans run in index
 order, so among equal-total assignments the one reached first by low row and
 column indices wins.
 
-A matrix with no negative entry is split first.  A zero cell adds nothing to
-a total, so the optimum is the union of the optima of the connected
+Entries are non-negative, and the matrix is split first.  A zero cell adds
+nothing to a total, so the optimum is the union of the optima of the connected
 components of the graph whose edges are the positive cells (the clustering
 step of multiple-hypothesis tracking, Reid, IEEE TAC 1979).  A component of
 one row and one column is taken as is; every larger one is solved by the
@@ -17,8 +17,8 @@ over are then paired with the free columns in index order, on cells that
 are all zero.  Tie rule: among equal-total assignments, each component
 takes the dense scan's choice on its own sub-matrix, and zero cells go to
 the leftover pairing; so where exact ties involve zero cells the pairs can
-differ from those of the dense scan on the whole matrix, which a matrix
-with a negative entry still gets.  Results are fully deterministic.
+differ from those of the dense scan on the whole matrix.  Results are fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ def max_similarity_assignment(similarity: np.ndarray) -> list[tuple[int, int]]:
     Parameters
     ----------
     similarity : np.ndarray
-        Matrix of shape (n_rows, n_cols), finite.  May be empty in either
-        dimension.
+        Matrix of shape (n_rows, n_cols), finite and non-negative.  May be
+        empty in either dimension.
 
     Returns
     -------
@@ -45,7 +45,7 @@ def max_similarity_assignment(similarity: np.ndarray) -> list[tuple[int, int]]:
     Raises
     ------
     ValueError
-        If the matrix contains non-finite entries.
+        If the matrix contains non-finite or negative entries.
     """
     similarity = np.asarray(similarity, dtype=float)
     if similarity.ndim != 2:
@@ -53,10 +53,8 @@ def max_similarity_assignment(similarity: np.ndarray) -> list[tuple[int, int]]:
     n_rows, n_cols = similarity.shape
     if n_rows == 0 or n_cols == 0:
         return []
-    if not np.isfinite(similarity).all():
-        raise ValueError("similarity matrix must be finite")
-    if (similarity < 0).any():
-        return _dense_assignment(similarity)
+    if not np.isfinite(similarity).all() or (similarity < 0).any():
+        raise ValueError("similarity matrix must be finite and non-negative")
 
     # Positive cells in row-major order.  A cell whose row and column hold
     # no other positive cell is a 1 x 1 component and a pair of its own.

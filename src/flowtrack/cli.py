@@ -477,7 +477,8 @@ def write_scenario_outputs(
         )) as chain:
             for frame, prev, curr in chain:
                 if prev is not None and curr is not None:
-                    save_flow(out_dir / "flow", frame - 1, estimator.estimate(prev, curr, frame - 1))
+                    field = estimator.estimate(prev, curr, frame - 1, np.arange(len(prev)))
+                    save_flow(out_dir / "flow", frame - 1, field)
 
 
 def run_decimation(in_dir: Path, out_dir: Path, stride: int, offset: int) -> list[int]:

@@ -105,17 +105,12 @@ class FlowEstimator(Protocol):
     ``frame_index`` identifies the previous frame of the pair; estimators
     backed by files or per-frame ground truth need it, the others ignore it.
     ``reads`` holds the ascending indices of the points of ``prev`` whose
-    flow will be read; an estimator may leave the other rows zero.  Without
-    it every point is estimated.  The field is aligned with the whole of
-    ``prev`` either way.
+    flow will be read; an estimator may leave the other rows zero.  The
+    field is aligned with the whole of ``prev``.
     """
 
     def estimate(
-        self,
-        prev: PointCloud,
-        curr: PointCloud,
-        frame_index: int,
-        reads: np.ndarray | None = None,
+        self, prev: PointCloud, curr: PointCloud, frame_index: int, reads: np.ndarray
     ) -> FlowField:  # pragma: no cover - protocol
         ...
 
@@ -148,8 +143,9 @@ def _flow_path(path: Path, frame_index: int) -> Path:
     return Path(path) / f"{frame_index:06d}.sfl"
 
 
-def write_flow_file(file_path: Path, field: FlowField) -> None:
-    """Write one flow field with its source coordinates.
+def save_flow(path: Path, frame_index: int, field: FlowField) -> Path:
+    """Write the flow for one frame pair under ``path``, named by the index
+    of the pair's previous frame, with its source coordinates.
 
     Layout: magic ``SFL1``, little-endian u32 point count, then per point
     six little-endian f32 values (source x, y, z, flow dx, dy, dz).  The
@@ -157,48 +153,13 @@ def write_flow_file(file_path: Path, field: FlowField) -> None:
     to the cloud it is loaded for.
     """
     records = np.hstack([field.sources, field.vectors]).astype("<f4")
-    file_path = Path(file_path)
+    file_path = _flow_path(path, frame_index)
     file_path.parent.mkdir(parents=True, exist_ok=True)
     with open(file_path, "wb") as handle:
         handle.write(FLOW_MAGIC)
         handle.write(struct.pack("<I", len(field)))
         handle.write(records.tobytes())
-
-
-def save_flow(path: Path, frame_index: int, field: FlowField) -> Path:
-    """Write the flow for one frame pair under ``path``, named by the index
-    of the pair's previous frame."""
-    file_path = _flow_path(path, frame_index)
-    write_flow_file(file_path, field)
     return file_path
-
-
-def read_flow_file(file_path: Path) -> FlowField:
-    """Read one flow file as the field of its stored sources.
-
-    Raises
-    ------
-    FlowDataError
-        On a bad magic, a count that disagrees with the payload size, or
-        non-finite values.
-    """
-    file_path = Path(file_path)
-    data = file_path.read_bytes()
-    if len(data) < 8 or data[:4] != FLOW_MAGIC:
-        raise FlowDataError(f"{file_path}: not a flow file (bad magic)")
-    (count,) = struct.unpack("<I", data[4:8])
-    payload = data[8:]
-    if len(payload) != count * 24:
-        raise FlowDataError(
-            f"{file_path}: declared {count} points but payload holds "
-            f"{len(payload) / 24:g}"
-        )
-    # A signalling NaN raises the invalid flag when cast; it is caught below.
-    with np.errstate(invalid="ignore"):
-        records = np.frombuffer(payload, dtype="<f4").reshape(-1, 6).astype(float)
-    if not np.all(np.isfinite(records)):
-        raise FlowDataError(f"{file_path}: non-finite values")
-    return FlowField(records[:, :3], records[:, 3:])
 
 
 def load_flow(path: Path, frame_index: int, sources: np.ndarray) -> FlowField:
@@ -219,25 +180,40 @@ def load_flow(path: Path, frame_index: int, sources: np.ndarray) -> FlowField:
     Raises
     ------
     FlowDataError
-        On a missing file, a malformed file, a point-count mismatch, or a
-        source coordinate deviating by more than ``SOURCE_ALIGNMENT_TOL``.
+        On a missing file, a bad magic, a count that disagrees with the
+        payload size, non-finite values, a point-count mismatch, or a source
+        coordinate deviating by more than ``SOURCE_ALIGNMENT_TOL``.
     """
     file_path = _flow_path(path, frame_index)
     if not file_path.exists():
         raise FlowDataError(f"no flow file for frame {frame_index}: {file_path}")
-    stored = read_flow_file(file_path)
-    sources = np.asarray(sources, dtype=float).reshape(-1, 3)
-    if len(sources) != len(stored):
+    data = file_path.read_bytes()
+    if len(data) < 8 or data[:4] != FLOW_MAGIC:
+        raise FlowDataError(f"{file_path}: not a flow file (bad magic)")
+    (count,) = struct.unpack("<I", data[4:8])
+    payload = data[8:]
+    if len(payload) != count * 24:
         raise FlowDataError(
-            f"frame {frame_index}: flow has {len(stored)} points, cloud has {len(sources)}"
+            f"{file_path}: declared {count} points but payload holds "
+            f"{len(payload) / 24:g}"
         )
-    deviation = float(np.max(np.abs(stored.sources - sources), initial=0.0))
+    # A signalling NaN raises the invalid flag when cast; it is caught below.
+    with np.errstate(invalid="ignore"):
+        records = np.frombuffer(payload, dtype="<f4").reshape(-1, 6).astype(float)
+    if not np.all(np.isfinite(records)):
+        raise FlowDataError(f"{file_path}: non-finite values")
+    sources = np.asarray(sources, dtype=float).reshape(-1, 3)
+    if len(sources) != count:
+        raise FlowDataError(
+            f"frame {frame_index}: flow has {count} points, cloud has {len(sources)}"
+        )
+    deviation = float(np.max(np.abs(records[:, :3] - sources), initial=0.0))
     if deviation > SOURCE_ALIGNMENT_TOL:
         raise FlowDataError(
             f"frame {frame_index}: flow sources deviate from the cloud by "
             f"{deviation:.2e} m (max {SOURCE_ALIGNMENT_TOL:.0e})"
         )
-    return FlowField(sources, stored.vectors)
+    return FlowField(sources, records[:, 3:])
 
 
 def motions_from_boxes(
@@ -270,8 +246,7 @@ class OracleFlowEstimator:
         self.boxes_by_frame = boxes_by_frame
 
     def estimate(
-        self, prev: PointCloud, curr: PointCloud, frame_index: int,
-        reads: np.ndarray | None = None,
+        self, prev: PointCloud, curr: PointCloud, frame_index: int, reads: np.ndarray
     ) -> FlowField:
         prev_boxes = self.boxes_by_frame.get(frame_index, {})
         curr_boxes = self.boxes_by_frame.get(frame_index + 1, {})
@@ -289,21 +264,15 @@ class OracleFlowEstimator:
 
 
 class NearestNeighborFlowEstimator:
-    """Estimator wrapper around :func:`estimate_nn`.
-
-    With ``reads`` only those points of ``prev`` are matched; every other
-    row gets zero flow.
-    """
+    """Estimator wrapper around :func:`estimate_nn`: only the ``reads``
+    points of ``prev`` are matched; every other row gets zero flow."""
 
     def __init__(self, max_match_distance: float = NN_MAX_MATCH_DISTANCE) -> None:
         self.max_match_distance = max_match_distance
 
     def estimate(
-        self, prev: PointCloud, curr: PointCloud, frame_index: int,
-        reads: np.ndarray | None = None,
+        self, prev: PointCloud, curr: PointCloud, frame_index: int, reads: np.ndarray
     ) -> FlowField:
-        if reads is None:
-            return estimate_nn(prev, curr, self.max_match_distance)
         vectors = np.zeros((len(prev), 3))
         vectors[reads] = estimate_nn(prev.take(reads), curr, self.max_match_distance).vectors
         return FlowField(prev.positions, vectors)
@@ -322,7 +291,6 @@ class FileFlowEstimator:
         self.directory = Path(directory)
 
     def estimate(
-        self, prev: PointCloud, curr: PointCloud, frame_index: int,
-        reads: np.ndarray | None = None,
+        self, prev: PointCloud, curr: PointCloud, frame_index: int, reads: np.ndarray
     ) -> FlowField:
         return load_flow(self.directory, frame_index, sources=prev.positions)

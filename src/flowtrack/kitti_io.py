@@ -1,10 +1,9 @@
 """Reading and writing KITTI-style tracking files.
 
-Label rows use the standard whitespace-separated columns.  Four layouts are
-accepted: plain detection rows (15 columns), detection rows with a trailing
-score (16), tracking rows with frame and track id (17), and tracking rows
-with a score (18).  Point clouds are the usual packed float32 x/y/z/intensity
-records, and calibration files carry the projection, rectification and
+Label rows use the standard whitespace-separated tracking columns: frame,
+track id and the 15 object columns (17), optionally followed by a score
+(18).  Point clouds are the usual packed float32 x/y/z/intensity records,
+and calibration files carry the projection, rectification and
 sensor-to-camera keys.
 
 Object locations in label files live in the camera frame (x right, y down,
@@ -78,24 +77,24 @@ class LabelRow:
 
 def _parse_row(tokens: list[str], path: Path, line_number: int) -> LabelRow:
     n = len(tokens)
-    if n not in (15, 16, 17, 18):
-        raise LabelFormatError(
-            f"{path}:{line_number}: row has {n} columns; expected 15-18"
-        )
-    rest = tokens[2:] if n >= 17 else tokens
-    frame = frame_index(tokens[0]) if n >= 17 else 0
+    if n not in (17, 18):
+        raise LabelFormatError(f"{path}:{line_number}: row has {n} columns; expected 17 or 18")
+    frame = frame_index(tokens[0])
     if frame is None:
         raise LabelFormatError(f"{path}:{line_number}: frame {tokens[0]!r} is not "
                                f"a frame index in ASCII digits from 0 to {MAX_FRAME}")
+    digits = tokens[1].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise LabelFormatError(f"{path}:{line_number}: track id {tokens[1]!r} is not "
+                               "an integer: an optional '-' and ASCII digits")
     try:
-        track_id = int(float(tokens[1])) if n >= 17 else -1
-        numbers = list(map(float, rest[1:]))
+        numbers = list(map(float, tokens[3:]))
         if not all(map(math.isfinite, numbers)):
-            bad = next(tok for tok, value in zip(rest[1:], numbers) if not math.isfinite(value))
+            bad = next(tok for tok, value in zip(tokens[3:], numbers) if not math.isfinite(value))
             raise ValueError(f"non-finite number {bad!r}")
         # The numbers come in the file's column order, which is the field order.
-        return LabelRow(frame, track_id, rest[0], numbers[0], int(numbers[1]), numbers[2],
-                        tuple(numbers[3:7]), *numbers[7:14],
+        return LabelRow(frame, int(tokens[1]), tokens[2], numbers[0], int(numbers[1]),
+                        numbers[2], tuple(numbers[3:7]), *numbers[7:14],
                         score=numbers[14] if len(numbers) == 15 else None)
     except (ValueError, OverflowError) as exc:
         raise LabelFormatError(f"{path}:{line_number}: {exc}") from exc
@@ -108,8 +107,9 @@ def read_labels(path: Path) -> dict[int, list[LabelRow]]:
     ------
     LabelFormatError
         For any row with an unaccepted column count, a frame column that
-        :func:`frame_index` rejects, an unparsable field or a non-finite
-        number, naming the line number.
+        :func:`frame_index` rejects, a track id other than an optional ``-``
+        and ASCII digits, an unparsable field or a non-finite number, naming
+        the line number.
     """
     path = Path(path)
     frames: dict[int, list[LabelRow]] = {}

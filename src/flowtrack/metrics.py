@@ -19,6 +19,10 @@ import numpy as np
 from .assignment import max_similarity_assignment
 from .geometry import Box3D, iou_matrices, iou_matrix
 
+# Most recall levels a sweep evaluates (KITTI and AB3DMOT use 40).  Each
+# costs one evaluation and one report row, so this bounds the run and report.
+MAX_RECALL_STEPS = 1000
+
 
 class EvaluationInputError(ValueError):
     """Raised for malformed evaluation inputs."""
@@ -36,7 +40,8 @@ class TrackedBox:
 @dataclass
 class EvalConfig:
     """Evaluation parameters.  ``iou_thres``, the 3D IoU a match needs, is
-    in (0, 1]: at 0 or below, boxes that do not overlap would match."""
+    in (0, 1]: at 0 or below, boxes that do not overlap would match.
+    ``num_recall_steps`` is from 1 to ``MAX_RECALL_STEPS``."""
 
     iou_thres: float = 0.25
     category: str = "Car"
@@ -49,6 +54,9 @@ class EvalConfig:
             raise EvaluationInputError(
                 f"the number of recall steps must be positive, got {self.num_recall_steps}"
             )
+        if self.num_recall_steps > MAX_RECALL_STEPS:
+            raise EvaluationInputError(f"the number of recall steps must be at most "
+                                       f"{MAX_RECALL_STEPS}, got {self.num_recall_steps}")
 
 
 @dataclass

@@ -383,9 +383,9 @@ def generate(scenario: Scenario) -> list[FrameData]:
 
 
 def select_frames(frames: Sequence[T], stride: int, offset: int) -> list[T]:
-    """Every ``stride``-th frame from ``offset`` on: the one decimation rule,
-    in memory and on disk.  A result without a frame raises
-    :class:`UsageError` naming the stride, the offset and the frame count."""
+    """Every ``stride``-th frame from ``offset`` on, the rule ``decimate``
+    applies.  A result without a frame raises :class:`UsageError` naming the
+    stride, the offset and the frame count."""
     if stride < 1:
         raise UsageError(f"stride must be at least 1, got {stride}")
     if offset < 0:
@@ -397,20 +397,6 @@ def select_frames(frames: Sequence[T], stride: int, offset: int) -> list[T]:
             f"of {len(frames)}"
         )
     return kept
-
-
-def decimate(frames: list[FrameData], stride: int = 2, offset: int = 0) -> list[FrameData]:
-    """Keep every ``stride``-th frame starting at ``offset`` and re-index
-    densely from zero.
-
-    Clouds, ground truth and detections travel with their frames, so the
-    exact motion between two kept frames is still the pose change of their
-    ground-truth boxes.  A result without a frame raises :class:`UsageError`.
-    """
-    return [
-        replace(frame, index=index)
-        for index, frame in enumerate(select_frames(frames, stride, offset))
-    ]
 
 
 def demo_scenario(

@@ -92,10 +92,11 @@ class EmittedTrack:
 class TrackerConfig:
     """Association and lifecycle parameters.
 
-    ``iou_min`` is the minimum similarity for a valid match, ``max_mis`` the
-    number of consecutive missed frames a confirmed tracklet survives, and
-    ``min_det`` the number of consecutive matched frames required before a
-    new tracklet is confirmed.
+    ``iou_min`` is the minimum similarity for a valid match, in (0, 1]: at
+    0, a tracklet would adopt a box that does not overlap it.  ``max_mis``
+    is the number of consecutive missed frames a confirmed tracklet
+    survives, and ``min_det`` the number of consecutive matched frames
+    required before a new tracklet is confirmed.
     """
 
     iou_min: float = 0.01
@@ -103,8 +104,8 @@ class TrackerConfig:
     min_det: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.iou_min <= 1.0:
-            raise ValueError(f"iou_min must be in [0, 1], got {self.iou_min}")
+        if not 0.0 < self.iou_min <= 1.0:
+            raise ValueError(f"iou_min must be in (0, 1], got {self.iou_min}")
         if self.max_mis < 0:
             raise ValueError(f"max_mis must be >= 0, got {self.max_mis}")
         if self.min_det < 1:
@@ -384,12 +385,11 @@ class Tracker:
         detections : sequence of Detection
             Current-frame detections.
         flow : FlowField, optional
-            Flow of the previous frame's sampled points; each tracklet's
-            points are those of ``flow.sources`` inside its box.  Without it
-            every tracklet advances by constant velocity.
+            Flow of the previous frame's sampled points.  Without it every
+            tracklet advances by constant velocity.
         members : list of np.ndarray, optional
-            :meth:`membership` of ``flow.sources``, when the caller already
-            made it; otherwise it is made here.
+            :meth:`membership` of ``flow.sources``: each tracklet's points
+            are those inside its box.  Required with ``flow``.
 
         Returns
         -------
@@ -401,9 +401,7 @@ class Tracker:
             self.frames_seen += 1
             return []
         translations: list[np.ndarray | None] = [None] * len(self.tracklets)
-        if flow is not None and self.tracklets:
-            if members is None:
-                members = self.membership(flow.sources)
+        if flow is not None:
             # A mean past the float range is reported by predict, not warned of.
             with np.errstate(over="ignore"):
                 translations = [compute_offset(flow, inside)[0] for inside in members]

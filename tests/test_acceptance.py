@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from flowtrack.metrics import (
     recall_sweep,
 )
 from flowtrack.preprocess import Calibration, PointCloud
-from flowtrack.sim import decimate, demo_scenario, generate
+from flowtrack.sim import demo_scenario, generate, select_frames
 from flowtrack.tracker import Detection, Tracker, TrackerConfig, EmittedTrack
 
 from conftest import nearby_box, random_box
@@ -299,7 +300,7 @@ def test_criterion_7_frame_rate_robustness():
         frames=24,
     )
     full = generate(scenario)
-    half = decimate(full, stride=2, offset=0)
+    half = [replace(f, index=k) for k, f in enumerate(select_frames(full, stride=2, offset=0))]
 
     def gt_of(frames):
         return {f.index: [eval_box(g.obj_id, g.box) for g in f.gt] for f in frames}

@@ -41,6 +41,13 @@ class TestExamples:
         with pytest.raises(ValueError):
             max_similarity_assignment(np.array([[math.inf]]))
 
+    @pytest.mark.parametrize("entry", [-1e-300, -0.5, -math.inf])
+    def test_negative_entry_rejected(self, entry):
+        # Every caller passes IoUs in [0, 1]; the component split needs them.
+        similarity = np.array([[0.9, 0.1], [0.2, entry]])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            max_similarity_assignment(similarity)
+
 
 class TestStructure:
     def test_rectangular_pair_count(self, rng):
@@ -76,19 +83,6 @@ class TestOptimality:
             best_total, _ = best_assignment_bruteforce(similarity)
             assert total(similarity, pairs) == pytest.approx(best_total, abs=1e-12)
 
-    def test_handles_negative_values(self, rng):
-        # Negative similarities may be dropped entirely when padding wins.
-        for _ in range(50):
-            rows = int(rng.integers(1, 6))
-            cols = int(rng.integers(1, 6))
-            similarity = rng.uniform(-1.0, 1.0, size=(rows, cols))
-            pairs = max_similarity_assignment(similarity)
-            best_total, _ = best_assignment_bruteforce(similarity)
-            # The padded square problem may leave a row on a zero pad column
-            # instead of taking a negative cell, so the realized total can
-            # exceed the forced-full-assignment optimum but never fall below.
-            assert total(similarity, pairs) >= best_total - 1e-12
-
     def test_duplicate_values_still_optimal(self, rng):
         for _ in range(50):
             size = int(rng.integers(2, 7))
@@ -107,8 +101,8 @@ def similarity_matrices(
 
 class TestAgainstScalarReference:
     """The dense scan returns exactly the pairs of the numpy-scalar Hungarian
-    it replaced, tie-breaks included; it solves every component the public
-    solver splits off, and every matrix with a negative entry."""
+    it replaced, tie-breaks included, negative entries too; it solves every
+    component the public solver splits off."""
 
     @settings(max_examples=300, deadline=None)
     @given(similarity_matrices(st.floats(-1.0, 1.0, allow_nan=False)))
@@ -170,14 +164,6 @@ class TestComponentSplit:
         similarity = np.zeros(shape)
         pairs = max_similarity_assignment(similarity)
         assert pairs == [(k, k) for k in range(min(shape))]
-        assert_complete_and_optimal(similarity, pairs)
-
-    @settings(max_examples=200, deadline=None)
-    @given(similarity_matrices(st.floats(-1.0, 1.0, allow_nan=False), min_side=1, max_side=6)
-           .filter(lambda similarity: (similarity < 0).any()))
-    def test_negative_entry_falls_back_to_dense_scan(self, similarity):
-        pairs = max_similarity_assignment(similarity)
-        assert pairs == _dense_assignment(similarity)
         assert_complete_and_optimal(similarity, pairs)
 
     @settings(max_examples=300, deadline=None)

@@ -470,6 +470,13 @@ class TestSettingsFiles:
         assert f"{cfg}:3: min_det: " in err and "min_det must be >= 1, got 0" in err
         assert not (tmp_path / "out" / "results.txt").exists()
 
+    def test_zero_iou_min_one_line_exit_2(self, sim_dir, tmp_path, capsys):
+        # At 0 the solver's leftover zero-IoU pairs would count as matches.
+        code, cfg = self.track_with_config(sim_dir, tmp_path, "iou_min = 0\n")
+        assert code == 2
+        err = one_line_error(capsys, "track")
+        assert f"{cfg}:1: iou_min: iou_min must be in (0, 1], got 0.0" in err
+
     def test_unknown_config_key_one_line_exit_2(self, sim_dir, tmp_path, capsys):
         code, cfg = self.track_with_config(sim_dir, tmp_path, "max_mis 4\nbogus_key = 3\n")
         assert code == 2
@@ -648,6 +655,15 @@ class TestEvalCommand:
                     tracked_dir / "results.txt", "--recall-steps", "0",
                     "--out", tmp_path / "eval"]) == 2
         assert "recall steps must be positive, got 0" in one_line_error(capsys, "eval")
+
+    @pytest.mark.parametrize("steps", ["1001", "1000000000"])
+    def test_too_many_recall_steps_one_line_exit_2(self, sim_dir, tracked_dir, tmp_path, capsys,
+                                                   steps):
+        assert run(["eval", "--gt", sim_dir / "gt.txt", "--results",
+                    tracked_dir / "results.txt", "--recall-steps", steps,
+                    "--out", tmp_path / "eval"]) == 2
+        assert f"recall steps must be at most 1000, got {steps}" in one_line_error(capsys, "eval")
+        assert not (tmp_path / "eval").exists()
 
     def test_loaded_boxes_keep_frames_of_other_categories(self, tmp_path):
         def row(frame, track_id, category, x):

@@ -7,8 +7,9 @@ draws in-range flags, then at most one bad flag value and at most one
 damaged input, so that each fault reaches the code behind the others.
 Counts and frame indices stay small: ``track`` steps every frame index
 between the first and the last of its inputs, so the damage writes no
-digit but in a frame index, and the only indices it writes that are read
-are small ones.
+digit but in a frame index or a track id, and the only indices it writes
+that are read are small ones.  The one large count, of recall steps, is
+past its cap.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ DAMAGE = list(b"x-.e \n\t\x00\xff#:=[]")
 # Frame columns written over a label row's: negative, signed, underscored
 # and seven-digit ones.  Only the zero-padded seven digits are an index.
 FRAMES = ["-4", "-0", "+7", "1_0", "1000000", "9999999", "0000003"]
+# Track-id columns written over a label row's: none is an integer.
+TRACK_IDS = ["0.9", "1e3", "-1.5", "+3", "1_0"]
 # Stems of a cloud copied under a name that is no frame index.
 STRAY = ["notes", "foo", "-000005", "1_0", "+1", "1000000", " 3", "3.0"]
 # Values drawn for the one bad flag of a run.
@@ -53,6 +56,7 @@ DAMAGED = st.one_of(
     st.tuples(st.just("number"), st.integers(0, 1 << 20), st.integers(0, 1 << 20),
               st.integers(0, len(HUGE) - 1)),
     st.tuples(st.just("frame"), st.integers(0, 1 << 20), st.sampled_from(FRAMES)),
+    st.tuples(st.just("id"), st.integers(0, 1 << 20), st.sampled_from(TRACK_IDS)),
     # A copy of a cloud under a stray name, or under a second name of its frame.
     st.tuples(st.just("stray"), st.sampled_from(STRAY)),
     st.just(("twin",)),
@@ -62,7 +66,8 @@ DAMAGED = st.one_of(
 FILES = ("detections.txt", "velodyne", "calib.txt", "gt.txt", "flows", "tracker.cfg",
          "results.txt", "scene.scn", "scene")
 
-# Per subcommand, each flag with its in-range values (None leaves it out).
+# Per subcommand, each flag with its in-range values (None leaves it out),
+# and a --recall-steps far past its cap, which must end the run at once.
 FLAGS = {
     "track": [
         ("--detections", ["detections.txt"]),
@@ -82,7 +87,7 @@ FLAGS = {
         ("--iou-thres", [None, "0.25", "0.5", "1"]),
         ("--iou-thres", [None, "0.5"]),
         ("--category", [None, "Car", "Car", "Pedestrian"]),
-        ("--recall-steps", [None, "1", "2", "40"]),
+        ("--recall-steps", [None, "1", "2", "40", "1000000000"]),
     ],
     "sim": [
         ("--scenario", [None, "scene.scn"]),
@@ -104,8 +109,8 @@ def damage(recipe: tuple, source: Path, target: Path) -> None:
     """Write ``source`` to ``target`` as ``recipe`` damages it.  A number
     replaces a value of a text file (never one of the first three columns
     of a label row: frame, id and category) or a float32 of a binary one;
-    a frame replaces the first value of a line of a text file.  A stray or
-    twin name leaves a file as it is."""
+    a frame replaces the first value of a line of a text file, an id the
+    second.  A stray or twin name leaves a file as it is."""
     kind = recipe[0]
     if kind == "absent":
         return
@@ -140,6 +145,13 @@ def damage(recipe: tuple, source: Path, target: Path) -> None:
         lines = data.decode().splitlines()
         row = recipe[1] % len(lines)
         lines[row] = " ".join([recipe[2], *lines[row].split()[1:]])
+        data = ("\n".join(lines) + "\n").encode()
+    elif kind == "id" and data and source.suffix not in (".bin", ".sfl"):
+        lines = data.decode().splitlines()
+        row = recipe[1] % len(lines)
+        tokens = lines[row].split()
+        tokens[1:2] = [recipe[2]]
+        lines[row] = " ".join(tokens)
         data = ("\n".join(lines) + "\n").encode()
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_bytes(data)
@@ -305,3 +317,22 @@ def test_frame_index_damage_exits_0_or_2_with_one_error_line(scene, invocation):
     (recipe, _), = invocation[2].values()
     code = assert_exits_0_or_2_with_one_error_line(materialize(scene, invocation))
     assert code == 2 or recipe[-1] == "0000003"
+
+
+# Every track-id damage on the label rows each command reads: all exit 2.
+TRACK_ID_DAMAGE = [
+    (command, flags, {name: (("id", row, track_id), 0)})
+    for command, flags, name, row in [
+        ("track", [("--detections", "detections.txt"), ("--predictor", "cv")],
+         "detections.txt", 3),
+        ("eval", [("--gt", "gt.txt"), ("--results", "results.txt")], "results.txt", 5),
+        ("decimate", [("--in", "scene"), ("--stride", "1")], "scene", 2),
+    ]
+    for track_id in TRACK_IDS
+]
+
+
+@pytest.mark.parametrize("invocation", TRACK_ID_DAMAGE, ids=lambda invocation: "-".join(
+    [invocation[0], *map(str, next(iter(invocation[2].values()))[0])]))
+def test_track_id_damage_exits_2_with_one_error_line(scene, invocation):
+    assert assert_exits_0_or_2_with_one_error_line(materialize(scene, invocation)) == 2

@@ -23,9 +23,7 @@ from flowtrack.flow import (
     estimate_nn,
     load_flow,
     motions_from_boxes,
-    read_flow_file,
     save_flow,
-    write_flow_file,
 )
 from flowtrack.geometry import Box3D
 from flowtrack.preprocess import PointCloud
@@ -79,7 +77,8 @@ def oracle_field(positions, prev_boxes, curr_boxes) -> FlowField:
     """The oracle flow of ``positions`` from frame 0 to frame 1 of the
     given ground-truth boxes."""
     estimator = OracleFlowEstimator({0: prev_boxes, 1: curr_boxes})
-    return estimator.estimate(cloud_of(positions), cloud_of([[0, 0, 0]]), 0)
+    prev = cloud_of(positions)
+    return estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0, np.arange(len(prev)))
 
 
 class TestOracleFlow:
@@ -121,7 +120,7 @@ class TestOracleFlow:
         prev = cloud_of([[0, 0, 0], [10, 10, 10]])
         box = Box3D(x=0, y=0, z=0, l=2, w=2, h=2, theta=0)
         estimator = OracleFlowEstimator({0: {7: box}, 1: {7: replace(box, x=1.0)}})
-        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0)
+        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0, np.arange(len(prev)))
         assert np.shares_memory(field.sources, prev.positions)
 
     def test_overlapping_boxes_lower_id_claims_shared_point(self):
@@ -176,52 +175,56 @@ class TestEstimateNn:
             estimate_nn(cloud_of([[0, 0, 0]]), cloud_of([[0, 0, 0]]), 0.0)
 
 
+def stored_records(path) -> np.ndarray:
+    """The (source, vector) records of a flow file, as written."""
+    return np.frombuffer(path.read_bytes()[8:], dtype="<f4").reshape(-1, 6)
+
+
 class TestFlowFiles:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         sources = rng.uniform(-50, 50, size=(100, 3)).astype(np.float32).astype(float)
         vectors = rng.uniform(-2, 2, size=(100, 3)).astype(np.float32).astype(float)
         path = save_flow(tmp_path, 4, FlowField(sources, vectors))
         assert path.name == "000004.sfl"
-        field = read_flow_file(path)
+        assert np.array_equal(stored_records(path)[:, :3], sources)
+        field = load_flow(tmp_path, 4, sources)
         assert np.array_equal(field.sources, sources)
         assert np.array_equal(field.vectors, vectors)
 
     def test_well_formed_count_three(self, tmp_path):
         sources = np.arange(9, dtype=float).reshape(3, 3)
         vectors = np.ones((3, 3))
-        write_flow_file(tmp_path / "f.sfl", FlowField(sources, vectors))
-        field = read_flow_file(tmp_path / "f.sfl")
-        assert len(field) == 3
+        save_flow(tmp_path, 0, FlowField(sources, vectors))
+        assert len(load_flow(tmp_path, 0, sources)) == 3
 
     def test_truncated_payload_rejected(self, tmp_path):
-        file_path = tmp_path / "f.sfl"
-        write_flow_file(file_path, FlowField(np.zeros((3, 3)), np.zeros((3, 3))))
+        file_path = save_flow(tmp_path, 0, FlowField(np.zeros((3, 3)), np.zeros((3, 3))))
         data = file_path.read_bytes()
         file_path.write_bytes(data[:-4])
         with pytest.raises(FlowDataError, match="declared 3"):
-            read_flow_file(file_path)
+            load_flow(tmp_path, 0, np.zeros((3, 3)))
 
     def test_bad_magic_rejected(self, tmp_path):
-        file_path = tmp_path / "f.sfl"
+        file_path = tmp_path / "000000.sfl"
         file_path.write_bytes(b"XXXX" + struct.pack("<I", 0))
         with pytest.raises(FlowDataError, match="magic"):
-            read_flow_file(file_path)
+            load_flow(tmp_path, 0, np.zeros((0, 3)))
 
     def test_non_finite_payload_rejected(self, tmp_path):
-        file_path = tmp_path / "f.sfl"
+        file_path = tmp_path / "000000.sfl"
         payload = np.full((1, 6), np.nan, dtype="<f4")
         file_path.write_bytes(FLOW_MAGIC + struct.pack("<I", 1) + payload.tobytes())
         with pytest.raises(FlowDataError, match="finite"):
-            read_flow_file(file_path)
+            load_flow(tmp_path, 0, np.zeros((1, 3)))
 
     def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
-        file_path = tmp_path / "f.sfl"
+        file_path = tmp_path / "000000.sfl"
         payload = b"\x00" * 20 + b"\x01\x00\x80\x7f"
         file_path.write_bytes(FLOW_MAGIC + struct.pack("<I", 1) + payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FlowDataError, match="finite"):
-                read_flow_file(file_path)
+                load_flow(tmp_path, 0, np.zeros((1, 3)))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -232,10 +235,13 @@ class TestFlowFiles:
         st.binary(max_size=5),
     )
     def test_fuzzed_file_raises_only_flow_data_error(self, tmp_path, magic, count, values, tail):
-        file_path = tmp_path / "f.sfl"
-        file_path.write_bytes(magic + count + np.array(values, dtype="<f4").tobytes() + tail)
+        file_path = tmp_path / "000000.sfl"
+        records = np.array(values, dtype="<f4")
+        file_path.write_bytes(magic + count + records.tobytes() + tail)
+        # The cloud is the file's own sources, so a well-formed file loads.
+        sources = records[: len(records) // 6 * 6].reshape(-1, 6)[:, :3].astype(float)
         try:
-            field = read_flow_file(file_path)
+            field = load_flow(tmp_path, 0, sources)
         except FlowDataError:
             return
         assert len(field.sources) == len(field) and np.isfinite(field.sources).all()
@@ -265,8 +271,8 @@ class TestFlowFiles:
         # The file stores single-precision sources; the loaded field holds
         # the cloud's own double-precision positions.
         sources = rng.uniform(-50, 50, size=(10, 3))
-        save_flow(tmp_path, 1, FlowField(sources, np.zeros((10, 3))))
-        assert not np.array_equal(read_flow_file(tmp_path / "000001.sfl").sources, sources)
+        path = save_flow(tmp_path, 1, FlowField(sources, np.zeros((10, 3))))
+        assert not np.array_equal(stored_records(path)[:, :3], sources)
         assert np.array_equal(load_flow(tmp_path, 1, sources).sources, sources)
 
 
@@ -277,7 +283,7 @@ class TestEstimatorClasses:
         boxes = {0: {5: prev_box}, 1: {5: curr_box}}
         estimator = OracleFlowEstimator(boxes)
         prev = cloud_of([[0.5, 0.3, 0.2], [30.0, 0.0, 0.0]])
-        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0)
+        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0, np.arange(len(prev)))
         assert field.vectors[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
         assert field.vectors[1].tolist() == [0.0, 0.0, 0.0]
 
@@ -286,13 +292,13 @@ class TestEstimatorClasses:
         boxes = {0: {5: prev_box}, 1: {}}
         estimator = OracleFlowEstimator(boxes)
         prev = cloud_of([[0.0, 0.0, 0.0]])
-        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0)
+        field = estimator.estimate(prev, cloud_of([[0, 0, 0]]), 0, np.arange(len(prev)))
         assert field.vectors[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_nn_estimator_wraps_function(self, rng):
         positions = rng.uniform(-5, 5, size=(30, 3))
         estimator = NearestNeighborFlowEstimator(max_match_distance=1.0)
-        field = estimator.estimate(cloud_of(positions), cloud_of(positions), 0)
+        field = estimator.estimate(cloud_of(positions), cloud_of(positions), 0, np.arange(30))
         assert np.array_equal(field.vectors, np.zeros((30, 3)))
 
     def test_file_estimator_round_trip(self, tmp_path, rng):
@@ -300,7 +306,7 @@ class TestEstimatorClasses:
         vectors = rng.uniform(-1, 1, size=(20, 3)).astype(np.float32).astype(float)
         save_flow(tmp_path, 3, FlowField(positions, vectors))
         estimator = FileFlowEstimator(tmp_path)
-        field = estimator.estimate(cloud_of(positions), cloud_of(positions), 3)
+        field = estimator.estimate(cloud_of(positions), cloud_of(positions), 3, np.arange(20))
         assert np.array_equal(field.vectors, vectors)
 
 

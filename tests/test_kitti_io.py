@@ -36,25 +36,6 @@ TRACK_PREFIX = "3 7 "
 
 
 class TestLabelGrammar:
-    def test_detection_row_15_columns(self, tmp_path):
-        path = tmp_path / "det.txt"
-        path.write_text(DET_ROW + "\n")
-        frames = read_labels(path)
-        assert list(frames) == [0]
-        row = frames[0][0]
-        assert (row.frame, row.track_id, row.score) == (0, -1, None)
-        assert row.category == "Car"
-        assert (row.h, row.w, row.l) == (1.5, 1.6, 3.9)
-        assert (row.x, row.y, row.z) == (2.0, 1.5, 10.0)
-        assert row.rotation_y == -1.5
-
-    def test_detection_row_16_columns_score(self, tmp_path):
-        path = tmp_path / "det.txt"
-        path.write_text(DET_ROW + " 0.87\n")
-        row = read_labels(path)[0][0]
-        assert row.score == 0.87
-        assert row.track_id == -1
-
     def test_tracking_row_17_columns(self, tmp_path):
         path = tmp_path / "trk.txt"
         path.write_text(TRACK_PREFIX + DET_ROW + "\n")
@@ -70,8 +51,17 @@ class TestLabelGrammar:
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(DET_ROW + "\n" + "Car 0.0 0\n")
+        path.write_text(TRACK_PREFIX + DET_ROW + "\n" + "Car 0.0 0\n")
         with pytest.raises(LabelFormatError, match=r"bad\.txt:2.*3 columns"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("row, columns", [(DET_ROW, 15), (DET_ROW + " 0.87", 16)])
+    def test_row_without_frame_and_id_rejected(self, tmp_path, row, columns):
+        # Read as frame 0, such rows would fold a multi-frame file onto one frame.
+        path = tmp_path / "det.txt"
+        path.write_text(TRACK_PREFIX + DET_ROW + "\n" + row + "\n")
+        with pytest.raises(LabelFormatError,
+                           match=rf"det\.txt:2: row has {columns} columns; expected 17 or 18"):
             read_labels(path)
 
     def test_too_many_columns_rejected(self, tmp_path):
@@ -82,14 +72,15 @@ class TestLabelGrammar:
 
     def test_unparsable_field_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(DET_ROW.replace("10.00", "ten") + "\n")
+        path.write_text(TRACK_PREFIX + DET_ROW.replace("10.00", "ten") + "\n")
         with pytest.raises(LabelFormatError, match=r"bad\.txt:1"):
             read_labels(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_field_names_line(self, tmp_path, token):
         path = tmp_path / "bad.txt"
-        path.write_text(DET_ROW + "\n" + TRACK_PREFIX + DET_ROW.replace("1.60", token) + "\n")
+        path.write_text(TRACK_PREFIX + DET_ROW + "\n" + TRACK_PREFIX
+                        + DET_ROW.replace("1.60", token) + "\n")
         with pytest.raises(LabelFormatError, match=rf"bad\.txt:2: non-finite number '{token}'"):
             read_labels(path)
 
@@ -99,6 +90,22 @@ class TestLabelGrammar:
         path.write_text(prefix + DET_ROW + "\n")
         with pytest.raises(LabelFormatError, match=r"bad\.txt:1"):
             read_labels(path)
+
+    @pytest.mark.parametrize("track_id", ["0.9", "7.9", "1e3", "-1.5", "+3", "1_0", "\u0663",
+                                          "-", "--1", "7-"])
+    def test_track_id_not_an_integer_names_line(self, tmp_path, track_id):
+        path = tmp_path / "bad.txt"
+        path.write_text(TRACK_PREFIX + DET_ROW + "\n" + f"3 {track_id} " + DET_ROW + "\n")
+        message = rf"bad\.txt:2: track id {re.escape(repr(track_id))} is not an integer"
+        with pytest.raises(LabelFormatError, match=message):
+            read_labels(path)
+
+    @pytest.mark.parametrize("track_id, value", [("-1", -1), ("0", 0), ("007", 7),
+                                                 ("123456789", 123456789)])
+    def test_track_id_of_ascii_digits_read(self, tmp_path, track_id, value):
+        path = tmp_path / "trk.txt"
+        path.write_text(f"3 {track_id} " + DET_ROW + "\n")
+        assert read_labels(path)[3][0].track_id == value
 
     @pytest.mark.parametrize("frame", ["-4", "+7", "1_0", "1000000", "1000000000", "7.0", "\u0663"])
     def test_frame_not_an_index_names_line(self, tmp_path, frame):
@@ -119,8 +126,8 @@ class TestLabelGrammar:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert read_labels(path) == {}
-        path.write_text("\n\n" + DET_ROW + "\n\n")
-        assert len(read_labels(path)[0]) == 1
+        path.write_text("\n\n" + TRACK_PREFIX + DET_ROW + "\n\n")
+        assert len(read_labels(path)[3]) == 1
 
     def test_rows_grouped_by_frame_in_order(self, tmp_path):
         path = tmp_path / "trk.txt"

@@ -21,7 +21,7 @@ import pytest
 
 import flowtrack.cli as cli
 import flowtrack.tracker as tracker
-from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, read_flow_file
+from flowtrack.flow import NearestNeighborFlowEstimator, OracleFlowEstimator, load_flow
 from flowtrack.geometry import Box3D
 from flowtrack.kitti_io import VelodyneFormatError, write_velodyne
 from flowtrack.preprocess import PointCloud
@@ -168,13 +168,14 @@ class TestPipelinedChain:
         )
         written = sorted(Path(tmp_path / "flow").glob("*.sfl"))
         expected = [
-            (frame, estimator.estimate(prev, curr, frame - 1))
+            (frame, estimator.estimate(prev, curr, frame - 1, np.arange(len(prev))))
             for frame, prev, curr in reference if prev is not None and curr is not None
         ]
         assert [path.name for path in written] == [f"{frame - 1:06d}.sfl" for frame, _ in expected]
-        for path, (_, flow) in zip(written, expected):
-            field = read_flow_file(path)
-            assert field.sources.tobytes() == flow.sources.astype("<f4").astype(float).tobytes()
+        for path, (frame, flow) in zip(written, expected):
+            records = np.frombuffer(path.read_bytes()[8:], dtype="<f4").reshape(-1, 6)
+            assert records[:, :3].tobytes() == flow.sources.astype("<f4").tobytes()
+            field = load_flow(tmp_path / "flow", frame - 1, flow.sources)
             assert field.vectors.tobytes() == flow.vectors.astype("<f4").astype(float).tobytes()
 
 
@@ -211,9 +212,9 @@ class TestFlowWhereRead:
         full = []
 
         class BothWays(NearestNeighborFlowEstimator):
-            def estimate(self, prev, curr, frame_index, reads=None):
-                assert reads is not None and (np.diff(reads) > 0).all()
-                full.append(super().estimate(prev, curr, frame_index))
+            def estimate(self, prev, curr, frame_index, reads):
+                assert (np.diff(reads) > 0).all()
+                full.append(super().estimate(prev, curr, frame_index, np.arange(len(prev))))
                 field = super().estimate(prev, curr, frame_index, reads)
                 assert field.sources.tobytes() == full[-1].sources.tobytes()
                 return field

@@ -21,10 +21,10 @@ from flowtrack.sim import (
     Scenario,
     Waypoint,
     arc_waypoints,
-    decimate,
     demo_scenario,
     generate,
     read_scenario,
+    select_frames,
     write_scenario,
 )
 
@@ -265,39 +265,37 @@ class TestDecimate:
             )
         )
 
-    def test_keep_even_reindexes(self):
+    def test_keep_even(self):
+        # Re-indexing is ``run_decimation``'s; see TestDecimateCommand.
         frames = self.scenario_frames(10)
-        kept = decimate(frames, stride=2, offset=0)
-        assert [f.index for f in kept] == [0, 1, 2, 3, 4]
+        kept = select_frames(frames, stride=2, offset=0)
+        assert [f.index for f in kept] == [0, 2, 4, 6, 8]
         assert [f.gt[0].box.x for f in kept] == [
             frames[i].gt[0].box.x for i in (0, 2, 4, 6, 8)
         ]
 
     def test_keep_odd_offsets(self):
         frames = self.scenario_frames(10)
-        kept = decimate(frames, stride=2, offset=1)
+        kept = select_frames(frames, stride=2, offset=1)
         assert len(kept) == 5
         assert kept[0].gt[0].box.x == frames[1].gt[0].box.x
 
     def test_stride_one_is_identity(self):
         frames = self.scenario_frames(6)
-        same = decimate(frames, stride=1)
-        assert [f.index for f in same] == [f.index for f in frames]
-        for a, b in zip(frames, same):
-            assert a.cloud is b.cloud
-            assert a.gt == b.gt
+        same = select_frames(frames, stride=1, offset=0)
+        assert len(same) == len(frames) and all(a is b for a, b in zip(frames, same))
 
     def test_empty_result_rejected(self):
         frames = self.scenario_frames(3)
         with pytest.raises(UsageError, match="stride 2 and offset 5 keeps no frame of 3"):
-            decimate(frames, stride=2, offset=5)
+            select_frames(frames, stride=2, offset=5)
 
     def test_invalid_parameters(self):
         frames = self.scenario_frames(4)
         with pytest.raises(ValueError, match="stride"):
-            decimate(frames, stride=0)
+            select_frames(frames, stride=0, offset=0)
         with pytest.raises(ValueError, match="offset"):
-            decimate(frames, offset=-1)
+            select_frames(frames, stride=2, offset=-1)
 
     def turning_frames(self, frames: int = 12) -> list[FrameData]:
         objects = [
@@ -315,20 +313,17 @@ class TestDecimate:
     def test_motion_between_kept_frames_stays_exact(self):
         for frames in (self.scenario_frames(10), self.turning_frames()):
             for stride, offset in ((2, 0), (3, 0), (3, 1), (4, 2)):
-                kept = decimate(frames, stride=stride, offset=offset)
+                kept = select_frames(frames, stride=stride, offset=offset)
                 assert len(kept) >= 2
                 for prev, curr in zip(kept, kept[1:]):
                     assert_motions_move_points(prev, curr)
 
     def test_nested_strides_compose(self):
         frames = self.scenario_frames(10)
-        twice = decimate(decimate(frames, stride=2), stride=2)
-        direct = decimate(frames, stride=4)
-        assert [f.index for f in twice] == [f.index for f in direct]
-        for a, b in zip(twice, direct):
-            assert a.cloud is b.cloud
-            assert a.gt == b.gt
-            assert a.detections == b.detections
+        twice = select_frames(select_frames(frames, stride=2, offset=0), stride=2, offset=0)
+        direct = select_frames(frames, stride=4, offset=0)
+        assert [f.index for f in twice] == [f.index for f in direct] == [0, 4, 8]
+        assert all(a is b for a, b in zip(twice, direct))
 
 
 class TestDemoScenario:

@@ -40,6 +40,11 @@ def tracklet_at(x: float, y: float = 0.0, theta: float = 0.0, track_id: int = 0)
     return Tracklet(track_id=track_id, box=box_at(x, y, theta), confidence=1.0, category="Car")
 
 
+def step_with_flow(tracker, detections, flow):
+    """One step with ``flow`` and the membership ``run_tracking`` passes with it."""
+    return tracker.step(detections, flow, tracker.membership(flow.sources))
+
+
 def offset_of(tracklet, flow):
     """:func:`compute_offset` over the flow's sources inside the tracklet's box."""
     inside = points_in_box(tracklet.box, flow.sources, margin=ATTRIBUTION_MARGIN)
@@ -54,6 +59,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrackerConfig(iou_min=1.5)
+        with pytest.raises(ValueError, match=re.escape("iou_min must be in (0, 1], got 0.0")):
+            TrackerConfig(iou_min=0.0)
         with pytest.raises(ValueError):
             TrackerConfig(max_mis=-1)
         with pytest.raises(ValueError):
@@ -428,10 +435,10 @@ class TestTrackerLifecycle:
         tracker = Tracker()
         tracker.step([det_at(0.0)])
         tracker.step([det_at(1.0)])
-        tracker.step([det_at(2.0)], FlowField([[1.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]]))
+        step_with_flow(tracker, [det_at(2.0)], FlowField([[1.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]]))
         with_flow = copy.deepcopy(tracker)
         flow = FlowField([[2.0, 0.0, 1.0]], [[0.5, 0.0, 0.0]])
-        assert with_flow.step([], flow)[0].box.x == pytest.approx(2.5)
+        assert step_with_flow(with_flow, [], flow)[0].box.x == pytest.approx(2.5)
         assert tracker.step([])[0].box.x == pytest.approx(3.0)
         assert tracker.step([])[0].box.x == pytest.approx(4.0)
 
@@ -451,10 +458,12 @@ class TestTrackerLifecycle:
                     [[box.x + dx, box.y, box.z] for dx in (-1.0, 0.0, 1.0)]
                 )
             )
-            flow = None
-            if prev is not None:
-                flow = estimator.estimate(prev, cloud, frame - 1)
-            emitted = tracker.step([Detection(box=box, confidence=1.0, category="Car")], flow)
+            detections = [Detection(box=box, confidence=1.0, category="Car")]
+            if prev is None:
+                emitted = tracker.step(detections)
+            else:
+                flow = estimator.estimate(prev, cloud, frame - 1, np.arange(len(prev)))
+                emitted = step_with_flow(tracker, detections, flow)
             assert len(emitted) == 1
             ids.add(emitted[0].track_id)
             prev = cloud
@@ -467,9 +476,9 @@ class TestTrackerLifecycle:
         tracker = Tracker()
         starved = FlowField([[200.0, 0.0, 1.0]], np.zeros((1, 3)))
         tracker.step([det_at(0.0)])
-        tracker.step([det_at(1.0)], starved)
-        tracker.step([det_at(2.0)], starved)
-        emitted = tracker.step([], starved)
+        step_with_flow(tracker, [det_at(1.0)], starved)
+        step_with_flow(tracker, [det_at(2.0)], starved)
+        emitted = step_with_flow(tracker, [], starved)
         assert emitted[0].box.x == pytest.approx(3.0)
 
     def test_cross_category_never_associates(self):
